@@ -24,13 +24,17 @@
 
 use rnuma::config::{MachineConfig, Protocol};
 use rnuma::experiment::{
-    parallel_map, run, run_parallel, run_replayed, run_traced_env_checked, RunReport, SweepAbort,
-    TraceStore,
+    parallel_workers, run, run_parallel, run_replayed, RunReport, SweepAbort, TraceId, TraceStore,
 };
 use rnuma::journal::{cell_key, Journal};
 use rnuma_workloads::{by_name, Scale, APP_NAMES};
+use std::any::Any;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::fmt::Write as _;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 pub mod hotpath;
 pub mod sweep;
@@ -238,11 +242,21 @@ pub fn run_grid(
 
 /// [`run_grid`], the trace-once/replay-many way: each application's
 /// operation stream is captured **once**, on `configs[0]` (the
-/// baseline — conventionally the ideal machine), interned into a
-/// shared [`TraceStore`], and replayed against every other
-/// configuration. Captures fan out over the host's cores first, then
-/// all replay cells do; `RNUMA_JOBS` overrides the worker count and
-/// `RNUMA_SHARDS` adds the per-cell pool-backed sharded self-check.
+/// baseline — conventionally the ideal machine), into that
+/// application's own [`TraceStore`], and replayed against every other
+/// configuration.
+///
+/// One pool of `RNUMA_JOBS` workers (default: the host's parallelism)
+/// pulls every cell from one queue. A worker takes the next pending
+/// capture first, in `apps` order, since captures are what release
+/// more work; the capture encodes the stream as the machine produces
+/// it, so the flat op array is never built. A finished capture fills
+/// its row's first cell and releases the row's replay cells. Otherwise
+/// a worker takes the ready replay with the longest stream, ties going
+/// to the lower `(app, config)` index. A panicking cell stops dispatch;
+/// once every worker has returned, the first panic is re-raised with
+/// its payload. `RNUMA_SHARDS` adds the pool-backed sharded self-check
+/// to every cell, and `RNUMA_JOURNAL` checkpoints replay cells.
 ///
 /// Returns the same row shape as [`run_grid`]. The difference in
 /// *meaning*: every cell of a row simulates the **same** reference
@@ -275,7 +289,8 @@ pub fn run_grid(
 /// # Panics
 ///
 /// Panics if `configs` is empty, any `app` is not a Table-3
-/// application, or a self-checking sharded replay diverges.
+/// application, a self-checking sharded replay diverges, or an
+/// `RNUMA_FAULTS` abort fires.
 #[must_use]
 pub fn sweep_grid(
     apps: &[&'static str],
@@ -286,60 +301,195 @@ pub fn sweep_grid(
         !configs.is_empty(),
         "need at least a baseline configuration"
     );
-    // Phase 1+2: capture every application's stream on the baseline
-    // and intern it into one shared store. Captures run in worker-sized
-    // batches so at most one batch of raw (uncompressed) traces is ever
-    // resident — the arena they are interned into exists precisely to
-    // avoid holding every stream verbatim.
-    let mut store = TraceStore::new();
-    let mut ids = Vec::with_capacity(apps.len());
-    let mut rows: Vec<Vec<RunReport>> = Vec::with_capacity(apps.len());
-    let batch = rnuma::experiment::parallel_workers(apps.len());
-    for chunk in apps.chunks(batch) {
-        let captures = parallel_map(chunk, |&app| {
-            let mut w = by_name(app, scale).unwrap_or_else(|| panic!("unknown app {app}"));
-            run_traced_env_checked(configs[0], &mut w)
-        });
-        for (report, trace) in captures {
-            ids.push(store.insert(report.workload, configs[0], &trace));
-            let mut row = Vec::with_capacity(configs.len());
-            row.push(report);
-            rows.push(row);
-        }
-    }
-    // Phase 3: replay every remaining (application, configuration) cell.
-    // With `RNUMA_JOURNAL` set, completed cells checkpoint into the
-    // sweep journal keyed by (workload, stream content hash, config):
-    // cells already journaled restore without re-simulation, so a
-    // sweep killed mid-run resumes where it died and finishes
+    // With `RNUMA_JOURNAL` set, completed replay cells checkpoint into
+    // the sweep journal keyed by (workload, stream content hash,
+    // config): cells already journaled restore without re-simulation,
+    // so a sweep killed mid-run resumes where it died and finishes
     // bit-identical to a clean one (see docs/ROBUSTNESS.md).
     let journal = sweep_journal_from_env();
     let abort = SweepAbort::from_env();
-    let hashes: Vec<u64> = ids.iter().map(|&id| store.content_hash(id)).collect();
-    let cells: Vec<(usize, usize)> = (0..apps.len())
-        .flat_map(|a| (1..configs.len()).map(move |c| (a, c)))
-        .collect();
-    let replays = parallel_map(&cells, |&(a, c)| {
-        let key = cell_key(store.workload(ids[a]), hashes[a], &configs[c]);
-        if let Some(metrics) = journal.as_ref().and_then(|j| j.lookup(key)) {
-            return RunReport {
-                workload: store.workload(ids[a]),
-                protocol: configs[c].protocol.label(),
-                config: configs[c],
-                metrics: metrics.clone(),
+    // Each app's stream sits alone in its own store, so no capture ever
+    // waits on another app's encoding.
+    let captured: Vec<OnceLock<(TraceStore, TraceId)>> =
+        apps.iter().map(|_| OnceLock::new()).collect();
+    let queue = SweepQueue::new(apps.len(), configs.len());
+    let run_job = |job: Job| match job {
+        Job::Capture(a) => {
+            let app = apps[a];
+            let mut w = by_name(app, scale).unwrap_or_else(|| panic!("unknown app {app}"));
+            let mut store = TraceStore::new();
+            let (id, report) = store.capture(configs[0], &mut w);
+            let ops = store.ops(id);
+            assert!(
+                captured[a].set((store, id)).is_ok(),
+                "each app is captured once"
+            );
+            (report, ops)
+        }
+        Job::Replay(a, c) => {
+            let (store, id) = captured[a]
+                .get()
+                .expect("replays are released only after their capture");
+            let key = cell_key(store.workload(*id), store.content_hash(*id), &configs[c]);
+            let report = match journal.as_ref().and_then(|j| j.lookup(key)) {
+                Some(metrics) => RunReport {
+                    workload: store.workload(*id),
+                    protocol: configs[c].protocol.label(),
+                    config: configs[c],
+                    metrics: metrics.clone(),
+                },
+                None => {
+                    let report = run_replayed(store, *id, configs[c]);
+                    if let Some(journal) = journal.as_ref() {
+                        journal.record(key, report.workload, report.protocol, &report.metrics);
+                    }
+                    abort.after_cell();
+                    report
+                }
             };
+            (report, 0)
         }
-        let report = run_replayed(&store, ids[a], configs[c]);
-        if let Some(journal) = journal.as_ref() {
-            journal.record(key, report.workload, report.protocol, &report.metrics);
+    };
+    let workers = parallel_workers(apps.len() * configs.len());
+    std::thread::scope(|s| {
+        for _ in 1..workers {
+            s.spawn(|| queue.work(&run_job));
         }
-        abort.after_cell();
-        report
+        queue.work(&run_job);
     });
-    for (&(a, _), report) in cells.iter().zip(replays) {
-        rows[a].push(report);
+    queue.into_rows()
+}
+
+/// A unit of [`sweep_grid`] work: capture app `a` on the baseline, or
+/// replay app `a`'s stream on configuration `c`.
+#[derive(Clone, Copy, Debug)]
+enum Job {
+    Capture(usize),
+    Replay(usize, usize),
+}
+
+/// The dependency-driven queue behind [`sweep_grid`]: captures are
+/// handed out in app order, each finished capture releases its row's
+/// replays, and ready replays go longest stream first.
+struct SweepQueue {
+    state: Mutex<QueueState>,
+    changed: Condvar,
+}
+
+struct QueueState {
+    apps: usize,
+    configs: usize,
+    next_capture: usize,
+    /// Ready replays as `(stream ops, Reverse((app, config)))`: the
+    /// max-heap pops the longest stream, ties to the lowest cell.
+    ready: BinaryHeap<(u64, Reverse<(usize, usize)>)>,
+    running: usize,
+    /// Row-major `apps × configs` results.
+    cells: Vec<Option<RunReport>>,
+    /// The first job panic; set, it stops all dispatch.
+    panic: Option<Box<dyn Any + Send>>,
+}
+
+impl SweepQueue {
+    fn new(apps: usize, configs: usize) -> SweepQueue {
+        SweepQueue {
+            state: Mutex::new(QueueState {
+                apps,
+                configs,
+                next_capture: 0,
+                ready: BinaryHeap::new(),
+                running: 0,
+                cells: (0..apps * configs).map(|_| None).collect(),
+                panic: None,
+            }),
+            changed: Condvar::new(),
+        }
     }
-    rows
+
+    fn lock(&self) -> MutexGuard<'_, QueueState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// One worker's loop: take jobs until the grid is done or a job
+    /// has panicked. `run` returns the cell's report and the length of
+    /// the stream a capture recorded (0 for a replay).
+    fn work(&self, run: &(impl Fn(Job) -> (RunReport, u64) + Sync)) {
+        loop {
+            let job = {
+                let mut st = self.lock();
+                loop {
+                    if st.panic.is_some() {
+                        return;
+                    }
+                    if let Some(job) = st.next_job() {
+                        st.running += 1;
+                        break job;
+                    }
+                    if st.running == 0 {
+                        // Nothing ready and nothing running that could
+                        // release more: the grid is done.
+                        return;
+                    }
+                    st = self
+                        .changed
+                        .wait(st)
+                        .unwrap_or_else(PoisonError::into_inner);
+                }
+            };
+            let outcome = catch_unwind(AssertUnwindSafe(|| run(job)));
+            let mut st = self.lock();
+            st.running -= 1;
+            match outcome {
+                Ok((report, ops)) => st.complete(job, report, ops),
+                Err(payload) => {
+                    st.panic.get_or_insert(payload);
+                }
+            }
+            self.changed.notify_all();
+        }
+    }
+
+    /// The rows, once every worker has returned; re-raises the first
+    /// job panic instead if there was one.
+    fn into_rows(self) -> Vec<Vec<RunReport>> {
+        let st = self
+            .state
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
+        if let Some(payload) = st.panic {
+            resume_unwind(payload);
+        }
+        let mut cells = st
+            .cells
+            .into_iter()
+            .map(|cell| cell.expect("the queue ran every cell"));
+        (0..st.apps)
+            .map(|_| cells.by_ref().take(st.configs).collect())
+            .collect()
+    }
+}
+
+impl QueueState {
+    fn next_job(&mut self) -> Option<Job> {
+        if self.next_capture < self.apps {
+            self.next_capture += 1;
+            return Some(Job::Capture(self.next_capture - 1));
+        }
+        let (_, Reverse((a, c))) = self.ready.pop()?;
+        Some(Job::Replay(a, c))
+    }
+
+    fn complete(&mut self, job: Job, report: RunReport, ops: u64) {
+        let (a, c) = match job {
+            Job::Capture(a) => {
+                self.ready
+                    .extend((1..self.configs).map(|c| (ops, Reverse((a, c)))));
+                (a, 0)
+            }
+            Job::Replay(a, c) => (a, c),
+        };
+        self.cells[a * self.configs + c] = Some(report);
+    }
 }
 
 /// [`sweep_grid`] over protocols on the paper's base machine — what the

@@ -342,9 +342,8 @@ fn warn_once_misconfigured(name: &str, raw: &str, max: usize) {
 /// available parallelism, clamped to the job count. `RNUMA_JOBS=0` or
 /// an unparsable value is a misconfiguration: it warns once to stderr
 /// and falls back to available parallelism ([`env_usize`] contract),
-/// exactly like the other numeric `RNUMA_*` variables. Batch drivers
-/// that want to bound in-flight memory (e.g. raw traces awaiting
-/// interning) size their batches with this.
+/// exactly like the other numeric `RNUMA_*` variables. Drivers that run
+/// their own worker pool (`rnuma_bench::sweep_grid`) size it with this.
 #[must_use]
 pub fn parallel_workers(jobs: usize) -> usize {
     let host = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
@@ -401,27 +400,6 @@ where
         .map(|&config| run(config, &mut make_workload()))
         .collect();
     normalize_to_first(reports)
-}
-
-/// [`run_traced`], plus the `RNUMA_SHARDS` self-check: when the
-/// environment requests more than one shard, the captured stream is
-/// replayed on the pool-backed sharded executor and checked
-/// bit-identical against the capture run before returning. Batch sweep
-/// drivers use this to capture in parallel and intern serially.
-///
-/// # Panics
-///
-/// Panics if `config` fails validation, or if the sharded replay
-/// diverges (an executor bug).
-pub fn run_traced_env_checked<W: Workload + ?Sized>(
-    config: MachineConfig,
-    workload: &mut W,
-) -> (RunReport, Vec<TraceOp>) {
-    let (report, trace) = run_traced(config, workload);
-    if let Some(shards) = shards_from_env().filter(|&s| s > 1) {
-        check_sharded_replay(&report, config, shards, |sm| sm.run_trace(&trace));
-    }
-    (report, trace)
 }
 
 /// Handle of one captured trace inside a [`TraceStore`].

@@ -85,7 +85,7 @@ pub use config::{MachineConfig, Protocol};
 pub use experiment::{
     parallel_map, run, run_env_sharded, run_normalized, run_normalized_serial, run_parallel,
     run_replayed, run_sharded_checked, run_sweep, run_sweep_journaled, run_traced,
-    run_traced_env_checked, NormalizedReport, RunReport, SweepAbort, TraceId, TraceStore,
+    NormalizedReport, RunReport, SweepAbort, TraceId, TraceStore,
 };
 pub use journal::{cell_key, Journal};
 pub use machine::Machine;
