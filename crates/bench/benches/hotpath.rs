@@ -41,32 +41,5 @@ fn main() {
         println!("hot-path acceptance: BELOW TARGET ({target}x) — check host load");
     }
 
-    if let Some(lane) = &report.sharded {
-        println!(
-            "sharded lane ({} shards, {} refs, bit-identical to serial):",
-            lane.shards, lane.trace_refs
-        );
-        println!("  serial     {:>12.0} refs/sec", lane.serial_refs_per_sec);
-        println!("  sharded    {:>12.0} refs/sec", lane.sharded_refs_per_sec);
-        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-        let sharded_target = 1.5;
-        if lane.speedup() >= sharded_target {
-            println!(
-                "sharded acceptance: PASS ({:.2}x >= {sharded_target}x serial)",
-                lane.speedup()
-            );
-        } else if cores < 4 {
-            println!(
-                "sharded acceptance: SKIPPED ({cores} cores < 4; inline fallback measured {:.2}x)",
-                lane.speedup()
-            );
-        } else {
-            println!(
-                "sharded acceptance: BELOW TARGET ({:.2}x < {sharded_target}x) — check host load",
-                lane.speedup()
-            );
-        }
-    }
-
     report.emit();
 }

@@ -4,17 +4,11 @@
 //! ways — through the shared `TraceStore` driver, with per-cell
 //! capture, and as plain execution-driven runs — plus the batched
 //! replay engine in isolation (batched vs. per-op live dispatch of the
-//! same cells, and the pooled-batched sharded executor under both the
-//! pipelined and the shared-log engine), and records everything in
-//! `results/BENCH_sweep.json`.
+//! same cells), and records everything in `results/BENCH_sweep.json`.
 //!
 //! With `RNUMA_SWEEP_GATE` set (CI does), the run **fails** when the
 //! batched-vs-per-op replay speedup falls more than 10% below the
-//! committed baseline (`crates/bench/baselines/BENCH_sweep.json`), or
-//! when either pooled lane — pipelined or `RNUMA_EXEC=log` — falls
-//! below 1.0x of the serial batched engine on a host with ≥ 4 cores
-//! (smaller hosts skip that gate loudly — SKIPPED in the log, never
-//! silently green).
+//! committed baseline (`crates/bench/baselines/BENCH_sweep.json`).
 //!
 //! Run with: `cargo bench -p rnuma-bench --bench sweep`
 
@@ -76,18 +70,6 @@ fn main() {
         lane.perop_replay_secs * 1e3,
         lane.batched_speedup_vs_perop()
     );
-    println!(
-        "  pooled-batched     {:>8.1} ms/pass ({} shards, {:.2}x vs serial batched)",
-        lane.pooled_replay_secs * 1e3,
-        lane.pooled_shards,
-        lane.pooled_speedup_vs_batched()
-    );
-    println!(
-        "  log-batched        {:>8.1} ms/pass ({} shards, {:.2}x vs serial batched)",
-        lane.log_replay_secs * 1e3,
-        lane.pooled_shards,
-        lane.log_speedup_vs_batched()
-    );
 
     let target = 1.3;
     if lane.speedup_vs_percell_capture() >= target {
@@ -114,27 +96,16 @@ fn main() {
                      crates/bench/baselines/BENCH_sweep.json is missing — the gate cannot arm"
             .into()),
     };
-    let mut failed = false;
-    match verdict {
-        Ok(line) => println!("{line}"),
+    let failed = match verdict {
+        Ok(line) => {
+            println!("{line}");
+            false
+        }
         Err(line) => {
             eprintln!("{line}");
-            failed = true;
+            true
         }
-    }
-
-    // The pooled-executor gate: neither pooled lane (pipelined or
-    // shared-log) may be slower than the serial batched engine where
-    // the hardware can actually run the pool (≥ 4 cores).
-    // Under-provisioned hosts get a loud SKIPPED line instead of a
-    // vacuous PASS.
-    match sweep::pooled_gate(&lane) {
-        Ok(line) => println!("{line}"),
-        Err(line) => {
-            eprintln!("{line}");
-            failed = true;
-        }
-    }
+    };
 
     lane.emit();
     if failed {

@@ -19,7 +19,7 @@
 
 use rnuma::config::{MachineConfig, Protocol};
 use rnuma::machine::Machine;
-use rnuma::shard::{ShardedMachine, TraceOp};
+use rnuma::TraceOp;
 use rnuma_mem::addr::{CpuId, Va};
 use rnuma_mem::fxmap::FxMap64;
 use rnuma_sim::DetRng;
@@ -55,6 +55,50 @@ pub fn synth_stream(refs: usize, pages: u64, cpus: u16) -> Vec<Ref> {
         out.push((cpu, Va(page * 4096 + offset), write));
     }
     out
+}
+
+/// Generates a node-partitioned trace with the locality first-touch
+/// placement creates: each CPU streams over pages in its own node's
+/// region, with one reference in eight going to its *partner* node's
+/// region (remote traffic through the full protocol walk), and a
+/// barrier every few thousand references. Nothing in the workspace
+/// replays it today; it is kept as a deterministic trace-shaped
+/// counterpart of [`synth_stream`].
+#[must_use]
+pub fn synth_partitioned_trace(refs: usize, pages_per_node: u64) -> Vec<TraceOp> {
+    let mut rng = DetRng::seeded(0x5EED_D00D);
+    let mut ops = Vec::with_capacity(refs + refs / 4096 + 1);
+    ops.push(TraceOp::ArmFirstTouch);
+    let region = |node: u64| (1 + node) << 30;
+    // Home each node's region by a first touch from its own CPU 0.
+    for node in 0..8u64 {
+        for p in 0..pages_per_node {
+            ops.push(TraceOp::Access {
+                cpu: CpuId((node * 4) as u16),
+                va: Va(region(node) + p * 4096),
+                write: true,
+            });
+        }
+    }
+    let mut offsets = [0u64; 32];
+    for i in 0..refs {
+        let cpu = (i % 32) as u64;
+        let node = cpu / 4;
+        // 1 in 8 references goes to the partner node's region.
+        let target = if i % 8 == 5 { node ^ 1 } else { node };
+        let off = &mut offsets[cpu as usize];
+        *off = (*off + 32) % (pages_per_node * 4096);
+        let write = target == node && rng.chance(0.1);
+        ops.push(TraceOp::Access {
+            cpu: CpuId(cpu as u16),
+            va: Va(region(target) + *off),
+            write,
+        });
+        if i % 16384 == 16383 {
+            ops.push(TraceOp::Barrier);
+        }
+    }
+    ops
 }
 
 /// Replays `stream` on a fresh machine and reports references per
@@ -144,146 +188,6 @@ pub fn lookup_ns_comparison(keys: &[u64]) -> (f64, f64) {
     (std_ns, fx_ns)
 }
 
-/// Shard count of the `sharded` lane: four shards of two nodes each on
-/// the paper's eight-node machine, so each CPU's partner node (for
-/// in-shard remote traffic) shares its shard.
-pub const SHARDED_LANE_SHARDS: usize = 4;
-
-/// Generates a node-partitioned trace with the locality first-touch
-/// placement creates: each CPU streams over pages in its own node's
-/// region, with one reference in eight going to the *partner* node of
-/// its two-node shard (in-shard remote traffic through the full
-/// protocol walk), and a barrier every few thousand references.
-///
-/// Every access is provably shard-contained under the
-/// [`SHARDED_LANE_SHARDS`]-way partition, so this measures the sharded
-/// executor's fan-out rather than its serial fallback.
-#[must_use]
-pub fn synth_partitioned_trace(refs: usize, pages_per_node: u64) -> Vec<TraceOp> {
-    let mut rng = DetRng::seeded(0x5EED_D00D);
-    let mut ops = Vec::with_capacity(refs + refs / 4096 + 1);
-    ops.push(TraceOp::ArmFirstTouch);
-    let region = |node: u64| (1 + node) << 30;
-    // Home each node's region by a first touch from its own CPU 0.
-    for node in 0..8u64 {
-        for p in 0..pages_per_node {
-            ops.push(TraceOp::Access {
-                cpu: CpuId((node * 4) as u16),
-                va: Va(region(node) + p * 4096),
-                write: true,
-            });
-        }
-    }
-    let mut offsets = [0u64; 32];
-    for i in 0..refs {
-        let cpu = (i % 32) as u64;
-        let node = cpu / 4;
-        // 1 in 8 references goes to the shard partner's region.
-        let target = if i % 8 == 5 { node ^ 1 } else { node };
-        let off = &mut offsets[cpu as usize];
-        *off = (*off + 32) % (pages_per_node * 4096);
-        let write = target == node && rng.chance(0.1);
-        ops.push(TraceOp::Access {
-            cpu: CpuId(cpu as u16),
-            va: Va(region(target) + *off),
-            write,
-        });
-        if i % 16384 == 16383 {
-            ops.push(TraceOp::Barrier);
-        }
-    }
-    ops
-}
-
-/// The `sharded` lane: serial batched replay (`Machine::apply_batch`)
-/// vs. pooled-batched sharded replay (`ShardedMachine`, whose parallel
-/// windows execute their buckets through the batched run-table kernel)
-/// of the same partitioned trace.
-#[derive(Clone, Debug)]
-pub struct ShardedLane {
-    /// Shards used ([`SHARDED_LANE_SHARDS`]).
-    pub shards: usize,
-    /// References in the trace (excluding barriers/arm ops).
-    pub trace_refs: usize,
-    /// Serial batched `Machine::apply_batch` replay throughput.
-    pub serial_refs_per_sec: f64,
-    /// Pooled-batched `ShardedMachine` replay throughput.
-    pub sharded_refs_per_sec: f64,
-}
-
-impl ShardedLane {
-    /// Sharded-over-serial speedup.
-    #[must_use]
-    pub fn speedup(&self) -> f64 {
-        self.sharded_refs_per_sec / self.serial_refs_per_sec
-    }
-}
-
-fn count_refs(ops: &[TraceOp]) -> usize {
-    ops.iter()
-        .filter(|op| matches!(op, TraceOp::Access { .. }))
-        .count()
-}
-
-fn time_replays(refs: usize, mut replay: impl FnMut()) -> f64 {
-    let mut total_refs = 0u64;
-    let mut total_secs = 0.0f64;
-    while total_secs < 0.2 {
-        let t0 = Instant::now();
-        replay();
-        total_secs += t0.elapsed().as_secs_f64();
-        total_refs += refs as u64;
-    }
-    total_refs as f64 / total_secs
-}
-
-/// Measures the sharded lane on `protocol`: replays the same
-/// partitioned trace through the serial batched engine and through a
-/// [`ShardedMachine`] on the shared worker pool (pooled windows
-/// executing their buckets through the batched run-table kernel),
-/// verifying bit-identical metrics while timing both. On a single-core
-/// host the shared pool has no workers, so the lane measures the
-/// executor's inline fallback (~1.0x serial) rather than
-/// thread-handoff cost.
-///
-/// # Panics
-///
-/// Panics if the configuration is invalid — or if the sharded replay
-/// diverges from the serial one, which would be an executor bug.
-#[must_use]
-pub fn sharded_lane(protocol: Protocol, trace_refs: usize) -> ShardedLane {
-    let config = MachineConfig::paper_base(protocol);
-    let ops = synth_partitioned_trace(trace_refs, 32);
-    let refs = count_refs(&ops);
-
-    // Self-check once before timing: the lane must be exact.
-    let mut serial = Machine::new(config).expect("valid paper config");
-    serial.apply_batch(&ops);
-    let mut sharded = ShardedMachine::new(config, SHARDED_LANE_SHARDS).expect("valid paper config");
-    sharded.run_trace(&ops);
-    assert!(
-        serial.metrics().replay_eq(&sharded.metrics()),
-        "sharded bench lane diverged from serial"
-    );
-
-    let serial_rps = time_replays(refs, || {
-        let mut m = Machine::new(config).expect("valid paper config");
-        m.apply_batch(&ops);
-        std::hint::black_box(m.metrics().l1_hits);
-    });
-    let sharded_rps = time_replays(refs, || {
-        let mut m = ShardedMachine::new(config, SHARDED_LANE_SHARDS).expect("valid paper config");
-        m.run_trace(&ops);
-        std::hint::black_box(m.metrics().l1_hits);
-    });
-    ShardedLane {
-        shards: SHARDED_LANE_SHARDS,
-        trace_refs: refs,
-        serial_refs_per_sec: serial_rps,
-        sharded_refs_per_sec: sharded_rps,
-    }
-}
-
 /// One protocol's measured simulator throughput.
 #[derive(Clone, Debug)]
 pub struct ProtocolThroughput {
@@ -306,9 +210,6 @@ pub struct HotpathReport {
     pub fxmap_ns_per_lookup: f64,
     /// MRU translation fast-path hit rate per L1 miss (R-NUMA run).
     pub mru_hit_rate: f64,
-    /// The sharded execution lane (R-NUMA partitioned trace), when
-    /// measured.
-    pub sharded: Option<ShardedLane>,
 }
 
 impl HotpathReport {
@@ -346,29 +247,7 @@ impl HotpathReport {
             self.fxmap_ns_per_lookup
         );
         let _ = writeln!(s, "  \"lookup_speedup\": {:.2},", self.lookup_speedup());
-        match &self.sharded {
-            None => {
-                let _ = writeln!(s, "  \"mru_hit_rate\": {:.4}", self.mru_hit_rate);
-            }
-            Some(lane) => {
-                let _ = writeln!(s, "  \"mru_hit_rate\": {:.4},", self.mru_hit_rate);
-                let _ = writeln!(s, "  \"sharded\": {{");
-                let _ = writeln!(s, "    \"shards\": {},", lane.shards);
-                let _ = writeln!(s, "    \"trace_refs\": {},", lane.trace_refs);
-                let _ = writeln!(
-                    s,
-                    "    \"serial_refs_per_sec\": {:.0},",
-                    lane.serial_refs_per_sec
-                );
-                let _ = writeln!(
-                    s,
-                    "    \"sharded_refs_per_sec\": {:.0},",
-                    lane.sharded_refs_per_sec
-                );
-                let _ = writeln!(s, "    \"speedup\": {:.2}", lane.speedup());
-                let _ = writeln!(s, "  }}");
-            }
-        }
+        let _ = writeln!(s, "  \"mru_hit_rate\": {:.4}", self.mru_hit_rate);
         s.push('}');
         s
     }
@@ -417,7 +296,6 @@ pub fn measure(stream_refs: usize) -> HotpathReport {
         hashmap_ns_per_lookup: hashmap_ns,
         fxmap_ns_per_lookup: fxmap_ns,
         mru_hit_rate: mru_hit_rate(Protocol::paper_rnuma(), &stream),
-        sharded: Some(sharded_lane(Protocol::paper_rnuma(), 4 * stream_refs)),
     }
 }
 
@@ -431,6 +309,19 @@ mod tests {
         let b = synth_stream(1000, 16, 32);
         assert_eq!(a, b);
         assert!(a.iter().all(|&(cpu, va, _)| cpu.0 < 32 && va.0 < 16 * 4096));
+    }
+
+    #[test]
+    fn partitioned_trace_is_deterministic_and_partitioned() {
+        let a = synth_partitioned_trace(2000, 8);
+        let b = synth_partitioned_trace(2000, 8);
+        assert_eq!(a, b);
+        assert!(matches!(a[0], TraceOp::ArmFirstTouch));
+        let refs = a
+            .iter()
+            .filter(|op| matches!(op, TraceOp::Access { .. }))
+            .count();
+        assert!(refs >= 2000);
     }
 
     #[test]
@@ -451,43 +342,12 @@ mod tests {
             hashmap_ns_per_lookup: 20.0,
             fxmap_ns_per_lookup: 5.0,
             mru_hit_rate: 0.9,
-            sharded: None,
         };
         let json = report.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"ideal\": 1000000"));
         assert!(json.contains("\"lookup_speedup\": 4.00"));
         assert!((report.lookup_speedup() - 4.0).abs() < 1e-12);
-        // With a sharded lane, the JSON gains the nested object.
-        let mut with_lane = report.clone();
-        with_lane.sharded = Some(ShardedLane {
-            shards: 4,
-            trace_refs: 1000,
-            serial_refs_per_sec: 1e6,
-            sharded_refs_per_sec: 2.5e6,
-        });
-        let json = with_lane.to_json();
-        assert!(json.ends_with('}'));
-        assert!(json.contains("\"shards\": 4"));
-        assert!(json.contains("\"speedup\": 2.50"));
-    }
-
-    #[test]
-    fn partitioned_trace_is_deterministic_and_partitioned() {
-        let a = synth_partitioned_trace(2000, 8);
-        let b = synth_partitioned_trace(2000, 8);
-        assert_eq!(a, b);
-        assert!(matches!(a[0], TraceOp::ArmFirstTouch));
-        assert!(count_refs(&a) >= 2000);
-    }
-
-    #[test]
-    fn sharded_lane_measures_and_self_checks() {
-        // Small trace: correctness of the lane plumbing, not the speedup.
-        let lane = sharded_lane(Protocol::paper_rnuma(), 4000);
-        assert_eq!(lane.shards, SHARDED_LANE_SHARDS);
-        assert!(lane.serial_refs_per_sec > 0.0);
-        assert!(lane.sharded_refs_per_sec > 0.0);
     }
 
     #[test]

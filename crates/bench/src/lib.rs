@@ -24,7 +24,7 @@
 
 use rnuma::config::{MachineConfig, Protocol};
 use rnuma::experiment::{
-    parallel_workers, run, run_parallel, run_replayed, RunReport, SweepAbort, TraceId, TraceStore,
+    parallel_workers, run, run_parallel, RunReport, SweepAbort, TraceId, TraceStore,
 };
 use rnuma::journal::{cell_key, Journal};
 use rnuma_workloads::{by_name, Scale, APP_NAMES};
@@ -33,7 +33,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 pub mod hotpath;
@@ -57,6 +57,24 @@ pub fn parse_scale(args: &[String]) -> Scale {
     }
 }
 
+/// Exits with status 1 after one line of diagnostic on stderr — how
+/// the figure binaries report emitter I/O failures (a full panic
+/// backtrace buries the actionable line: which path failed and why).
+fn die(context: &str, err: &std::io::Error) -> ! {
+    eprintln!("rnuma-bench: {context}: {err}");
+    std::process::exit(1);
+}
+
+/// The workspace root a binary at `exe` belongs to: the first ancestor
+/// of `exe` that holds `crates/bench/Cargo.toml`, or `fallback` when no
+/// ancestor does (a binary copied out of its checkout).
+fn workspace_root_of(exe: &Path, fallback: &Path) -> PathBuf {
+    exe.ancestors()
+        .find(|dir| dir.join("crates/bench/Cargo.toml").is_file())
+        .unwrap_or(fallback)
+        .to_path_buf()
+}
+
 /// Returns the canonical results directory — `results/` at the
 /// *workspace root* — creating it if needed. `RNUMA_RESULTS_DIR`
 /// overrides it (resolved relative to the process working directory
@@ -66,17 +84,11 @@ pub fn parse_scale(args: &[String]) -> Scale {
 /// matters: bench lanes and figure binaries are launched from both the
 /// root and the crate directory, and a CWD-relative `results/` used to
 /// scatter drifting copies of `BENCH_hotpath.json`/`BENCH_sweep.json`
-/// under `crates/bench/results/`. Every emitter goes through here, so
-/// there is exactly one output directory now.
+/// under `crates/bench/results/`. The root is resolved at run time from
+/// the running binary's location, so a copied checkout that reuses the
+/// original's `target/` still writes into its own tree; the
+/// compile-time workspace path is only the fallback.
 ///
-/// Exits with status 1 after one line of diagnostic on stderr — how
-/// the figure binaries report emitter I/O failures (a full panic
-/// backtrace buries the actionable line: which path failed and why).
-fn die(context: &str, err: &std::io::Error) -> ! {
-    eprintln!("rnuma-bench: {context}: {err}");
-    std::process::exit(1);
-}
-
 /// # Exits
 ///
 /// Exits the process with status 1 (one-line diagnostic on stderr) if
@@ -86,11 +98,15 @@ pub fn results_dir() -> PathBuf {
     let dir = rnuma::experiment::env_raw("RNUMA_RESULTS_DIR").map_or_else(
         || {
             // crates/bench -> crates -> workspace root.
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            let built_in = Path::new(env!("CARGO_MANIFEST_DIR"))
                 .ancestors()
                 .nth(2)
-                .expect("bench crate lives two levels below the workspace root")
-                .join("results")
+                .unwrap_or(Path::new("."));
+            let root = std::env::current_exe().map_or_else(
+                |_| built_in.to_path_buf(),
+                |exe| workspace_root_of(&exe, built_in),
+            );
+            root.join("results")
         },
         PathBuf::from,
     );
@@ -188,13 +204,6 @@ pub fn apps() -> &'static [&'static str] {
 /// produce exactly the numbers the serial loops did, just
 /// `available_parallelism()` times faster.
 ///
-/// Setting `RNUMA_SHARDS` to more than 1 routes every grid cell through
-/// the self-checking intra-machine sharded executor
-/// ([`rnuma::experiment::run_sharded_checked`]): each simulation runs
-/// serially, is replayed across that many node shards, and panics if
-/// the two executions are not bit-identical — turning any figure
-/// regeneration into a determinism proof over the whole grid.
-///
 /// # Example
 ///
 /// ```
@@ -255,13 +264,12 @@ pub fn run_grid(
 /// a worker takes the ready replay with the longest stream, ties going
 /// to the lower `(app, config)` index. A panicking cell stops dispatch;
 /// once every worker has returned, the first panic is re-raised with
-/// its payload. `RNUMA_SHARDS` adds the pool-backed sharded self-check
-/// to every cell, and `RNUMA_JOURNAL` checkpoints replay cells.
+/// its payload. `RNUMA_JOURNAL` checkpoints replay cells.
 ///
 /// Returns the same row shape as [`run_grid`]. The difference in
 /// *meaning*: every cell of a row simulates the **same** reference
 /// stream (the fixed-trace methodology), and each cell is bit-identical
-/// to a serial `Machine::replay` of that stream on its configuration —
+/// to a serial batched replay of that stream on its configuration —
 /// enforced across the whole figure grid by
 /// `tests/replay_determinism.rs`. See `docs/SWEEP.md`.
 ///
@@ -289,8 +297,7 @@ pub fn run_grid(
 /// # Panics
 ///
 /// Panics if `configs` is empty, any `app` is not a Table-3
-/// application, a self-checking sharded replay diverges, or an
-/// `RNUMA_FAULTS` abort fires.
+/// application, or an `RNUMA_FAULTS` abort fires.
 #[must_use]
 pub fn sweep_grid(
     apps: &[&'static str],
@@ -327,9 +334,8 @@ pub fn sweep_grid(
             (report, ops)
         }
         Job::Replay(a, c) => {
-            let (store, id) = captured[a]
-                .get()
-                .expect("replays are released only after their capture");
+            // lint: allow(R01, the queue releases app a's replays only when its capture completed and set captured[a]; a miss is a queue bug, and the worker's catch_unwind re-raises it as a job panic)
+            let (store, id) = captured[a].get().expect("replay released before capture");
             let key = cell_key(store.workload(*id), store.content_hash(*id), &configs[c]);
             let report = match journal.as_ref().and_then(|j| j.lookup(key)) {
                 Some(metrics) => RunReport {
@@ -339,7 +345,7 @@ pub fn sweep_grid(
                     metrics: metrics.clone(),
                 },
                 None => {
-                    let report = run_replayed(store, *id, configs[c]);
+                    let report = store.replay_serial(*id, configs[c]);
                     if let Some(journal) = journal.as_ref() {
                         journal.record(key, report.workload, report.protocol, &report.metrics);
                     }
@@ -462,6 +468,7 @@ impl SweepQueue {
         let mut cells = st
             .cells
             .into_iter()
+            // lint: allow(R01, without a job panic the workers return only once nothing is ready or running, and every capture releases its row's replays, so every cell is filled)
             .map(|cell| cell.expect("the queue ran every cell"));
         (0..st.apps)
             .map(|_| cells.by_ref().take(st.configs).collect())
@@ -599,6 +606,27 @@ mod tests {
         let s = t.render();
         assert!(s.contains("a  b"));
         assert!(s.contains("1  2") && s.contains("3  4"));
+    }
+
+    #[test]
+    fn workspace_root_is_the_nearest_checkout_above_the_binary() {
+        let tree = std::env::temp_dir().join(format!("rnuma-root-{}", std::process::id()));
+        let checkout = tree.join("checkout");
+        let exe_dir = checkout.join("target/release/deps");
+        std::fs::create_dir_all(checkout.join("crates/bench")).unwrap();
+        std::fs::create_dir_all(&exe_dir).unwrap();
+        std::fs::write(checkout.join("crates/bench/Cargo.toml"), "").unwrap();
+        let fallback = Path::new("/built/in/workspace");
+        assert_eq!(
+            workspace_root_of(&exe_dir.join("fig6_base"), fallback),
+            checkout
+        );
+        // No ancestor holds the bench crate: the compile-time path.
+        assert_eq!(
+            workspace_root_of(&tree.join("elsewhere/fig6_base"), fallback),
+            fallback
+        );
+        let _ = std::fs::remove_dir_all(&tree);
     }
 
     #[test]

@@ -9,8 +9,7 @@
 //!   other configuration;
 //! * **per-cell capture** — the same replay infrastructure *without*
 //!   the shared store: every cell captures its own trace and replays
-//!   it (what `RNUMA_SHARDS`-style self-checking cells cost, and what
-//!   a sweep without the store would pay);
+//!   it (what a sweep without the store would pay);
 //! * **direct** — plain execution-driven `run` per cell, for reference
 //!   (it pays workload generation per cell but never materializes a
 //!   trace).
@@ -22,14 +21,6 @@
 //!   standing in for the retired per-op replay path). The
 //!   batched-vs-per-op speedup is the host-independent gate CI
 //!   enforces (`RNUMA_SWEEP_GATE`).
-//! * **pooled-batched replay** — the same cells through the sharded
-//!   executor's pooled window buckets (`ShardedMachine::run_segments`
-//!   on a worker-backed pool), pinned to the pipelined engine so the
-//!   recorded trajectory stays comparable across commits;
-//! * **log replay** — the same pooled cells under the shared-log
-//!   engine (`RNUMA_EXEC=log`: up-front span scan, per-shard
-//!   consumption cursors, no global epoch barrier), riding the same
-//!   pooled ≥ 1.0× gate.
 //!
 //! Results land in `results/BENCH_sweep.json` (the canonical
 //! workspace-root directory) so subsequent PRs have a
@@ -39,12 +30,10 @@
 //! (`crates/bench/baselines/BENCH_sweep.json`).
 
 use rnuma::config::MachineConfig;
-use rnuma::experiment::{run, run_replayed, run_traced, TraceStore};
-use rnuma::shard::{ExecEngine, ShardPool, ShardedMachine, TraceOp};
-use rnuma::Machine;
+use rnuma::experiment::{run, run_traced, TraceStore};
+use rnuma::{Machine, TraceOp};
 use rnuma_workloads::{by_name, Scale};
 use std::fmt::Write as _;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Drives `ops` through the live per-op API (`Machine::access` and
@@ -97,19 +86,8 @@ pub struct SweepLane {
     /// Seconds per replay-only pass through per-op live dispatch (the
     /// reference leg standing in for the retired per-op replay path).
     pub perop_replay_secs: f64,
-    /// Shard count of the pooled-batched lane.
-    pub pooled_shards: usize,
-    /// Seconds per replay-only pass through the sharded executor's
-    /// pooled window buckets (batched bucket kernel, worker-backed
-    /// pool, pipelined engine).
-    pub pooled_replay_secs: f64,
-    /// Seconds per replay-only pass through the sharded executor under
-    /// the shared-log engine (same pool, same shards; spans consumed
-    /// through per-shard cursors instead of lockstep windows).
-    pub log_replay_secs: f64,
     /// Hardware threads available to the measuring process — recorded
-    /// so the pooled lane's numbers can be read in context, and what
-    /// the pooled gate keys its arm/skip decision on.
+    /// so the wall-time lanes can be read in context.
     pub host_cores: usize,
 }
 
@@ -140,22 +118,6 @@ impl SweepLane {
     #[must_use]
     pub fn batched_speedup_vs_perop(&self) -> f64 {
         self.perop_replay_secs / self.replay_secs
-    }
-
-    /// Pooled-batched-vs-serial-batched replay speedup. Below 1.0 on
-    /// hosts where window scan + chunk handoff cost more than the
-    /// fan-out wins back (any single-core container); recorded so
-    /// multi-core hosts have a trajectory.
-    #[must_use]
-    pub fn pooled_speedup_vs_batched(&self) -> f64 {
-        self.replay_secs / self.pooled_replay_secs
-    }
-
-    /// Shared-log-vs-serial-batched replay speedup (same caveats as
-    /// [`pooled_speedup_vs_batched`](Self::pooled_speedup_vs_batched)).
-    #[must_use]
-    pub fn log_speedup_vs_batched(&self) -> f64 {
-        self.replay_secs / self.log_replay_secs
     }
 
     /// Trace memory compression: flat `TraceOp`-array bytes over
@@ -221,23 +183,6 @@ impl SweepLane {
             "  \"batched_speedup_vs_perop\": {:.3},",
             self.batched_speedup_vs_perop()
         );
-        let _ = writeln!(s, "  \"pooled_shards\": {},", self.pooled_shards);
-        let _ = writeln!(
-            s,
-            "  \"pooled_replay_secs\": {:.4},",
-            self.pooled_replay_secs
-        );
-        let _ = writeln!(
-            s,
-            "  \"pooled_speedup_vs_batched\": {:.3},",
-            self.pooled_speedup_vs_batched()
-        );
-        let _ = writeln!(s, "  \"log_replay_secs\": {:.4},", self.log_replay_secs);
-        let _ = writeln!(
-            s,
-            "  \"log_speedup_vs_batched\": {:.3},",
-            self.log_speedup_vs_batched()
-        );
         let _ = writeln!(s, "  \"host_cores\": {}", self.host_cores);
         s.push('}');
         s
@@ -293,7 +238,7 @@ fn sweep_pass(apps: &[&'static str], configs: &[MachineConfig], scale: Scale) ->
         let (id, report) = store.capture(configs[0], &mut w);
         sink ^= report.cycles();
         for &config in &configs[1..] {
-            sink ^= run_replayed(&store, id, config).cycles();
+            sink ^= store.replay_serial(id, config).cycles();
         }
     }
     std::hint::black_box(sink);
@@ -367,10 +312,6 @@ pub fn measure(apps: &[&'static str], configs: &[MachineConfig], scale: Scale) -
     // The two replay lanes feed the CI regression gate, so they get a
     // longer budget than the reporting-only lanes: their *ratio* must
     // be stable against scheduler noise, not just indicative.
-    // `replay_serial`, not `run_replayed`: the latter adds a whole
-    // sharded self-check replay per cell when `RNUMA_SHARDS>1` is in
-    // the environment, which would distort the gated ratio and make
-    // the lane asymmetric with the per-op one below.
     let replay_ops = store.captured_ops() * (configs.len() as u64 - 1);
     let replay_secs = time_passes_for(0.6, || {
         let mut sink = 0u64;
@@ -393,37 +334,6 @@ pub fn measure(apps: &[&'static str], configs: &[MachineConfig], scale: Scale) -
         std::hint::black_box(sink);
     });
 
-    // Pooled-batched lane: the same cells through the sharded
-    // executor's window buckets and their batched bucket kernel, on a
-    // pool that always has workers (`ShardPool::checking`) so the
-    // pooled path is actually exercised — which makes this an honest
-    // measurement of scan + handoff + kernel even on single-core CI
-    // (where it costs more than serial batched replay).
-    let pool = ShardPool::checking();
-    let pooled_shards = 4usize;
-    // Both sharded lanes pin their engine explicitly — the pooled lane
-    // to the pipelined engine its committed trajectory was recorded
-    // under, the log lane to the shared-log engine — so neither number
-    // silently changes meaning with the environment or the default.
-    let sharded_pass = |engine: ExecEngine| {
-        time_passes_for(0.4, || {
-            let mut sink = 0u64;
-            for &id in &ids {
-                for &config in &configs[1..] {
-                    let mut sm =
-                        ShardedMachine::with_pool(config, pooled_shards, Arc::clone(&pool))
-                            .expect("valid config");
-                    sm.set_engine(engine);
-                    store.replay_sharded(id, &mut sm);
-                    sink ^= sm.metrics().exec_cycles.0;
-                }
-            }
-            std::hint::black_box(sink);
-        })
-    };
-    let pooled_replay_secs = sharded_pass(ExecEngine::Pipeline);
-    let log_replay_secs = sharded_pass(ExecEngine::Log);
-
     let host_cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
 
     SweepLane {
@@ -439,9 +349,6 @@ pub fn measure(apps: &[&'static str], configs: &[MachineConfig], scale: Scale) -
         replay_ops,
         replay_secs,
         perop_replay_secs,
-        pooled_shards,
-        pooled_replay_secs,
-        log_replay_secs,
         host_cores,
     }
 }
@@ -516,62 +423,6 @@ pub fn gate_against(lane: &SweepLane, baseline_doc: &str) -> Result<String, Stri
     }
 }
 
-/// How many hardware threads the pooled gate needs before its ≥ 1.0×
-/// requirement arms: with 4 shard lanes (coordinator + 3 workers), a
-/// host with fewer cores time-slices the pool and the pooled lane
-/// measures scheduler contention, not the executor.
-pub const POOLED_GATE_MIN_CORES: usize = 4;
-
-/// The pooled-executor gate: on a host with at least
-/// [`POOLED_GATE_MIN_CORES`] hardware threads, **both** pooled replay
-/// lanes — the pipelined engine and the shared-log engine
-/// (`RNUMA_EXEC=log`) — must be at least as fast as the serial batched
-/// engine (speedup ≥ 1.0×). On smaller hosts the requirement cannot
-/// meaningfully arm, so the gate *skips loudly* — the returned `Ok`
-/// line says SKIPPED and why, and callers print it, so an
-/// under-provisioned CI runner is visible in the log rather than
-/// silently green.
-///
-/// # Errors
-///
-/// Returns `Err` when the host has enough cores and either sharded
-/// lane fell below 1.0× of the serial batched engine.
-pub fn pooled_gate(lane: &SweepLane) -> Result<String, String> {
-    let cores = lane.host_cores;
-    let (pooled, log) = (
-        lane.pooled_speedup_vs_batched(),
-        lane.log_speedup_vs_batched(),
-    );
-    if cores < POOLED_GATE_MIN_CORES {
-        return Ok(format!(
-            "pooled gate: SKIPPED — {cores} core(s) < {POOLED_GATE_MIN_CORES}; the ≥1.0x \
-             requirement arms only on multi-core hosts (measured {pooled:.3}x pipelined, \
-             {log:.3}x log for the record)"
-        ));
-    }
-    let mut failures = Vec::new();
-    if pooled < 1.0 {
-        failures.push(format!("pipelined pooled replay {pooled:.3}x"));
-    }
-    if log < 1.0 {
-        failures.push(format!("log-engine pooled replay {log:.3}x"));
-    }
-    if failures.is_empty() {
-        Ok(format!(
-            "pooled gate: PASS — pipelined {pooled:.3}x and log {log:.3}x vs serial batched \
-             on {cores} cores ({} shards)",
-            lane.pooled_shards
-        ))
-    } else {
-        Err(format!(
-            "pooled gate: FAIL — {} fell below 1.0x of the serial batched engine on a \
-             {cores}-core host ({} shards)",
-            failures.join(" and "),
-            lane.pooled_shards
-        ))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -591,9 +442,6 @@ mod tests {
             replay_ops: 3000,
             replay_secs: 0.5,
             perop_replay_secs: 0.75,
-            pooled_shards: 4,
-            pooled_replay_secs: 0.625,
-            log_replay_secs: 0.625,
             host_cores: 8,
         }
     }
@@ -608,10 +456,7 @@ mod tests {
         assert!(json.contains("\"speedup_vs_direct_run\": 1.50"));
         assert!(json.contains("\"replay_ops_per_sec\": 6000"));
         assert!(json.contains("\"batched_speedup_vs_perop\": 1.500"));
-        assert!(json.contains("\"pooled_shards\": 4"));
-        assert!(json.contains("\"pooled_speedup_vs_batched\": 0.800"));
-        assert!(json.contains("\"log_replay_secs\": 0.6250"));
-        assert!(json.contains("\"log_speedup_vs_batched\": 0.800"));
+        assert!(!json.contains("pooled"));
         assert!(json.contains("\"host_cores\": 8"));
         assert!(json.contains("\"trace_flat_bytes\": 24000"));
         assert!(json.contains("\"trace_footprint_ratio\": 8.00"));
@@ -651,54 +496,6 @@ mod tests {
         // A baseline without the field is a disarmed gate: an error,
         // never a silent skip.
         assert!(gate_against(&lane, "{}").is_err());
-    }
-
-    #[test]
-    fn pooled_gate_arms_on_multicore_and_skips_loudly_below() {
-        // Armed and passing: both sharded lanes ≥ 1.0x on a 4-core host.
-        let mut fast = lane();
-        fast.pooled_replay_secs = 0.4; // 1.25x vs replay_secs = 0.5
-        fast.log_replay_secs = 0.25; // 2.0x
-        fast.host_cores = 4;
-        let verdict = pooled_gate(&fast).expect("1.25x on 4 cores must pass");
-        assert!(verdict.contains("PASS"), "{verdict}");
-        assert!(verdict.contains("1.250x"), "{verdict}");
-        assert!(verdict.contains("2.000x"), "{verdict}");
-
-        // Armed and failing: the fixture's 0.8x (both lanes) on a
-        // multi-core host — the message names both offenders.
-        let mut slow = lane();
-        slow.host_cores = 8;
-        let err = pooled_gate(&slow).expect_err("0.8x on 8 cores must fail");
-        assert!(err.contains("FAIL"), "{err}");
-        assert!(err.contains("pipelined pooled replay 0.800x"), "{err}");
-        assert!(err.contains("log-engine pooled replay 0.800x"), "{err}");
-
-        // A regression in the log lane alone still fails the gate.
-        let mut log_only = lane();
-        log_only.pooled_replay_secs = 0.4;
-        log_only.host_cores = 8;
-        let err = pooled_gate(&log_only).expect_err("slow log lane must fail");
-        assert!(err.contains("log-engine pooled replay 0.800x"), "{err}");
-        assert!(!err.contains("pipelined pooled replay"), "{err}");
-
-        // Under-provisioned host: skipped, but loudly — the verdict
-        // names the skip, the core count, and records both ratios.
-        let mut tiny = lane();
-        tiny.host_cores = 1;
-        let verdict = pooled_gate(&tiny).expect("1 core must skip, not fail");
-        assert!(verdict.contains("SKIPPED"), "{verdict}");
-        assert!(verdict.contains("1 core(s)"), "{verdict}");
-        assert!(verdict.contains("0.800x pipelined"), "{verdict}");
-        assert!(verdict.contains("0.800x log"), "{verdict}");
-
-        // Exactly at the boundary the requirement is armed.
-        let mut edge = lane();
-        edge.host_cores = POOLED_GATE_MIN_CORES;
-        assert!(
-            pooled_gate(&edge).is_err(),
-            "0.8x at the core floor must arm and fail"
-        );
     }
 
     #[test]

@@ -27,12 +27,11 @@
 //! workload's [`TraceOp`] stream **once** — into a [`TraceStore`], a
 //! columnar, delta-encoded, profile-interned store with streaming
 //! (bounded-memory) capture and optional spill-to-disk — and replays
-//! it against every other configuration ([`run_replayed`] per cell,
-//! [`run_sweep`] for a whole config axis). Replay is bit-identical to
-//! a serial batched
-//! [`Machine::apply_batch`] of the same stream in every execution mode
-//! (`RNUMA_SHARDS` turns each cell into a pool-backed self-check), and
-//! the sweep's reference stream is *fixed across cells* — the classic
+//! it against every other configuration
+//! ([`TraceStore::replay_serial`] per cell, [`run_sweep`] for a whole
+//! config axis). Replay is bit-identical to a serial batched
+//! [`Machine::apply_batch`] of the same stream, and the sweep's
+//! reference stream is *fixed across cells* — the classic
 //! trace-driven methodology. See `docs/SWEEP.md` for the model and its
 //! guarantees.
 
@@ -41,9 +40,9 @@ use crate::journal::{cell_key, Journal};
 use crate::machine::Machine;
 use crate::metrics::Metrics;
 use crate::program::{Runner, Workload};
-use crate::shard::{shards_from_env, CpuRun, ExecEngine, ShardPool, ShardedMachine, TraceOp};
 use crate::trace::{
-    decode_segment, encode_segment, spill_dir_from_env, CpuRefs, ProfileArena, SegMeta, SEG_OPS,
+    decode_segment, encode_segment, spill_dir_from_env, CpuRefs, CpuRun, ProfileArena, SegMeta,
+    TraceOp, SEG_OPS,
 };
 use rnuma_sim::fault::{FaultKind, FaultLog, FaultPlan};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -96,9 +95,8 @@ pub fn run<W: Workload + ?Sized>(config: MachineConfig, workload: &mut W) -> Run
 /// Runs `workload` like [`run`] while recording the machine-level
 /// operation trace, returning both the report and the trace.
 ///
-/// Replaying the trace on a fresh machine of the same configuration —
-/// serially or via [`ShardedMachine`] — reproduces the report's metrics
-/// bit-for-bit.
+/// Replaying the trace on a fresh machine of the same configuration
+/// reproduces the report's metrics bit-for-bit.
 ///
 /// # Panics
 ///
@@ -123,39 +121,6 @@ pub fn run_traced<W: Workload + ?Sized>(
     (report, trace)
 }
 
-/// Runs `workload` serially, then replays its trace on a
-/// [`ShardedMachine`] with `shards` shards and asserts the two
-/// executions are bit-identical, returning the (serial) report.
-///
-/// This is the self-checking mode behind `RNUMA_SHARDS`: pointing it at
-/// the full figure grid turns every experiment into a determinism proof
-/// of the sharded executor.
-///
-/// # Panics
-///
-/// Panics if `config` fails validation, or — the point of the mode — if
-/// the sharded replay diverges from the serial execution.
-pub fn run_sharded_checked<W: Workload + ?Sized>(
-    config: MachineConfig,
-    workload: &mut W,
-    shards: usize,
-) -> RunReport {
-    let (report, trace) = run_traced(config, workload);
-    check_sharded_replay(&report, config, shards, |sm| sm.run_trace(&trace));
-    report
-}
-
-/// [`run`], honoring the `RNUMA_SHARDS` environment variable: when it
-/// requests more than one shard, the run is executed through
-/// [`run_sharded_checked`] instead. This is what the batch drivers
-/// ([`run_parallel`] and `rnuma_bench::run_grid`) call per job.
-pub fn run_env_sharded<W: Workload + ?Sized>(config: MachineConfig, workload: &mut W) -> RunReport {
-    match shards_from_env() {
-        Some(shards) if shards > 1 => run_sharded_checked(config, workload, shards),
-        _ => run(config, workload),
-    }
-}
-
 /// A report together with its execution time normalized to a baseline.
 #[derive(Clone, Debug)]
 pub struct NormalizedReport {
@@ -174,10 +139,7 @@ pub struct NormalizedReport {
 /// runs share nothing.
 ///
 /// Set `RNUMA_JOBS=1` (or any number) to override the worker count,
-/// e.g. to force serial execution when profiling. Setting `RNUMA_SHARDS`
-/// to more than 1 additionally routes every job through the
-/// self-checking intra-machine sharded path
-/// ([`run_sharded_checked`]).
+/// e.g. to force serial execution when profiling.
 ///
 /// # Example
 ///
@@ -216,7 +178,7 @@ where
 {
     parallel_map(jobs, |j| {
         let (config, mut w) = make(j);
-        run_env_sharded(config, &mut w)
+        run(config, &mut w)
     })
 }
 
@@ -302,7 +264,7 @@ pub fn env_usize(name: &str, default: Option<usize>, max: usize) -> Option<usize
 ///
 /// This is the blessed escape hatch companion to [`env_usize`] for
 /// knobs whose values are names, paths, or switch words
-/// (`RNUMA_EXEC`, `RNUMA_TRACE_SPILL`, `RNUMA_JOURNAL`, …). Call sites
+/// (`RNUMA_TRACE_SPILL`, `RNUMA_JOURNAL`, …). Call sites
 /// still own their documented warn-once misconfiguration semantics —
 /// what this helper centralizes is the *access point*: `rnuma-lint`'s
 /// D03 lint rejects raw `std::env::var("RNUMA_…")` reads anywhere
@@ -540,7 +502,7 @@ impl StoreCore {
 /// flat op array, and profile bytes optionally spill to a temp file
 /// (`RNUMA_TRACE_SPILL`). Replay decodes segment by segment into a
 /// bounded scratch ([`TraceStore::for_each_batch`]) feeding
-/// [`Machine::replay_segment`] / [`ShardedMachine::run_trace`];
+/// [`Machine::replay_segment`];
 /// `tests/trace_codec.rs` pins the encoded replay bit-identical to
 /// both the flat replay and the live execution.
 ///
@@ -644,14 +606,9 @@ impl TraceStore {
     /// the flat op array is never materialized. Returns the stream's id
     /// and the capture run's report.
     ///
-    /// When `RNUMA_SHARDS` requests more than one shard, the captured
-    /// stream is additionally replayed on the pool-backed sharded
-    /// executor and checked bit-identical against the capture run.
-    ///
     /// # Panics
     ///
-    /// Panics if `config` fails validation, or if the self-checking
-    /// sharded replay diverges (an executor bug).
+    /// Panics if `config` fails validation.
     pub fn capture<W: Workload + ?Sized>(
         &mut self,
         config: MachineConfig,
@@ -692,9 +649,6 @@ impl TraceStore {
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         let captured = self.core.captured_ops - captured_before;
         let id = self.push_trace(report.workload, config, seg_start, captured);
-        if let Some(shards) = shards_from_env().filter(|&s| s > 1) {
-            check_sharded_replay(&report, config, shards, |sm| self.replay_sharded(id, sm));
-        }
         (id, report)
     }
 
@@ -769,14 +723,6 @@ impl TraceStore {
         let mut out = Vec::with_capacity(usize::try_from(self.ops(id)).unwrap_or(usize::MAX));
         self.for_each_batch(id, |ops, _| out.extend_from_slice(ops));
         out
-    }
-
-    /// Feeds the stream, segment by segment, to a sharded machine.
-    /// Bit-identical to one `run_trace` over the flat stream: the
-    /// sharded executor folds its per-chunk metrics after every feed,
-    /// so segment boundaries are invisible to the result.
-    pub fn replay_sharded(&self, id: TraceId, sharded: &mut ShardedMachine) {
-        self.for_each_batch(id, |ops, _| sharded.run_trace(ops));
     }
 
     /// Number of operations in the stream.
@@ -887,9 +833,10 @@ impl TraceStore {
     }
 
     /// Replays the stream serially on a fresh machine built from
-    /// `config`, returning its report. This is the *serial path* every
-    /// other replay mode is bit-identical to; it decodes segment by
-    /// segment ([`for_each_batch`]) into the batched loop
+    /// `config`, returning its report — the per-cell entry point of the
+    /// trace-once/replay-many drivers (`rnuma_bench::sweep_grid` calls
+    /// it for every non-capture cell). It decodes segment by segment
+    /// ([`for_each_batch`]) into the batched loop
     /// ([`Machine::replay_segment`]), which `tests/trace_codec.rs` and
     /// `tests/batched_replay.rs` prove bit-identical to the live
     /// execution the stream was captured from.
@@ -949,69 +896,12 @@ fn seg_hash(ops: &[TraceOp]) -> u64 {
     h
 }
 
-/// Asserts that a pool-backed sharded replay on `config` is
-/// bit-identical to `report` (the serial execution of the same
-/// stream) — through **all three** window engines: the shared-log
-/// executor (per-shard span consumption), the pipelined executor
-/// (scan overlapped with pool execution), and the plain barrier
-/// engine both are differentially pinned against. `feed` drives the
-/// stream into each sharded machine — a flat `run_trace` or a
-/// segment-by-segment decoded replay; the executor folds its metrics
-/// after every feed, so the two are equivalent.
-///
-/// Runs on [`ShardPool::checking`], which always has workers — a
-/// zero-worker pool would make the executor bypass itself and turn the
-/// check into serial-vs-serial.
-fn check_sharded_replay(
-    report: &RunReport,
-    config: MachineConfig,
-    shards: usize,
-    feed: impl Fn(&mut ShardedMachine),
-) {
-    for engine in [ExecEngine::Log, ExecEngine::Pipeline, ExecEngine::Barrier] {
-        let mut sharded = ShardedMachine::with_pool(config, shards, ShardPool::checking())
-            .expect("config validated by caller");
-        sharded.set_engine(engine);
-        feed(&mut sharded);
-        assert!(
-            report.metrics.replay_eq(&sharded.metrics()),
-            "{engine} sharded replay ({shards} shards) diverged from serial for {} on {}:\n\
-             serial:  {}\nsharded: {}",
-            report.workload,
-            report.protocol,
-            report.metrics,
-            sharded.metrics()
-        );
-    }
-}
-
-/// Replays one sweep cell: the captured stream `id` against `config`,
-/// serially — and, when `RNUMA_SHARDS` requests more than one shard,
-/// additionally through the pool-backed sharded executor with a
-/// bit-identical self-check. This is the per-cell entry point of the
-/// trace-once/replay-many driver (`rnuma_bench::sweep_grid` calls it
-/// for every non-capture cell).
-///
-/// # Panics
-///
-/// Panics if `config` fails validation or mismatches the capture
-/// cluster shape, or — the point of the self-check — if the sharded
-/// replay diverges from the serial one.
-#[must_use]
-pub fn run_replayed(store: &TraceStore, id: TraceId, config: MachineConfig) -> RunReport {
-    let report = store.replay_serial(id, config);
-    if let Some(shards) = shards_from_env().filter(|&s| s > 1) {
-        check_sharded_replay(&report, config, shards, |sm| store.replay_sharded(id, sm));
-    }
-    report
-}
-
 /// Runs one workload against a whole configuration axis the
 /// trace-once/replay-many way: the workload executes **once**, on
 /// `configs[0]` (capturing its stream), and every other configuration
 /// replays the captured stream — fanned over the host's cores
-/// (`RNUMA_JOBS` overrides; `RNUMA_SHARDS` adds the per-cell sharded
-/// self-check). Returns one report per configuration, in order.
+/// (`RNUMA_JOBS` overrides). Returns one report per configuration, in
+/// order.
 ///
 /// All cells therefore simulate the *same* reference stream — the
 /// fixed-trace methodology classic ccNUMA tooling uses for sweeps —
@@ -1146,7 +1036,7 @@ pub fn run_sweep_journaled<W: Workload + ?Sized>(
                 metrics: metrics.clone(),
             };
         }
-        let report = run_replayed(&store, id, config);
+        let report = store.replay_serial(id, config);
         if let Some(journal) = journal {
             journal.record(key, report.workload, report.protocol, &report.metrics);
         }

@@ -29,14 +29,11 @@
 //! * [`program`] — the shared-memory programming framework for workload
 //!   kernels (allocation, parallel phases, barriers, think time).
 //! * [`experiment`] — one-call runs, ideal-normalized batches, the
-//!   parallel batch driver (`RNUMA_JOBS` workers across machines,
-//!   `RNUMA_SHARDS` self-checking shards within one), and the
-//!   trace-once/replay-many sweep driver (`TraceStore`, `run_sweep`;
-//!   see `docs/SWEEP.md`).
-//! * [`shard`] — deterministic epoch-sharded execution of one machine:
-//!   node shards run a trace's contained windows on a persistent worker
-//!   pool (`ShardPool`) and replay cross-shard effects in canonical
-//!   order, bit-identical to serial (see `docs/DETERMINISM.md`).
+//!   parallel batch driver (`RNUMA_JOBS` workers across machines), and
+//!   the trace-once/replay-many sweep driver (`TraceStore`, `run_sweep`;
+//!   see `docs/SWEEP.md`). Every replay is serial batched replay of a
+//!   [`TraceOp`] stream, bit-identical to the live run it was captured
+//!   from (see `docs/DETERMINISM.md`).
 //! * [`model`] — the paper's Section-3.2 competitive analysis (EQ 1–3).
 //! * [`metrics`] — everything the paper's tables and figures report.
 //!
@@ -78,14 +75,12 @@ pub mod machine;
 pub mod metrics;
 pub mod model;
 pub mod program;
-pub mod shard;
 mod trace;
 
 pub use config::{MachineConfig, Protocol};
 pub use experiment::{
-    parallel_map, run, run_env_sharded, run_normalized, run_normalized_serial, run_parallel,
-    run_replayed, run_sharded_checked, run_sweep, run_sweep_journaled, run_traced,
-    NormalizedReport, RunReport, SweepAbort, TraceId, TraceStore,
+    parallel_map, run, run_normalized, run_normalized_serial, run_parallel, run_sweep,
+    run_sweep_journaled, run_traced, NormalizedReport, RunReport, SweepAbort, TraceId, TraceStore,
 };
 pub use journal::{cell_key, Journal};
 pub use machine::Machine;
@@ -93,4 +88,4 @@ pub use metrics::{Metrics, PageProfile};
 pub use model::ModelParams;
 pub use program::{Ctx, Region, Runner, Workload};
 pub use rnuma_sim::fault::{FaultEvent, FaultKind, FaultLog, FaultPlan};
-pub use shard::{shards_from_env, ShardPool, ShardStats, ShardedMachine, TraceOp};
+pub use trace::{split_cpu_runs, CpuRun, TraceOp, MAX_RUN_LEN};

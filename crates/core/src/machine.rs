@@ -24,36 +24,32 @@
 //! The end-to-end uncontended costs reproduce Table 2 — see the
 //! calibration tests at the bottom of this file.
 //!
-//! # Execution lanes
+//! # The walk engine
 //!
 //! The reference walk itself lives in the crate-private `Lanes` engine:
-//! a view over a contiguous range of nodes (and their CPUs' clocks and
-//! MRU slots), the matching network window, a page-home view, and a
-//! metrics sink. [`Machine::access`] drives a full-range lane — the
-//! serial path — while the deterministic sharded executor
-//! ([`crate::shard::ShardedMachine`]) splits one machine into disjoint
-//! lanes and drives them from worker threads. Both paths execute the
-//! *same* walk code over the same state, which is what makes sharded
-//! runs bit-identical to serial ones (see `docs/DETERMINISM.md`).
+//! a borrowed view of the whole machine's nodes, CPU clocks, MRU slots,
+//! network, page homes and metrics. [`Machine::access`] drives it one
+//! reference at a time; the batched replay entry points
+//! ([`Machine::apply_batch`], [`Machine::replay_segment`]) drive it one
+//! same-CPU run at a time. Both execute the *same* walk code over the
+//! same state, which is what makes batched replay bit-identical to the
+//! live API (see `docs/DETERMINISM.md`).
 
 use crate::config::{MachineConfig, Protocol};
 use crate::metrics::Metrics;
-use crate::shard::{CpuRun, Footprints, TraceOp};
+use crate::trace::{scan_runs, CpuRun, TraceOp};
 use rnuma_mem::addr::{CpuId, NodeId, VBlock, VPage, Va};
 use rnuma_mem::block_cache::{BlockCache, BlockEviction, BlockState};
 use rnuma_mem::fine_tags::AccessTag;
 use rnuma_mem::l1::{L1Cache, L1Probe};
 use rnuma_mem::page_cache::{PageCache, PageVictim};
 use rnuma_mem::page_table::{Mapping, NodePageTable};
-use rnuma_net::net::NodeNi;
-use rnuma_net::{MsgKind, NetWindow, Network};
+use rnuma_net::{MsgKind, Network};
 use rnuma_os::{OsStats, PageManager};
 use rnuma_proto::bus::{self, BusRequest};
 use rnuma_proto::directory::Directory;
-use rnuma_proto::effect::{DirEffect, EffectKey, EffectMsg};
 use rnuma_proto::reactive::RefetchCounters;
 use rnuma_sim::{Cycles, Resource};
-use std::ops::Range;
 
 /// Extra protocol-FSM processing charged at the home per request, chosen
 /// so that the uncontended end-to-end remote fetch equals Table 2's 376
@@ -86,10 +82,6 @@ impl MruTranslation {
 }
 
 /// One node of the machine.
-///
-/// `Clone` exists for the recovery snapshots the sharded executor takes
-/// before dispatching a window under an armed fault plan or watchdog.
-#[derive(Clone)]
 pub(crate) struct Node {
     l1s: Vec<L1Cache>,
     bus: Resource,
@@ -140,7 +132,7 @@ pub struct Machine {
     flush_scratch: Vec<BlockEviction>,
     metrics: Metrics,
     /// When recording, every machine-level operation goes here so the
-    /// run can be replayed (serially or sharded) on a fresh machine.
+    /// run can be replayed on a fresh machine.
     tracing: Tracing,
 }
 
@@ -361,34 +353,20 @@ impl Machine {
         self.lanes().access(cpu, va, write)
     }
 
-    /// Applies one recorded operation through the live per-op dispatch
-    /// — the retired per-op replay path's last remaining step. Crate-
-    /// private by design: its only callers are the tracing fallback of
-    /// the batched entry points below and the sharded executor's
-    /// serial between-window leg (`ShardedMachine::exec_blocking`);
-    /// everything else replays through [`Machine::apply_batch`] /
-    /// [`Machine::replay_segment`] (`tools/check_perop_guard.sh`
-    /// enforces this).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the op references a CPU outside the machine.
-    pub(crate) fn apply_op(&mut self, op: &TraceOp) {
-        match *op {
-            TraceOp::Access { cpu, va, write } => {
-                self.access(cpu, va, write);
-            }
-            TraceOp::Think { cpu, dur } => self.advance(cpu, dur),
-            TraceOp::Barrier => self.barrier_all(),
-            TraceOp::ArmFirstTouch => self.arm_first_touch(),
-        }
-    }
-
     /// The tracing fallback of the batched entry points: per-op live
-    /// dispatch, which owns trace appends.
+    /// dispatch, which owns trace appends. Everything else replays
+    /// through [`Machine::apply_batch`] / [`Machine::replay_segment`]
+    /// (lint P01 rejects a per-op replay entry point).
     fn replay_per_op(&mut self, ops: &[TraceOp]) {
         for op in ops {
-            self.apply_op(op);
+            match *op {
+                TraceOp::Access { cpu, va, write } => {
+                    self.access(cpu, va, write);
+                }
+                TraceOp::Think { cpu, dur } => self.advance(cpu, dur),
+                TraceOp::Barrier => self.barrier_all(),
+                TraceOp::ArmFirstTouch => self.arm_first_touch(),
+            }
         }
     }
 
@@ -416,7 +394,7 @@ impl Machine {
 
     /// Replays one trace segment through the batched loop, consuming a
     /// pre-split run table (see
-    /// [`split_cpu_runs`](crate::shard::split_cpu_runs) and
+    /// [`split_cpu_runs`](crate::split_cpu_runs) and
     /// `TraceStore::batches`) instead of re-scanning the ops for
     /// same-CPU runs. Bit-identical to [`Machine::apply_batch`] of
     /// `ops`.
@@ -458,241 +436,42 @@ impl Machine {
         m
     }
 
-    /// The full-range execution lane: the serial reference walk.
+    /// The walk engine over the whole machine.
     fn lanes(&mut self) -> Lanes<'_> {
         Lanes {
             cfg: &self.cfg,
-            node_base: 0,
             nodes: &mut self.nodes,
-            cpu_base: 0,
             clocks: &mut self.clocks,
             mru: &mut self.mru,
-            net: self.net.full_window(),
-            homes: Homes::Live(&mut self.pages),
+            net: &mut self.net,
+            pages: &mut self.pages,
             metrics: &mut self.metrics,
             flush_scratch: &mut self.flush_scratch,
-            effects: None,
-            epoch: 0,
-            seq: 0,
-        }
-    }
-
-    /// Mutable access to the page-home table (shard pre-resolution).
-    pub(crate) fn pages_mut(&mut self) -> &mut PageManager {
-        &mut self.pages
-    }
-
-    /// Direct (sum-)merge of externally accumulated metrics.
-    pub(crate) fn metrics_mut(&mut self) -> &mut Metrics {
-        &mut self.metrics
-    }
-
-    /// The directory of `home`, for canonical effect replay.
-    pub(crate) fn dir_mut(&mut self, home: NodeId) -> &mut Directory {
-        &mut self.nodes[home.0 as usize].dir
-    }
-
-    /// Moves each node range's simulation state (nodes, CPU clocks, MRU
-    /// slots, NI ports) out of the machine and into the given chunks —
-    /// the ownership-handoff half of the persistent shard worker pool:
-    /// chunks are plain owned values, so they cross threads through
-    /// channels with no borrowed state.
-    ///
-    /// The chunks' accumulator fields (metrics, scratch, effect buffers)
-    /// are left untouched, so they persist across windows. Restore with
-    /// [`Machine::attach_shards`] before using the machine again.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `ranges` tile `0..nodes` in ascending order and the
-    /// chunks' state vectors are empty.
-    pub(crate) fn detach_shards(&mut self, ranges: &[Range<usize>], chunks: &mut [ShardChunk]) {
-        assert_eq!(ranges.len(), chunks.len());
-        let cpus_per_node = self.cfg.cpus_per_node as usize;
-        let mut nodes = std::mem::take(&mut self.nodes);
-        let mut clocks = std::mem::take(&mut self.clocks);
-        let mut mru = std::mem::take(&mut self.mru);
-        let mut nis = self.net.take_nis();
-        assert_eq!(nodes.len(), self.cfg.nodes as usize, "already detached");
-        // Tail-first: each chunk drains its suffix without shifting the
-        // elements before it.
-        for (r, chunk) in ranges.iter().zip(chunks.iter_mut()).rev() {
-            assert!(
-                chunk.nodes.is_empty() && chunk.nis.is_empty(),
-                "chunk already holds detached state"
-            );
-            chunk.node_base = r.start;
-            chunk.cpu_base = r.start * cpus_per_node;
-            chunk.nodes.extend(nodes.drain(r.start..));
-            chunk.clocks.extend(clocks.drain(r.start * cpus_per_node..));
-            chunk.mru.extend(mru.drain(r.start * cpus_per_node..));
-            chunk.nis.extend(nis.drain(r.start..));
-        }
-        assert!(nodes.is_empty(), "ranges must tile the node space");
-        // Keep the emptied vectors (and their capacity) for reattach.
-        self.nodes = nodes;
-        self.clocks = clocks;
-        self.mru = mru;
-        self.net.put_nis(nis);
-    }
-
-    /// Moves chunk state back into the machine, inverting
-    /// [`Machine::detach_shards`]. The chunks must arrive in ascending
-    /// node order (the order `detach_shards` filled them in).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the reassembled machine does not cover every node.
-    pub(crate) fn attach_shards(&mut self, chunks: &mut [ShardChunk]) {
-        let mut nis = self.net.take_nis();
-        for chunk in chunks.iter_mut() {
-            assert_eq!(chunk.node_base, self.nodes.len(), "chunk order broken");
-            self.nodes.append(&mut chunk.nodes);
-            self.clocks.append(&mut chunk.clocks);
-            self.mru.append(&mut chunk.mru);
-            nis.append(&mut chunk.nis);
-        }
-        self.net.put_nis(nis);
-        assert_eq!(
-            self.nodes.len(),
-            self.cfg.nodes as usize,
-            "chunks must cover every node"
-        );
-    }
-}
-
-/// One shard's owned slice of machine state, plus its per-shard
-/// accumulators (metrics deltas, flush scratch, deferred cross-shard
-/// effects).
-///
-/// Between windows a chunk holds only the accumulators; during a
-/// parallel window [`Machine::detach_shards`] moves the shard's nodes,
-/// clocks, MRU slots, and NI ports in, the chunk travels to a pool
-/// worker as a plain owned value, and [`Machine::attach_shards`] moves
-/// the state back at the epoch barrier.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct ShardChunk {
-    pub(crate) node_base: usize,
-    pub(crate) cpu_base: usize,
-    pub(crate) nodes: Vec<Node>,
-    pub(crate) clocks: Vec<Cycles>,
-    pub(crate) mru: Vec<MruTranslation>,
-    pub(crate) nis: Vec<NodeNi>,
-    pub(crate) metrics: Metrics,
-    pub(crate) scratch: Vec<BlockEviction>,
-    pub(crate) effects: Vec<EffectMsg>,
-}
-
-impl ShardChunk {
-    /// The execution lane over this chunk's state: the same walk engine
-    /// the serial path runs, against a frozen home table.
-    pub(crate) fn lanes<'a>(
-        &'a mut self,
-        cfg: &'a MachineConfig,
-        homes: &'a Footprints,
-        epoch: u64,
-    ) -> Lanes<'a> {
-        Lanes {
-            cfg,
-            node_base: self.node_base,
-            nodes: &mut self.nodes,
-            cpu_base: self.cpu_base,
-            clocks: &mut self.clocks,
-            mru: &mut self.mru,
-            net: NetWindow::over(cfg.net, self.node_base, &mut self.nis),
-            homes: Homes::Frozen(homes),
-            metrics: &mut self.metrics,
-            flush_scratch: &mut self.scratch,
-            effects: Some(&mut self.effects),
-            epoch,
-            seq: 0,
         }
     }
 }
 
-/// How an execution lane resolves page homes.
-///
-/// The serial walk owns the [`PageManager`] and fixes homes on first
-/// touch; a shard lane runs against a frozen view whose homes were
-/// pre-resolved — in trace order — by the coordinator before the window
-/// started, so concurrent lanes never race on the home table. The
-/// pipelined executor preserves this contract under overlap: while
-/// workers hold frozen views of window N's table, the coordinator
-/// scans window N+1 into a separate overlay (the base never moves or
-/// grows under a live lane) and merges it only after every worker has
-/// dropped its view at the epoch barrier. The [`PageManager`] itself
-/// stays on the machine across [`Machine::detach_shards`], which is
-/// what lets the coordinator keep resolving homes mid-window.
-enum Homes<'a> {
-    /// Exclusive ownership: faults fix homes on touch (serial path).
-    Live(&'a mut PageManager),
-    /// Shared frozen view: every page faulted in this window was
-    /// pre-homed — in trace order — by the window scan (shard path).
-    Frozen(&'a Footprints),
-}
-
-impl Homes<'_> {
-    fn on_touch(&mut self, page: VPage, toucher: NodeId) -> NodeId {
-        match self {
-            Homes::Live(pm) => pm.home_on_touch(page, toucher),
-            Homes::Frozen(fp) => fp
-                .home_of(page)
-                .expect("window scan pre-homes every page faulted in a shard window"),
-        }
-    }
-
-    fn of(&self, page: VPage) -> Option<NodeId> {
-        match self {
-            Homes::Live(pm) => pm.home_of(page),
-            Homes::Frozen(fp) => fp.home_of(page),
-        }
-    }
-
-    fn arm_first_touch(&mut self) {
-        match self {
-            Homes::Live(pm) => pm.arm_first_touch(),
-            Homes::Frozen(_) => unreachable!("first-touch arming inside a shard window"),
-        }
-    }
-}
-
-/// The reference-walk engine over one contiguous node range.
-///
-/// All node and CPU ids are absolute; a full-range lane (the serial
-/// path) owns everything, a shard lane owns its range and panics on any
-/// out-of-range touch except posted write-backs, which it buffers as
-/// canonical [`EffectMsg`]s for the epoch barrier.
-pub(crate) struct Lanes<'a> {
+/// The reference-walk engine: a borrowed view of every piece of
+/// simulation state the walk touches — everything in the machine but
+/// the trace recorder, which only the live API's entry points use.
+struct Lanes<'a> {
     cfg: &'a MachineConfig,
-    node_base: usize,
     nodes: &'a mut [Node],
-    cpu_base: usize,
     clocks: &'a mut [Cycles],
     mru: &'a mut [MruTranslation],
-    net: NetWindow<'a>,
-    homes: Homes<'a>,
+    net: &'a mut Network,
+    pages: &'a mut PageManager,
     metrics: &'a mut Metrics,
     flush_scratch: &'a mut Vec<BlockEviction>,
-    effects: Option<&'a mut Vec<EffectMsg>>,
-    epoch: u64,
-    seq: u64,
 }
 
 impl Lanes<'_> {
-    // ------------------------------------------------------------------
-    // Windowed state accessors (absolute ids).
-    // ------------------------------------------------------------------
-
     fn node(&self, idx: usize) -> &Node {
-        &self.nodes[idx - self.node_base]
+        &self.nodes[idx]
     }
 
     fn node_mut(&mut self, idx: usize) -> &mut Node {
-        &mut self.nodes[idx - self.node_base]
-    }
-
-    fn owns_node(&self, idx: usize) -> bool {
-        idx >= self.node_base && idx - self.node_base < self.nodes.len()
+        &mut self.nodes[idx]
     }
 
     fn node_of(&self, cpu: CpuId) -> usize {
@@ -702,8 +481,8 @@ impl Lanes<'_> {
     /// Performs one memory reference for `cpu` at its current clock,
     /// advancing the clock by the reference's latency, which is
     /// returned.
-    pub(crate) fn access(&mut self, cpu: CpuId, va: Va, write: bool) -> Cycles {
-        let cpu_idx = cpu.0 as usize - self.cpu_base;
+    fn access(&mut self, cpu: CpuId, va: Va, write: bool) -> Cycles {
+        let cpu_idx = cpu.0 as usize;
         let node_idx = self.node_of(cpu);
         let l1_idx = (cpu.0 % self.cfg.cpus_per_node) as usize;
         self.metrics
@@ -714,16 +493,8 @@ impl Lanes<'_> {
     }
 
     /// Synchronizes all CPUs at a barrier — the one implementation both
-    /// [`Machine::barrier_all`] and the batched replay loop run. Only
-    /// valid on a full-range lane; a shard lane barriering would
-    /// silently synchronize one shard's clocks against a shard-local
-    /// max, so the guard is a hard assert (barriers are rare — this is
-    /// nowhere near the hot path).
+    /// [`Machine::barrier_all`] and the batched replay loop run.
     fn barrier_all(&mut self) {
-        assert!(
-            self.cpu_base == 0 && self.clocks.len() == self.cfg.total_cpus() as usize,
-            "barrier inside a shard window"
-        );
         let max = self.clocks.iter().copied().fold(Cycles::ZERO, Cycles::max);
         let after = max + self.cfg.barrier_cost;
         for c in &mut *self.clocks {
@@ -731,39 +502,18 @@ impl Lanes<'_> {
         }
     }
 
-    /// Streams a batch of ops through this lane, grouping contiguous
-    /// same-CPU runs on the fly ([`crate::shard::scan_runs`], the same
-    /// rule the pre-split tables are built with). The whole-machine
-    /// equivalent of [`Lanes::run_segment`] when no run table exists.
+    /// Streams a batch of ops through the walk, grouping contiguous
+    /// same-CPU runs on the fly ([`scan_runs`], the same rule the
+    /// pre-split tables are built with). The equivalent of
+    /// [`Lanes::run_segment`] when no run table exists.
     fn run_ops(&mut self, ops: &[TraceOp]) {
-        crate::shard::scan_runs(ops, |issuer, range| match issuer {
-            Some(cpu) => self.access_run(cpu, 0, &ops[range]),
+        scan_runs(ops, |issuer, range| match issuer {
+            Some(cpu) => self.access_run(cpu, &ops[range]),
             None => self.run_global(&ops[range.start]),
         });
     }
 
-    /// Executes one pooled-window bucket through the batched window
-    /// kernel: every run streams through [`Lanes::access_run`] with
-    /// its CPU-derived indices hoisted and `seq` advanced per op from
-    /// the run's `seq_base` — a run is contiguous in both CPU and
-    /// global trace position by construction
-    /// (`rnuma::shard::BucketRun`), so the advancing `seq` reproduces
-    /// exactly the per-op `seq` the retired dispatch loop set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `runs` does not tile `ops` exactly.
-    pub(crate) fn run_batch(&mut self, ops: &[TraceOp], runs: &[crate::shard::BucketRun]) {
-        let mut at = 0usize;
-        for run in runs {
-            let end = at + run.len as usize;
-            self.access_run(run.cpu, run.seq_base, &ops[at..end]);
-            at = end;
-        }
-        assert_eq!(at, ops.len(), "run table does not tile its bucket");
-    }
-
-    /// Streams one segment through this lane, consuming its pre-split
+    /// Streams one segment through the walk, consuming its pre-split
     /// run table (computed once at capture time by `TraceStore`).
     ///
     /// # Panics
@@ -775,7 +525,7 @@ impl Lanes<'_> {
             match *run {
                 CpuRun::Cpu { cpu, len } => {
                     let end = at + len as usize;
-                    self.access_run(cpu, 0, &ops[at..end]);
+                    self.access_run(cpu, &ops[at..end]);
                     at = end;
                 }
                 CpuRun::Global => {
@@ -791,7 +541,7 @@ impl Lanes<'_> {
     fn run_global(&mut self, op: &TraceOp) {
         match op {
             TraceOp::Barrier => self.barrier_all(),
-            TraceOp::ArmFirstTouch => self.homes.arm_first_touch(),
+            TraceOp::ArmFirstTouch => self.pages.arm_first_touch(),
             TraceOp::Access { .. } | TraceOp::Think { .. } => {
                 unreachable!("per-CPU op dispatched as global")
             }
@@ -802,12 +552,6 @@ impl Lanes<'_> {
     /// the CPU-derived indices (clock slot, node, L1) hoisted out of the
     /// per-op loop — the batched replay loop's inner kernel.
     ///
-    /// `seq_base` is the global trace position of the run's first op;
-    /// `seq` advances per op from it, keeping cross-shard effect keys
-    /// exact inside pooled windows (whose runs are seq-contiguous by
-    /// construction). Serial full-range lanes never buffer effects and
-    /// pass 0.
-    ///
     /// Within the run, the per-reference page-profile touch is
     /// coalesced: [`Metrics::touch_page`] is idempotent per
     /// `(page, node, wrote)` triple, so a span of consecutive
@@ -815,8 +559,8 @@ impl Lanes<'_> {
     /// first reference (creating the profile at the same point in
     /// execution order as the per-op path) plus once for its first
     /// write — never once per op.
-    fn access_run(&mut self, cpu: CpuId, seq_base: u64, ops: &[TraceOp]) {
-        let cpu_idx = cpu.0 as usize - self.cpu_base;
+    fn access_run(&mut self, cpu: CpuId, ops: &[TraceOp]) {
+        let cpu_idx = cpu.0 as usize;
         let node_idx = self.node_of(cpu);
         let node_id = NodeId(node_idx as u8);
         let l1_idx = (cpu.0 % self.cfg.cpus_per_node) as usize;
@@ -824,14 +568,7 @@ impl Lanes<'_> {
         // u64s, so their page indices never reach u64::MAX).
         let mut span_page = VPage(u64::MAX);
         let mut span_wrote = false;
-        // Only shard lanes consume `seq` (cross-shard effect keys);
-        // hoisting the check keeps the per-op store off the serial
-        // batched hot path, which never buffers effects.
-        let track_seq = self.effects.is_some();
-        for (seq, op) in (seq_base..).zip(ops) {
-            if track_seq {
-                self.seq = seq;
-            }
+        for op in ops {
             // A run table paired with the wrong segment of equal length
             // would otherwise execute silently with every op charged to
             // the hoisted run CPU.
@@ -859,28 +596,11 @@ impl Lanes<'_> {
     }
 
     /// Posts an eviction write-back of `block` from `from` toward its
-    /// home: the network message is posted (sender-side state only), and
-    /// the home's directory transition is applied directly when the home
-    /// is inside this lane, or buffered as a canonical effect message
-    /// when it is not.
+    /// home: the network message is posted (sender-side state only) and
+    /// the home's directory records the write-back.
     fn post_writeback(&mut self, now: Cycles, from: NodeId, home: NodeId, block: VBlock) {
         self.net.post(now, from, home, MsgKind::WriteBack);
-        if self.owns_node(home.0 as usize) {
-            self.node_mut(home.0 as usize).dir.writeback(block, from);
-        } else {
-            let msg = EffectMsg {
-                key: EffectKey {
-                    epoch: self.epoch,
-                    home,
-                    seq: self.seq,
-                },
-                effect: DirEffect::WriteBack { block, from },
-            };
-            self.effects
-                .as_deref_mut()
-                .expect("cross-shard write-back outside a shard window")
-                .push(msg);
-        }
+        self.node_mut(home.0 as usize).dir.writeback(block, from);
     }
 
     // ------------------------------------------------------------------
@@ -1102,7 +822,7 @@ impl Lanes<'_> {
 
     fn fault_in_page(&mut self, node_idx: usize, page: VPage, now: Cycles) -> (Mapping, Cycles) {
         let node_id = NodeId(node_idx as u8);
-        let home = self.homes.on_touch(page, node_id);
+        let home = self.pages.home_on_touch(page, node_id);
         self.node_mut(node_idx).os.page_faults += 1;
         if home == node_id {
             self.node_mut(node_idx).pt.map(page, Mapping::Local);
@@ -1165,8 +885,8 @@ impl Lanes<'_> {
     fn flush_scoma_victim(&mut self, node_idx: usize, victim: PageVictim, now: Cycles) {
         let node_id = NodeId(node_idx as u8);
         let home = self
-            .homes
-            .of(victim.vpage)
+            .pages
+            .home_of(victim.vpage)
             .expect("cached page must have a home");
         debug_assert_ne!(home, node_id, "page cache never holds local pages");
         for (idx, tag) in victim.tags.iter_valid() {
@@ -1415,8 +1135,8 @@ impl Lanes<'_> {
     ) -> (Cycles, bool) {
         let node_id = NodeId(node_idx as u8);
         let home = self
-            .homes
-            .of(page)
+            .pages
+            .home_of(page)
             .expect("remote access to a homeless page");
         debug_assert_ne!(home, node_id);
         let home_idx = home.0 as usize;
@@ -1626,8 +1346,8 @@ impl Lanes<'_> {
             }
         }
         let home = self
-            .homes
-            .of(ev.block.vpage())
+            .pages
+            .home_of(ev.block.vpage())
             .expect("cached block must have a home");
         debug_assert_ne!(home, node_id);
         if dirty {
@@ -2001,5 +1721,35 @@ mod tests {
         assert_eq!(m.metrics().refetches, 0);
         // The write-invalidate messages were actually sent.
         assert!(m.metrics().net_messages > 4);
+    }
+
+    #[test]
+    fn traced_machine_records_every_op_kind() {
+        let mut m = machine(Protocol::paper_rnuma());
+        m.start_tracing();
+        m.arm_first_touch();
+        m.access(CpuId(0), Va(0x1000), true);
+        m.advance(CpuId(0), Cycles(10));
+        m.barrier_all();
+        let trace = m.take_trace();
+        assert_eq!(
+            trace,
+            vec![
+                TraceOp::ArmFirstTouch,
+                TraceOp::Access {
+                    cpu: CpuId(0),
+                    va: Va(0x1000),
+                    write: true
+                },
+                TraceOp::Think {
+                    cpu: CpuId(0),
+                    dur: Cycles(10)
+                },
+                TraceOp::Barrier,
+            ]
+        );
+        // Tracing is off after take_trace.
+        m.access(CpuId(0), Va(0x1000), false);
+        assert!(m.take_trace().is_empty());
     }
 }

@@ -185,43 +185,12 @@ impl Metrics {
         v
     }
 
-    /// Folds another metrics record into this one and resets the other
-    /// to zero (used to merge per-shard metric deltas in canonical shard
-    /// order).
-    ///
-    /// Only the event counters and per-page profiles are folded; the
-    /// state-derived fields (`exec_cycles`, `per_cpu_cycles`, `os`,
-    /// `relocation_interrupts`, `net_messages`, `ni_wait`) are refreshed
-    /// from machine state by [`crate::machine::Machine::metrics`] and
-    /// carry no standalone deltas.
-    pub fn absorb(&mut self, other: &mut Metrics) {
-        self.reads += std::mem::take(&mut other.reads);
-        self.writes += std::mem::take(&mut other.writes);
-        self.l1_hits += std::mem::take(&mut other.l1_hits);
-        self.mru_translation_hits += std::mem::take(&mut other.mru_translation_hits);
-        self.l1_misses += std::mem::take(&mut other.l1_misses);
-        self.c2c_transfers += std::mem::take(&mut other.c2c_transfers);
-        self.local_fills += std::mem::take(&mut other.local_fills);
-        self.block_cache_hits += std::mem::take(&mut other.block_cache_hits);
-        self.page_cache_hits += std::mem::take(&mut other.page_cache_hits);
-        self.remote_fetches += std::mem::take(&mut other.remote_fetches);
-        self.refetches += std::mem::take(&mut other.refetches);
-        for (page, p) in other.pages.iter() {
-            let mine = self.pages.entry_or_default(page);
-            mine.accessors = mine.accessors.union(p.accessors);
-            mine.writers = mine.writers.union(p.writers);
-            mine.refetches += p.refetches;
-            mine.remote_fetches += p.remote_fetches;
-        }
-        other.pages.clear();
-    }
-
     /// `true` when `other` is a bit-identical replay of this run: every
     /// event counter, clock, OS statistic, network figure, and per-page
     /// profile matches.
     ///
-    /// This is the determinism contract between execution modes (serial,
-    /// parallel driver, sharded); the per-page comparison is on sorted
+    /// This is the determinism contract between execution modes (live,
+    /// batched replay, parallel driver); the per-page comparison is on sorted
     /// contents, because the hash tables' internal layouts legitimately
     /// differ between modes while holding identical profiles.
     #[must_use]

@@ -1,11 +1,18 @@
-//! Columnar, delta-encoded storage for captured [`TraceOp`] streams.
+//! The machine-level operation stream ([`TraceOp`]), its run tables
+//! ([`CpuRun`]), and columnar, delta-encoded storage for captured
+//! streams.
 //!
-//! This module is the storage layer under
+//! A trace is the sequence of [`TraceOp`]s one run issues, in the
+//! canonical order the machine executed them. The batched replay loop
+//! groups it into *runs* — maximal contiguous same-CPU spans, the one
+//! grouping rule [`scan_runs`] defines — and [`split_cpu_runs`] records
+//! those runs as a table.
+//!
+//! The rest of this module is the storage layer under
 //! [`TraceStore`](crate::experiment::TraceStore). A captured stream is
-//! held not as an array of 24-byte `TraceOp` structs but as *runs* —
-//! the maximal same-CPU spans [`scan_runs`](crate::shard::scan_runs)
-//! already defines for the batched replay kernels — each reduced to a
-//! varint-coded entry in a per-segment *run stream* plus a *profile*:
+//! held not as an array of 24-byte `TraceOp` structs but as runs, each
+//! reduced to a varint-coded entry in a per-segment *run stream* plus a
+//! *profile*:
 //! a byte blob holding the run's op kinds as a packed 2-bit column and
 //! its payloads as varints, with access addresses stored as zigzag
 //! deltas from the previous address in the run (and run bases as
@@ -28,10 +35,134 @@
 //! content hash so a torn or truncated spill file fails loudly instead
 //! of replaying garbage.
 
-use crate::shard::{scan_runs, CpuRun, TraceOp};
 use rnuma_mem::addr::{CpuId, Va};
 use rnuma_mem::fxmap::FxMap64;
 use rnuma_sim::Cycles;
+use std::ops::Range;
+
+/// One replayable machine-level operation.
+///
+/// A trace of these is a complete record of a run: replaying it on a
+/// fresh machine of the same configuration reproduces the run exactly.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TraceOp {
+    /// One memory reference.
+    Access {
+        /// The issuing CPU.
+        cpu: CpuId,
+        /// The virtual address referenced.
+        va: Va,
+        /// `true` for a store.
+        write: bool,
+    },
+    /// Compute time on one CPU.
+    Think {
+        /// The computing CPU.
+        cpu: CpuId,
+        /// The duration charged.
+        dur: Cycles,
+    },
+    /// A global barrier across all CPUs.
+    Barrier,
+    /// Arms first-touch page placement.
+    ArmFirstTouch,
+}
+
+impl TraceOp {
+    /// The issuing CPU of a per-CPU op (`Access`/`Think`), or `None`
+    /// for a global op (`Barrier`/`ArmFirstTouch`). This is the key the
+    /// batched replay loop groups contiguous runs by.
+    #[must_use]
+    pub fn issuer(&self) -> Option<CpuId> {
+        match *self {
+            TraceOp::Access { cpu, .. } | TraceOp::Think { cpu, .. } => Some(cpu),
+            TraceOp::Barrier | TraceOp::ArmFirstTouch => None,
+        }
+    }
+}
+
+/// One entry of a segment's *run table*: the batched replay loop's unit
+/// of work. A run table tiles its segment exactly, in order; each entry
+/// is either a maximal run of consecutive per-CPU ops all issued by the
+/// same CPU, or a single global op.
+///
+/// `TraceStore` computes run tables once per interned segment at
+/// capture time ([`split_cpu_runs`]), so every replay of the segment —
+/// on any configuration — consumes the pre-split form directly.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CpuRun {
+    /// `len` consecutive `Access`/`Think` ops, all issued by `cpu`.
+    Cpu {
+        /// The run's issuing CPU.
+        cpu: CpuId,
+        /// Number of consecutive ops in the run (always at least 1).
+        /// A maximal same-CPU run longer than [`MAX_RUN_LEN`] ops is
+        /// emitted as several consecutive entries, so gigabyte-class
+        /// traces never overflow the field.
+        len: u32,
+    },
+    /// One global op (`Barrier` or `ArmFirstTouch`).
+    Global,
+}
+
+/// Largest op count one [`CpuRun::Cpu`] entry can carry. Longer runs
+/// split into several consecutive entries — the batched kernel executes
+/// each entry separately, and the metric page-touch coalescing is
+/// idempotent, so the split is invisible to results.
+pub const MAX_RUN_LEN: usize = u32::MAX as usize;
+
+/// Appends one same-CPU run of `len` ops to `runs`, splitting it into
+/// [`MAX_RUN_LEN`]-sized entries instead of overflowing (the
+/// `--scale paper` regime holds multi-gigabyte traces; a panic here
+/// would cap trace length by accident).
+fn push_cpu_run(runs: &mut Vec<CpuRun>, cpu: CpuId, mut len: usize) {
+    while len > 0 {
+        let chunk = len.min(MAX_RUN_LEN);
+        runs.push(CpuRun::Cpu {
+            cpu,
+            len: chunk as u32,
+        });
+        len -= chunk;
+    }
+}
+
+/// Walks `ops` as its maximal runs, calling `f` once per run with the
+/// run's issuer (`None` for a single global op) and its index range.
+/// The one place the grouping rule lives: [`split_cpu_runs`] records
+/// the runs as a table, the batched replay loop
+/// (`Machine::apply_batch`) streams them directly.
+pub(crate) fn scan_runs(ops: &[TraceOp], mut f: impl FnMut(Option<CpuId>, Range<usize>)) {
+    let mut i = 0usize;
+    while i < ops.len() {
+        match ops[i].issuer() {
+            None => {
+                f(None, i..i + 1);
+                i += 1;
+            }
+            Some(cpu) => {
+                let start = i;
+                i += 1;
+                while i < ops.len() && ops[i].issuer() == Some(cpu) {
+                    i += 1;
+                }
+                f(Some(cpu), start..i);
+            }
+        }
+    }
+}
+
+/// Splits `ops` into its run table: maximal contiguous same-CPU runs,
+/// with each global op as its own entry. The returned entries tile
+/// `ops` exactly, in order (an empty slice yields an empty table).
+#[must_use]
+pub fn split_cpu_runs(ops: &[TraceOp]) -> Vec<CpuRun> {
+    let mut runs = Vec::new();
+    scan_runs(ops, |issuer, range| match issuer {
+        Some(cpu) => push_cpu_run(&mut runs, cpu, range.len()),
+        None => runs.push(CpuRun::Global),
+    });
+    runs
+}
 
 /// Ops per stream segment: the decode/replay granularity (and the
 /// streaming-capture flush unit). Long enough that segment dispatch is
@@ -688,6 +819,137 @@ mod tests {
         let mut out = Vec::new();
         decode_run(cpu, ops.len() as u32, base, &blob, &mut out);
         out
+    }
+
+    #[test]
+    fn split_cpu_runs_empty_trace_is_empty() {
+        assert!(split_cpu_runs(&[]).is_empty());
+    }
+
+    #[test]
+    fn split_cpu_runs_single_op_forms_one_run() {
+        assert_eq!(
+            split_cpu_runs(&[access(3, 0x1000, false)]),
+            vec![CpuRun::Cpu {
+                cpu: CpuId(3),
+                len: 1
+            }]
+        );
+        assert_eq!(split_cpu_runs(&[TraceOp::Barrier]), vec![CpuRun::Global]);
+    }
+
+    #[test]
+    fn split_cpu_runs_alternating_cpus_yield_unit_runs() {
+        let ops: Vec<TraceOp> = (0..6).map(|i| access(i % 2, 0x1000, false)).collect();
+        let runs = split_cpu_runs(&ops);
+        assert_eq!(runs.len(), 6);
+        for (i, run) in runs.iter().enumerate() {
+            assert_eq!(
+                *run,
+                CpuRun::Cpu {
+                    cpu: CpuId((i % 2) as u16),
+                    len: 1
+                }
+            );
+        }
+    }
+
+    #[test]
+    fn split_cpu_runs_groups_maximal_same_cpu_spans() {
+        let ops = [
+            access(0, 0x1000, false),
+            access(0, 0x1020, false),
+            TraceOp::Think {
+                cpu: CpuId(0),
+                dur: Cycles(5),
+            },
+            access(4, 0x2000, false),
+            TraceOp::Barrier,
+            TraceOp::ArmFirstTouch,
+            access(4, 0x2020, false),
+        ];
+        assert_eq!(
+            split_cpu_runs(&ops),
+            vec![
+                CpuRun::Cpu {
+                    cpu: CpuId(0),
+                    len: 3
+                },
+                CpuRun::Cpu {
+                    cpu: CpuId(4),
+                    len: 1
+                },
+                CpuRun::Global,
+                CpuRun::Global,
+                CpuRun::Cpu {
+                    cpu: CpuId(4),
+                    len: 1
+                },
+            ]
+        );
+    }
+
+    #[test]
+    fn oversized_runs_chunk_instead_of_overflowing() {
+        // Synthetic lengths only — a real 2^32-op slice would need
+        // ~100 GB. The splitter's chunker is a pure function of the
+        // run length, so this covers the gigabyte-trace regime the
+        // paper-scale sweeps hit.
+        let mut runs = Vec::new();
+        push_cpu_run(&mut runs, CpuId(7), MAX_RUN_LEN + 5);
+        assert_eq!(
+            runs,
+            vec![
+                CpuRun::Cpu {
+                    cpu: CpuId(7),
+                    len: u32::MAX
+                },
+                CpuRun::Cpu {
+                    cpu: CpuId(7),
+                    len: 5
+                },
+            ]
+        );
+        runs.clear();
+        push_cpu_run(&mut runs, CpuId(1), 3 * MAX_RUN_LEN);
+        assert_eq!(runs.len(), 3);
+        let total: u64 = runs
+            .iter()
+            .map(|r| match r {
+                CpuRun::Cpu { len, .. } => u64::from(*len),
+                CpuRun::Global => 1,
+            })
+            .sum();
+        assert_eq!(total, 3 * MAX_RUN_LEN as u64);
+        // Zero-length runs are never emitted.
+        runs.clear();
+        push_cpu_run(&mut runs, CpuId(0), 0);
+        assert!(runs.is_empty());
+    }
+
+    #[test]
+    fn split_cpu_runs_tables_tile_their_input() {
+        // Interleaved CPUs, long same-CPU spans and global ops.
+        let mut ops = vec![TraceOp::ArmFirstTouch];
+        for i in 0..512u64 {
+            let cpu = ((i / 7) % 32) as u16;
+            ops.push(access(cpu, 0x1000 + i * 32, i % 5 == 0));
+            if i % 3 == 0 {
+                ops.push(think(cpu, i));
+            }
+            if i % 64 == 63 {
+                ops.push(TraceOp::Barrier);
+            }
+        }
+        let runs = split_cpu_runs(&ops);
+        let total: u64 = runs
+            .iter()
+            .map(|r| match r {
+                CpuRun::Cpu { len, .. } => u64::from(*len),
+                CpuRun::Global => 1,
+            })
+            .sum();
+        assert_eq!(total, ops.len() as u64);
     }
 
     #[test]

@@ -186,14 +186,12 @@ impl<V: Default> PagedMap<V> {
     }
 }
 
-/// Assigns `page` to one of `shards` fine-grained directory sub-shards.
+/// Assigns `page` to one of `shards` page-granular banks.
 ///
-/// This is the *layout* hash of the sharded executor's footprint/home
-/// directory: the coordinator banks its per-page scan state into
-/// `shards` independent tables (`RNUMA_DIR_SHARDS`), and every lookup,
-/// overlay merge, and diagnostic groups pages by this function. It is a
-/// pure placement decision — simulation results never depend on it —
-/// so the contract is purely structural:
+/// A pure placement hash for splitting per-page state into `shards`
+/// independent tables. No simulator component banks its state today;
+/// the function is kept as a standalone, tested primitive. Its contract
+/// is purely structural:
 ///
 /// * **total**: every page maps to a bank in `0..shards` (for
 ///   `shards <= 1`, always bank 0);
@@ -204,9 +202,7 @@ impl<V: Default> PagedMap<V> {
 ///
 /// The definition is fixed (SplitMix64's finalizer over the page
 /// number, reduced modulo `shards`) and mirrored by the reference
-/// model in `crates/mem/tests/properties.rs`; changing it is safe for
-/// correctness but invalidates any bank-keyed diagnostics captured
-/// across versions.
+/// model in `crates/mem/tests/properties.rs`.
 #[must_use]
 #[inline]
 pub fn dir_shard_of(page: VPage, shards: usize) -> usize {
@@ -220,28 +216,24 @@ pub fn dir_shard_of(page: VPage, shards: usize) -> usize {
     (x % shards as u64) as usize
 }
 
-/// Per-bank ownership-epoch high-water tags for a [`dir_shard_of`]-
-/// banked page directory.
+/// Per-bank epoch high-water tags for a [`dir_shard_of`]-banked page
+/// directory.
 ///
-/// The sharded executor's footprint directory stamps each page with the
-/// epoch of its last ownership transition; this companion structure
-/// keeps, per *bank*, the maximum such stamp ever recorded — the
-/// coarse summary a consumer can check without walking the bank: if a
-/// shard's log cursor has passed `bank_tag(b)`, no page in bank `b`
-/// has a pending ownership fence ahead of it. Like the banking itself
-/// the tags are layout-only bookkeeping: they summarize per-page
-/// stamps and never influence classification or simulation results.
+/// Keeps, per *bank*, the maximum epoch stamp ever recorded for any of
+/// its pages — a coarse summary a consumer can check without walking
+/// the bank: if a cursor has passed `bank_tag(b)`, no page in bank `b`
+/// carries a later stamp. The tags are layout-only bookkeeping and have
+/// no caller in the simulator today.
 ///
 /// Tags are monotone (recording is a per-bank `max`) and merge by
-/// bank-wise `max`, mirroring how a prefetch overlay's entries merge
-/// into the base directory.
+/// bank-wise `max`.
 #[derive(Clone, Debug)]
 pub struct EpochTags {
     banks: Vec<u64>,
 }
 
 impl EpochTags {
-    /// Zeroed tags for `banks` sub-shards (minimum 1, matching
+    /// Zeroed tags for `banks` banks (minimum 1, matching
     /// [`dir_shard_of`]'s degenerate single-bank case).
     #[must_use]
     pub fn new(banks: usize) -> EpochTags {

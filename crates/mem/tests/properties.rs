@@ -357,14 +357,13 @@ proptest! {
         }
     }
 
-    /// Directory sub-shard (bank) assignment is total, stable, and
+    /// Page bank assignment is total, stable, and
     /// pinned to the reference model below: for any page and any bank
     /// count the production hash must land in range, return the same
     /// bank every time it is asked, and agree bit-for-bit with an
     /// independent spelling of the SplitMix64 finalizer. Pinning the
     /// constants here means any edit to the production hash — which
-    /// would silently re-home every page's footprint record — fails a
-    /// test instead of changing layout behind the executor's back.
+    /// would silently re-home every banked page — fails a test.
     #[test]
     fn dir_shard_assignment_matches_reference_model(
         pages in prop::collection::vec(any::<u64>(), 1..200),
@@ -398,8 +397,8 @@ proptest! {
     /// block of a run maps through its *page's* bank, so a run that
     /// crosses a page boundary changes bank only at exactly that
     /// boundary, and revisiting the same pages from a later run lands
-    /// in the same banks — the stability the banked footprint directory
-    /// relies on when the same page is scanned in different windows.
+    /// in the same banks — the stability a banked page directory relies
+    /// on when the same page is reached from different runs.
     #[test]
     fn dir_shard_is_page_granular_across_straddling_runs(
         runs in prop::collection::vec(

@@ -7,8 +7,8 @@
 //! * [`msg`] — the directory protocol's message vocabulary and size
 //!   classes;
 //! * [`net`] — the [`Network`]: constant-latency fabric plus per-node
-//!   FCFS NI ports in both directions, splittable into per-shard
-//!   [`NetWindow`]s for the deterministic sharded executor.
+//!   FCFS NI ports in both directions, splittable into per-node-range
+//!   [`NetWindow`]s.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

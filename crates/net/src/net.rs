@@ -7,14 +7,15 @@
 //! each node has one outbound and one inbound FCFS network-interface
 //! port whose occupancy depends on the message's size class.
 //!
-//! # Sharded execution
+//! # Windows
 //!
 //! All per-message state (both NI ports and the send counters, which are
-//! attributed to the *sender*) lives in one [`NodeNi`] per node, so a
-//! machine partitioned into node shards can split the network into
-//! disjoint [`NetWindow`]s with [`Network::windows`] and let each shard
-//! drive its own nodes' traffic concurrently. Two message operations
-//! exist:
+//! attributed to the *sender*) lives in one [`NodeNi`] per node, so the
+//! network can be split into disjoint [`NetWindow`]s over node ranges
+//! with [`Network::windows`]. The simulator itself drives the whole
+//! network through [`Network::send`]/[`Network::post`] (a full-width
+//! window); the split views are a standalone, tested primitive with no
+//! caller in the simulator. Two message operations exist:
 //!
 //! * [`NetWindow::send`] — a synchronous transaction hop: occupies the
 //!   sender's out-NI *and* the receiver's in-NI, so both endpoints must
@@ -22,9 +23,7 @@
 //! * [`NetWindow::post`] — a posted (fire-and-forget) message, used for
 //!   eviction write-backs: it occupies only the sender's out-NI and
 //!   sinks at the destination's memory controller without occupying the
-//!   in-NI port, so only the *sender* must belong to the window. This is
-//!   what lets a shard evict a page homed in another shard without
-//!   touching that shard's timing state.
+//!   in-NI port, so only the *sender* must belong to the window.
 
 use crate::msg::{MsgKind, SizeClass};
 use rnuma_mem::addr::NodeId;
@@ -66,7 +65,7 @@ impl NetConfig {
     }
 }
 
-/// Out-of-window NI access: an executor containment bug, kept out of
+/// Out-of-window NI access: a containment bug in the caller, kept out of
 /// line so the bounds check on the send/post fast path stays a single
 /// compare-and-branch to a cold block.
 #[cold]
@@ -165,11 +164,9 @@ impl Network {
     }
 
     /// Detaches every node's NI state, leaving the network empty until
-    /// [`Network::put_nis`] restores it. This is the ownership-handoff
-    /// primitive behind the persistent shard worker pool: the executor
-    /// moves each shard's `NodeNi`s into an owned chunk, ships the chunk
-    /// to a parked worker, and moves the state back at the epoch
-    /// barrier — no borrows cross threads.
+    /// [`Network::put_nis`] restores it: an ownership handoff that lets
+    /// NI state move into an owned value (and across threads) without
+    /// borrowing the network.
     ///
     /// While detached, every message operation panics (there are no
     /// nodes); callers must restore the state before using the network.
@@ -273,8 +270,7 @@ impl Network {
 ///
 /// Obtained from [`Network::full_window`] or [`Network::windows`]; all
 /// node ids are *absolute* machine node ids, and indexing a node outside
-/// the window panics — which is precisely the containment guarantee the
-/// sharded executor relies on.
+/// the window panics — the window's containment guarantee.
 #[derive(Debug)]
 pub struct NetWindow<'a> {
     config: NetConfig,
@@ -283,8 +279,8 @@ pub struct NetWindow<'a> {
 }
 
 impl<'a> NetWindow<'a> {
-    /// A window over externally owned NI state (e.g. a shard chunk that
-    /// was detached with [`Network::take_nis`]), covering absolute node
+    /// A window over externally owned NI state (e.g. state that was
+    /// detached with [`Network::take_nis`]), covering absolute node
     /// ids `base..base + nis.len()`.
     #[must_use]
     pub fn over(config: NetConfig, base: usize, nis: &'a mut [NodeNi]) -> NetWindow<'a> {
@@ -470,7 +466,7 @@ mod tests {
             // The detached state carries the earlier send's occupancy.
             let t = w1.send(Cycles(0), NodeId(4), NodeId(5), MsgKind::GetShared);
             assert_eq!(t, Cycles(112));
-            // Posted messages may leave the window, as in shard lanes.
+            // Posted messages may leave the window.
             let p = w0.post(Cycles(0), NodeId(0), NodeId(7), MsgKind::WriteBack);
             assert_eq!(p, Cycles(108));
         }

@@ -13,11 +13,7 @@
 //! * [`bus`] — the intra-node snoopy MOESI bus, including the MBus
 //!   no-cache-to-cache-for-unowned-blocks quirk the paper models;
 //! * [`reactive`] — the per-node, per-page refetch counters that trigger
-//!   R-NUMA's relocation interrupt;
-//! * [`effect`] — directory transitions expressed as replayable,
-//!   canonically ordered messages, so the sharded executor can buffer a
-//!   cross-shard eviction write-back and apply it deterministically at
-//!   an epoch barrier.
+//!   R-NUMA's relocation interrupt.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,10 +21,8 @@
 
 pub mod bus;
 pub mod directory;
-pub mod effect;
 pub mod reactive;
 
 pub use bus::{snoop, BusRequest, SnoopResult};
 pub use directory::{Directory, Entry, ReadOutcome, WriteOutcome};
-pub use effect::{DirEffect, EffectKey, EffectMsg};
 pub use reactive::RefetchCounters;

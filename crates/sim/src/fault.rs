@@ -1,20 +1,20 @@
 //! Deterministic fault injection for the execution layer.
 //!
 //! A [`FaultPlan`] is a seeded, reproducible schedule of faults: each
-//! *injection point* in the execution layer (worker panic, worker hang,
-//! channel poisoning, capture-time allocation pressure, sweep abort)
-//! asks the plan [`FaultPlan::should_fire`] at every decision, and the
-//! plan answers from either an explicit `kind@index` event list or a
-//! per-kind probability derived from the plan seed via [`DetRng`].
-//! Identical plans therefore produce identical fault schedules — the
-//! property the `fault_recovery` differential suite is built on: a run
-//! under any plan must recover to metrics bit-identical to a fault-free
-//! run.
+//! *injection point* in the execution layer (capture-time allocation
+//! pressure, sweep abort) asks the plan [`FaultPlan::should_fire`] at
+//! every decision, and the plan answers from either an explicit
+//! `kind@index` event list or a per-kind probability derived from the
+//! plan seed via [`DetRng`]. Identical plans therefore produce
+//! identical fault schedules — the property the `fault_recovery` suite
+//! is built on: a capture under pressure must still produce metrics
+//! bit-identical to a fault-free run, and a sweep aborted mid-run must
+//! resume to a bit-identical result.
 //!
 //! Plans are configured programmatically or through the `RNUMA_FAULTS`
 //! environment variable (see [`FaultPlan::parse`] for the grammar).
 //! Faults that actually fired are recorded in a [`FaultLog`] by the
-//! recovering coordinator, so tests and operators can distinguish
+//! component that absorbed them, so tests and operators can distinguish
 //! "no fault occurred" from "fault occurred and was healed".
 
 use crate::DetRng;
@@ -23,19 +23,6 @@ use std::fmt;
 /// An injection point in the execution layer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum FaultKind {
-    /// A pool worker panics *before* executing a window job (chunk state
-    /// still pristine on the worker side; the job is lost wholesale).
-    PanicBefore,
-    /// A pool worker panics *after* executing a window job but before
-    /// replying (chunk state mutated and lost mid-window).
-    PanicAfter,
-    /// A pool worker hangs (sleeps past the watchdog deadline) instead
-    /// of replying.
-    Hang,
-    /// The pool's job channel is poisoned (closed) ahead of a
-    /// submission, as if the pool had torn down underneath the
-    /// coordinator.
-    Poison,
     /// Capture-time allocation pressure: the trace interner's dedup
     /// table "fails to grow" and interning degrades for the rest of the
     /// capture.
@@ -46,24 +33,13 @@ pub enum FaultKind {
 }
 
 /// Every kind, in counter order.
-const KINDS: [FaultKind; 6] = [
-    FaultKind::PanicBefore,
-    FaultKind::PanicAfter,
-    FaultKind::Hang,
-    FaultKind::Poison,
-    FaultKind::CapturePressure,
-    FaultKind::SweepAbort,
-];
+const KINDS: [FaultKind; 2] = [FaultKind::CapturePressure, FaultKind::SweepAbort];
 
 impl FaultKind {
     /// The spec-grammar token for this kind (also the display form).
     #[must_use]
     pub fn label(self) -> &'static str {
         match self {
-            FaultKind::PanicBefore => "panic_before",
-            FaultKind::PanicAfter => "panic_after",
-            FaultKind::Hang => "hang",
-            FaultKind::Poison => "poison",
             FaultKind::CapturePressure => "pressure",
             FaultKind::SweepAbort => "abort",
         }
@@ -83,14 +59,10 @@ impl FaultKind {
     /// are independent even under one seed.
     fn salt(self) -> u64 {
         // Arbitrary odd constants; fixed forever for reproducibility.
-        [
-            0xA076_1D64_78BD_642F,
-            0xE703_7ED1_A0B4_28DB,
-            0x8EBC_6AF0_9C88_C6E3,
-            0x5898_99F5_E2B1_8225,
-            0x2D35_8DCC_AA6C_78A5,
-            0x9E6C_63D0_A0FF_9527,
-        ][self.slot()]
+        match self {
+            FaultKind::CapturePressure => 0x2D35_8DCC_AA6C_78A5,
+            FaultKind::SweepAbort => 0x9E6C_63D0_A0FF_9527,
+        }
     }
 }
 
@@ -113,18 +85,16 @@ impl fmt::Display for FaultKind {
 /// ```
 /// use rnuma_sim::fault::{FaultKind, FaultPlan};
 ///
-/// let mut plan = FaultPlan::parse("seed=7,panic_before@1,hang_ms=50").unwrap();
-/// assert!(!plan.should_fire(FaultKind::PanicBefore)); // decision 0
-/// assert!(plan.should_fire(FaultKind::PanicBefore)); // decision 1
-/// assert!(!plan.should_fire(FaultKind::PanicBefore)); // decision 2
-/// assert_eq!(plan.hang_ms(), 50);
+/// let mut plan = FaultPlan::parse("seed=7,abort@1").unwrap();
+/// assert!(!plan.should_fire(FaultKind::SweepAbort)); // decision 0
+/// assert!(plan.should_fire(FaultKind::SweepAbort)); // decision 1
+/// assert!(!plan.should_fire(FaultKind::SweepAbort)); // decision 2
 /// ```
 #[derive(Clone, Debug)]
 pub struct FaultPlan {
     seed: u64,
     events: Vec<(FaultKind, u64)>,
     rates: [f64; KINDS.len()],
-    hang_ms: u64,
     counters: [u64; KINDS.len()],
 }
 
@@ -136,7 +106,6 @@ impl FaultPlan {
             seed,
             events: Vec::new(),
             rates: [0.0; KINDS.len()],
-            hang_ms: 10,
             counters: [0; KINDS.len()],
         }
     }
@@ -155,20 +124,6 @@ impl FaultPlan {
         self
     }
 
-    /// Sets how long an injected [`FaultKind::Hang`] sleeps, in
-    /// milliseconds (default 10).
-    #[must_use]
-    pub fn with_hang_ms(mut self, ms: u64) -> FaultPlan {
-        self.hang_ms = ms;
-        self
-    }
-
-    /// The injected-hang sleep duration in milliseconds.
-    #[must_use]
-    pub fn hang_ms(&self) -> u64 {
-        self.hang_ms
-    }
-
     /// True if the plan can never fire anything.
     #[must_use]
     pub fn is_empty(&self) -> bool {
@@ -180,13 +135,12 @@ impl FaultPlan {
     /// The grammar is a comma- (or whitespace-) separated token list:
     ///
     /// * `seed=<u64>` — plan seed (default 0);
-    /// * `hang_ms=<u64>` — injected-hang duration (default 10);
     /// * `<kind>@<n>` — the `n`-th decision for `<kind>` fires;
     /// * `<kind>~<p>` — each decision for `<kind>` fires with
     ///   probability `<p>`.
     ///
-    /// Kinds: `panic_before`, `panic_after`, `hang`, `poison`,
-    /// `pressure`, `abort`. An empty spec parses to an empty plan.
+    /// Kinds: `pressure`, `abort`. Any other kind (or any other token)
+    /// is malformed. An empty spec parses to an empty plan.
     ///
     /// # Errors
     ///
@@ -201,10 +155,6 @@ impl FaultPlan {
                 plan.seed = v
                     .parse()
                     .map_err(|_| format!("bad seed in RNUMA_FAULTS token '{token}'"))?;
-            } else if let Some(v) = token.strip_prefix("hang_ms=") {
-                plan.hang_ms = v
-                    .parse()
-                    .map_err(|_| format!("bad hang_ms in RNUMA_FAULTS token '{token}'"))?;
             } else if let Some((kind, idx)) = token.split_once('@') {
                 let kind = FaultKind::from_label(kind)
                     .ok_or_else(|| format!("unknown fault kind in token '{token}'"))?;
@@ -232,7 +182,7 @@ impl FaultPlan {
     /// The plan configured by the `RNUMA_FAULTS` environment variable,
     /// if any. Unset or empty means no plan; a malformed spec warns on
     /// stderr once per process and also means no plan (misconfiguration
-    /// must not abort a run, matching `RNUMA_SHARDS` semantics).
+    /// must not abort a run, matching the numeric `RNUMA_*` knobs).
     #[must_use]
     pub fn from_env() -> Option<FaultPlan> {
         // lint: allow(D03, rnuma-sim sits below rnuma-core in the dependency graph, so the blessed experiment.rs helpers are unreachable; from_env implements the same warn-once contract locally and is pinned by tests/robust_env.rs)
@@ -288,8 +238,8 @@ pub struct FaultEvent {
     pub kind: FaultKind,
     /// The per-kind decision index at which it fired.
     pub index: u64,
-    /// Human-readable context from the recovery site (e.g. the captured
-    /// panic payload, or which window was re-executed).
+    /// Human-readable context from the injection site (e.g. which
+    /// capture segment degraded).
     pub detail: String,
 }
 
@@ -342,11 +292,6 @@ impl FaultLog {
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
-
-    /// Absorbs another log's events (used when merging per-phase logs).
-    pub fn merge(&mut self, other: FaultLog) {
-        self.events.extend(other.events);
-    }
 }
 
 #[cfg(test)]
@@ -363,29 +308,31 @@ mod tests {
 
     #[test]
     fn explicit_events_fire_at_their_index_only() {
-        let mut plan = FaultPlan::parse("panic_after@0,panic_after@2").unwrap();
-        assert!(plan.should_fire(FaultKind::PanicAfter));
-        assert!(!plan.should_fire(FaultKind::PanicAfter));
-        assert!(plan.should_fire(FaultKind::PanicAfter));
-        assert!(!plan.should_fire(FaultKind::PanicAfter));
+        let mut plan = FaultPlan::parse("abort@0,abort@2").unwrap();
+        assert!(plan.should_fire(FaultKind::SweepAbort));
+        assert!(!plan.should_fire(FaultKind::SweepAbort));
+        assert!(plan.should_fire(FaultKind::SweepAbort));
+        assert!(!plan.should_fire(FaultKind::SweepAbort));
         // Other kinds are untouched.
-        assert!(!plan.should_fire(FaultKind::Hang));
-        assert_eq!(plan.decisions(FaultKind::PanicAfter), 4);
-        assert_eq!(plan.decisions(FaultKind::Hang), 1);
+        assert!(!plan.should_fire(FaultKind::CapturePressure));
+        assert_eq!(plan.decisions(FaultKind::SweepAbort), 4);
+        assert_eq!(plan.decisions(FaultKind::CapturePressure), 1);
     }
 
     #[test]
     fn rates_are_deterministic_and_interleaving_independent() {
-        let spec = "seed=11,hang~0.5,poison~0.5";
+        let spec = "seed=11,pressure~0.5,abort~0.5";
         // Same plan, same per-kind decision sequence, regardless of how
         // calls to the two kinds interleave.
         let mut a = FaultPlan::parse(spec).unwrap();
         let mut b = FaultPlan::parse(spec).unwrap();
-        let seq_a: Vec<bool> = (0..64).map(|_| a.should_fire(FaultKind::Hang)).collect();
+        let seq_a: Vec<bool> = (0..64)
+            .map(|_| a.should_fire(FaultKind::CapturePressure))
+            .collect();
         let mut seq_b = Vec::new();
         for _ in 0..64 {
-            b.should_fire(FaultKind::Poison); // interleaved other-kind traffic
-            seq_b.push(b.should_fire(FaultKind::Hang));
+            b.should_fire(FaultKind::SweepAbort); // interleaved other-kind traffic
+            seq_b.push(b.should_fire(FaultKind::CapturePressure));
         }
         assert_eq!(seq_a, seq_b);
         assert!(seq_a.iter().any(|&f| f), "p=0.5 over 64 draws should fire");
@@ -394,10 +341,14 @@ mod tests {
 
     #[test]
     fn different_seeds_give_different_schedules() {
-        let mut a = FaultPlan::new(1).rate(FaultKind::Hang, 0.5);
-        let mut b = FaultPlan::new(2).rate(FaultKind::Hang, 0.5);
-        let sa: Vec<bool> = (0..64).map(|_| a.should_fire(FaultKind::Hang)).collect();
-        let sb: Vec<bool> = (0..64).map(|_| b.should_fire(FaultKind::Hang)).collect();
+        let mut a = FaultPlan::new(1).rate(FaultKind::CapturePressure, 0.5);
+        let mut b = FaultPlan::new(2).rate(FaultKind::CapturePressure, 0.5);
+        let sa: Vec<bool> = (0..64)
+            .map(|_| a.should_fire(FaultKind::CapturePressure))
+            .collect();
+        let sb: Vec<bool> = (0..64)
+            .map(|_| b.should_fire(FaultKind::CapturePressure))
+            .collect();
         assert_ne!(sa, sb);
     }
 
@@ -405,12 +356,17 @@ mod tests {
     fn parse_rejects_malformed_tokens() {
         for bad in [
             "bogus",
-            "panic_before@x",
+            "abort@x",
             "nope@3",
-            "hang~banana",
-            "hang~1.5",
+            "pressure~banana",
+            "pressure~1.5",
             "seed=pear",
-            "hang_ms=-1",
+            // Kinds and knobs of the retired worker pool.
+            "panic_before@0",
+            "panic_after@1",
+            "hang~0.5",
+            "poison@0",
+            "hang_ms=10",
         ] {
             assert!(FaultPlan::parse(bad).is_err(), "{bad} should not parse");
         }
@@ -418,10 +374,7 @@ mod tests {
 
     #[test]
     fn parse_full_grammar() {
-        let mut plan =
-            FaultPlan::parse("seed=9 hang_ms=25, panic_before@0, pressure~1.0, abort@1").unwrap();
-        assert_eq!(plan.hang_ms(), 25);
-        assert!(plan.should_fire(FaultKind::PanicBefore));
+        let mut plan = FaultPlan::parse("seed=9 pressure~1.0, abort@1").unwrap();
         assert!(plan.should_fire(FaultKind::CapturePressure)); // p=1
         assert!(!plan.should_fire(FaultKind::SweepAbort));
         assert!(plan.should_fire(FaultKind::SweepAbort));
@@ -437,12 +390,7 @@ mod tests {
             // Compile-time exhaustiveness: adding a variant breaks this
             // match until the table (and test) learn about it.
             match kind {
-                FaultKind::PanicBefore
-                | FaultKind::PanicAfter
-                | FaultKind::Hang
-                | FaultKind::Poison
-                | FaultKind::CapturePressure
-                | FaultKind::SweepAbort => {}
+                FaultKind::CapturePressure | FaultKind::SweepAbort => {}
             }
             assert_eq!(kind.slot(), i, "{kind} is out of counter order");
             assert_eq!(
@@ -461,15 +409,12 @@ mod tests {
     fn log_counts_by_kind() {
         let mut log = FaultLog::new();
         assert!(log.is_empty());
-        log.record(FaultKind::Hang, 3, "worker 1 hung");
-        log.record(FaultKind::PanicBefore, 0, "payload");
-        assert_eq!(log.len(), 2);
-        assert_eq!(log.count(FaultKind::Hang), 1);
-        assert_eq!(log.count(FaultKind::Poison), 0);
+        log.record(FaultKind::CapturePressure, 3, "segment 3 degraded");
+        assert_eq!(log.len(), 1);
+        assert_eq!(log.count(FaultKind::CapturePressure), 1);
+        assert_eq!(log.count(FaultKind::SweepAbort), 0);
         assert_eq!(log.events()[0].index, 3);
-        let mut other = FaultLog::new();
-        other.record(FaultKind::Poison, 0, "queue closed");
-        log.merge(other);
-        assert_eq!(log.count(FaultKind::Poison), 1);
+        log.record(FaultKind::SweepAbort, 0, "after cell 0");
+        assert_eq!(log.count(FaultKind::SweepAbort), 1);
     }
 }

@@ -14,7 +14,7 @@
 //!   run is a pure function of its configuration.
 //! * [`fault`] — seeded, reproducible fault schedules ([`FaultPlan`]) and
 //!   the record of absorbed faults ([`FaultLog`]) backing the
-//!   self-healing execution layer.
+//!   capture-pressure and sweep-abort drills.
 //!
 //! The simulator built on top of this substrate is a *protocol-level*
 //! simulator in the spirit of the execution-driven simulator used in the

@@ -167,15 +167,13 @@ impl From<Cycles> for u64 {
     }
 }
 
-/// An execution-epoch number in the sharded deterministic executor.
+/// A logical epoch number.
 ///
-/// Epochs are *logical* time, orthogonal to [`Cycles`]: the sharded
-/// machine partitions a reference trace into contained execution windows
-/// and numbers them consecutively. Cross-shard effects buffered during
-/// epoch `e` are applied at the barrier that ends `e`, ordered by the
-/// canonical `(epoch, home node, sequence)` key, before epoch `e + 1`
-/// begins. Keeping the number a distinct type stops it from being mixed
-/// up with cycle counts or trace sequence numbers.
+/// Epochs are *logical* time, orthogonal to [`Cycles`]: a run that is
+/// cut into barrier-separated windows can number them consecutively.
+/// Keeping the number a distinct type stops it from being mixed up with
+/// cycle counts or trace sequence numbers. No simulator component
+/// numbers epochs today; the type is a standalone, tested primitive.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Epoch(pub u64);
 
@@ -185,8 +183,7 @@ impl fmt::Display for Epoch {
     }
 }
 
-/// The epoch counter a deterministic sharded run advances at each
-/// barrier.
+/// An epoch counter advanced at each barrier.
 ///
 /// # Example
 ///

@@ -19,21 +19,20 @@
 //! The splitter's edge cases (empty traces, single-op segments,
 //! CPU-alternating streams, same-CPU runs split across interned
 //! segment boundaries) are pinned here too; the pure-function unit
-//! tests live next to `split_cpu_runs` in `crates/core/src/shard.rs`.
+//! tests live next to `split_cpu_runs` in `crates/core/src/trace.rs`.
 
 use proptest::prelude::*;
 use rnuma::config::MachineConfig;
 use rnuma::experiment::{run_traced, TraceStore};
 use rnuma::metrics::Metrics;
-use rnuma::shard::{ShardedMachine, TraceOp};
-use rnuma::Machine;
+use rnuma::{Machine, TraceOp};
 use rnuma_mem::addr::{CpuId, Va};
 use rnuma_sim::Cycles;
 use rnuma_workloads::{by_name, Scale, APP_NAMES};
 
 #[path = "support.rs"]
 mod support;
-use support::{figure_configs, forced_pool};
+use support::figure_configs;
 
 fn per_op_replay(config: MachineConfig, ops: &[TraceOp]) -> Metrics {
     let mut m = Machine::new(config).expect("valid config");
@@ -122,36 +121,6 @@ fn cross_config_replay_agrees_per_op_vs_batched() {
     }
 }
 
-/// The batched loop underneath the sharded executor: the single-shard /
-/// pooled bypass (`run_segments` → `apply_batch`) and the pooled
-/// windowed path both stay bit-identical to per-op serial replay.
-#[test]
-fn sharded_replay_over_batched_segments_stays_deterministic() {
-    let configs = figure_configs();
-    for app in ["em3d", "moldyn"] {
-        let mut w = by_name(app, Scale::Tiny).expect("known app");
-        let (_, trace) = run_traced(configs[0], &mut w);
-        let mut store = TraceStore::new();
-        let id = store.insert("cell", configs[0], &trace);
-        for &config in &configs {
-            let per_op = per_op_replay(config, &trace);
-            // 1 shard: the executor bypasses window formation and runs
-            // the whole stream through apply_batch.
-            for shards in [1usize, 2, 4] {
-                let mut sm =
-                    ShardedMachine::with_pool(config, shards, forced_pool()).expect("valid config");
-                sm.set_parallel_threshold(64);
-                store.replay_sharded(id, &mut sm);
-                assert!(
-                    per_op.replay_eq(&sm.metrics()),
-                    "{app} on {} diverged at {shards} shards",
-                    config.protocol
-                );
-            }
-        }
-    }
-}
-
 /// Edge cases of the batch splitter, end to end: empty traces,
 /// single-op streams, and CPU-alternating streams whose runs all have
 /// length 1.
@@ -232,6 +201,37 @@ fn segment_boundaries_splitting_a_run_replay_identically() {
     // The flat batched path agrees too.
     let batched = batched_replay(config, &ops);
     assert!(per_op.replay_eq(&batched));
+}
+
+/// Sharded replay: one stream cut into contiguous shards, each shard
+/// fed to the same machine as its own batch, in order. Every cut point
+/// (inside same-CPU runs, next to barriers, at both ends) must leave
+/// the result bit-identical to replaying the whole stream as one
+/// batch — the machine state a batch leaves behind is all the next
+/// batch needs.
+#[test]
+fn sharded_replay_over_batched_segments_stays_deterministic() {
+    let configs = figure_configs();
+    for app in ["em3d", "ocean"] {
+        let mut w = by_name(app, Scale::Tiny).expect("known app");
+        let (_, trace) = run_traced(configs[0], &mut w);
+        for &config in &configs {
+            let whole = batched_replay(config, &trace);
+            for shards in [2usize, 3, 7, 64] {
+                let len = trace.len().div_ceil(shards).max(1);
+                let mut m = Machine::new(config).expect("valid config");
+                for shard in trace.chunks(len) {
+                    m.apply_batch(shard);
+                }
+                let sharded = m.metrics();
+                assert!(
+                    whole.replay_eq(&sharded),
+                    "{app} on {}: {shards}-shard replay diverged\nwhole:   {whole}\nsharded: {sharded}",
+                    config.protocol
+                );
+            }
+        }
+    }
 }
 
 /// A run table that does not tile its segment is rejected loudly.

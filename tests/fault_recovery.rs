@@ -1,22 +1,20 @@
-//! Differential fault-injection suite: under every pinned fault plan,
-//! the executor must *self-heal* — injected worker panics, hangs, and
-//! queue poisoning are absorbed, and the run's metrics stay
-//! bit-identical to the fault-free serial execution of the same stream
-//! (the trace-driven contract of `docs/DETERMINISM.md`, now extended to
-//! hold across faults; see `docs/ROBUSTNESS.md`).
-//!
-//! Also proves the checkpoint/resume contract: a sweep killed mid-run
-//! by an injected abort, then resumed from its journal, finishes
-//! bit-identical to a clean uninterrupted sweep.
+//! Fault-injection drills for the two injection points that exist:
+//! capture-time allocation pressure must degrade trace interning but
+//! never results, and a sweep killed mid-run by an injected abort must
+//! leave no spill file behind and, resumed from its journal, finish
+//! bit-identical to a clean uninterrupted sweep, whichever cell the
+//! abort hits. A sweep whose worker dies leaves nothing behind that
+//! later sweeps in the same process could trip over (see
+//! `docs/ROBUSTNESS.md`).
 
 use rnuma::config::MachineConfig;
 use rnuma::experiment::{run_sweep_journaled, run_traced, SweepAbort, TraceStore};
 use rnuma::journal::Journal;
-use rnuma::shard::{ExecEngine, ShardPool, ShardedMachine, TraceOp};
+use rnuma::TraceOp;
+use rnuma_bench::sweep_grid;
 use rnuma_sim::fault::{FaultKind, FaultPlan};
 use rnuma_workloads::{by_name, Scale};
-use std::panic::AssertUnwindSafe;
-use std::sync::Arc;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 #[path = "support.rs"]
 mod support;
@@ -25,280 +23,6 @@ mod support;
 fn trace_on(config: MachineConfig) -> Vec<TraceOp> {
     let (_, trace) = run_traced(config, &mut by_name("em3d", Scale::Tiny).unwrap());
     trace
-}
-
-/// A pool-backed sharded machine forced onto the threaded path (every
-/// window dispatches to the pool, even on single-core CI hosts).
-fn forced_sharded(config: MachineConfig, pool: Arc<ShardPool>) -> ShardedMachine {
-    let mut sharded = ShardedMachine::with_pool(config, 4, pool).expect("figure configs are valid");
-    sharded.set_parallel_threshold(1);
-    sharded
-}
-
-/// Injected worker panics — before and after a window's execution,
-/// pinned and randomized — recover to bit-identical metrics on every
-/// figure-grid configuration.
-#[test]
-fn injected_panics_recover_bit_identical() {
-    let configs = support::figure_configs();
-    let trace = trace_on(configs[0]);
-    let mut store = TraceStore::new();
-    let id = store.insert("em3d", configs[0], &trace);
-    for &config in &configs {
-        let reference = store.replay_serial(id, config);
-        for (spec, pinned) in [
-            ("panic_before@0,seed=7", true),
-            ("panic_after@1,seed=7", true),
-            ("panic_before~0.3,panic_after~0.3,seed=13", false),
-        ] {
-            let plan = FaultPlan::parse(spec).expect("specs above are well-formed");
-            let mut sharded = forced_sharded(config, Arc::new(ShardPool::new(2)));
-            sharded.set_fault_plan(Some(plan));
-            sharded.run_trace(&trace);
-            assert!(
-                reference.metrics.replay_eq(&sharded.metrics()),
-                "metrics diverged under plan {spec:?} on {}",
-                config.protocol
-            );
-            if pinned {
-                assert!(
-                    !sharded.fault_log().is_empty(),
-                    "pinned plan {spec:?} never fired"
-                );
-                assert!(
-                    sharded.stats().recovered_jobs >= 1,
-                    "pinned plan {spec:?} fired but nothing was recovered"
-                );
-            }
-        }
-    }
-}
-
-/// A worker that hangs past the window watchdog deadline is abandoned:
-/// the coordinator re-executes its window (and the rest of the barrier
-/// group) from the armed snapshots, bit-identical.
-#[test]
-fn hung_worker_recovers_via_watchdog() {
-    let configs = support::figure_configs();
-    let trace = trace_on(configs[0]);
-    let mut store = TraceStore::new();
-    let id = store.insert("em3d", configs[0], &trace);
-    let config = configs[3]; // R-NUMA
-    let reference = store.replay_serial(id, config);
-
-    let plan = FaultPlan::parse("hang@0,hang_ms=200,seed=3").unwrap();
-    let mut sharded = forced_sharded(config, Arc::new(ShardPool::new(2)));
-    sharded.set_fault_plan(Some(plan));
-    sharded.set_window_deadline_ms(Some(20));
-    sharded.run_trace(&trace);
-    assert!(
-        reference.metrics.replay_eq(&sharded.metrics()),
-        "metrics diverged after watchdog recovery"
-    );
-    assert!(sharded.fault_log().count(FaultKind::Hang) >= 1);
-    assert!(sharded.stats().recovered_jobs >= 1);
-}
-
-/// Poisoning the job queue mid-run degrades every subsequent window to
-/// the coordinator's inline execution — graceful, and bit-identical.
-#[test]
-fn poisoned_queue_falls_back_inline() {
-    let configs = support::figure_configs();
-    let trace = trace_on(configs[0]);
-    let mut store = TraceStore::new();
-    let id = store.insert("em3d", configs[0], &trace);
-    let config = configs[1]; // CC-NUMA
-    let reference = store.replay_serial(id, config);
-
-    let plan = FaultPlan::parse("poison@0,seed=1").unwrap();
-    let mut sharded = forced_sharded(config, Arc::new(ShardPool::new(2)));
-    sharded.set_fault_plan(Some(plan));
-    sharded.run_trace(&trace);
-    assert!(
-        reference.metrics.replay_eq(&sharded.metrics()),
-        "metrics diverged after inline fallback"
-    );
-    assert!(sharded.fault_log().count(FaultKind::Poison) >= 1);
-    assert!(sharded.stats().inline_fallbacks >= 1);
-}
-
-/// A pool whose only worker died (injected panic) respawns it and stays
-/// usable: a second, fault-free run on the same pool is bit-identical.
-/// This is the dead-worker scenario `ShardPool::checking()` callers
-/// (the env-driven self-checks) rely on.
-#[test]
-fn pool_survives_worker_death_for_later_runs() {
-    let configs = support::figure_configs();
-    let trace = trace_on(configs[0]);
-    let mut store = TraceStore::new();
-    let id = store.insert("em3d", configs[0], &trace);
-    let config = configs[2]; // S-COMA
-    let reference = store.replay_serial(id, config);
-
-    let pool = Arc::new(ShardPool::new(1));
-    let mut faulted = forced_sharded(config, Arc::clone(&pool));
-    faulted.set_fault_plan(Some(FaultPlan::parse("panic_before@0,seed=9").unwrap()));
-    faulted.run_trace(&trace);
-    assert!(reference.metrics.replay_eq(&faulted.metrics()));
-    assert!(faulted.stats().recovered_jobs >= 1);
-
-    // The killed worker was respawned; the same pool serves a clean run.
-    assert!(pool.workers() >= 1, "dead worker was not respawned");
-    let mut clean = forced_sharded(config, pool);
-    // Disarm explicitly: under the CI chaos lanes RNUMA_FAULTS is set
-    // for the whole process, and this run must actually be fault-free.
-    clean.set_fault_plan(None);
-    clean.run_trace(&trace);
-    assert!(reference.metrics.replay_eq(&clean.metrics()));
-    assert!(clean.fault_log().is_empty());
-
-    // The checking() pool (what RNUMA_SHARDS self-checks run on) always
-    // has workers to lose in the first place.
-    assert!(ShardPool::checking().workers() >= 1);
-}
-
-/// Pipelined drill: a worker panic that lands while the next window's
-/// scan is already prefetched forces the coordinator to discard the
-/// speculative overlay (`scans_invalidated`), re-scan, and still finish
-/// bit-identical — on every figure-grid configuration.
-#[test]
-fn pipelined_panic_discards_inflight_prefetch() {
-    let configs = support::figure_configs();
-    let trace = trace_on(configs[0]);
-    let mut store = TraceStore::new();
-    let id = store.insert("em3d", configs[0], &trace);
-    for &config in &configs {
-        let reference = store.replay_serial(id, config);
-        for spec in ["panic_before@0,seed=5", "panic_after@0,seed=5"] {
-            let plan = FaultPlan::parse(spec).expect("specs above are well-formed");
-            let mut sharded = forced_sharded(config, Arc::new(ShardPool::new(2)));
-            sharded.set_pipelined(true);
-            sharded.set_fault_plan(Some(plan));
-            sharded.run_trace(&trace);
-            assert!(
-                reference.metrics.replay_eq(&sharded.metrics()),
-                "pipelined metrics diverged under plan {spec:?} on {}",
-                config.protocol
-            );
-            let stats = sharded.stats();
-            assert!(stats.recovered_jobs >= 1, "plan {spec:?} never recovered");
-            assert!(
-                stats.scans_invalidated >= 1,
-                "recovery under {spec:?} left a speculative scan alive"
-            );
-            assert!(
-                stats.scans_prefetched > stats.scans_invalidated,
-                "every prefetched scan was discarded under {spec:?} — \
-                 the fault-free tail of the run should have kept some"
-            );
-        }
-    }
-}
-
-/// Pipelined drill: a hang absorbed by the window watchdog also
-/// invalidates the in-flight prefetched scan — the recovery path is
-/// identical whether the fault surfaced as a panic or a timeout.
-#[test]
-fn pipelined_hang_invalidates_prefetch_via_watchdog() {
-    let configs = support::figure_configs();
-    let trace = trace_on(configs[0]);
-    let mut store = TraceStore::new();
-    let id = store.insert("em3d", configs[0], &trace);
-    let config = configs[3]; // R-NUMA
-    let reference = store.replay_serial(id, config);
-
-    let plan = FaultPlan::parse("hang@0,hang_ms=200,seed=3").unwrap();
-    let mut sharded = forced_sharded(config, Arc::new(ShardPool::new(2)));
-    sharded.set_pipelined(true);
-    sharded.set_fault_plan(Some(plan));
-    sharded.set_window_deadline_ms(Some(20));
-    sharded.run_trace(&trace);
-    assert!(
-        reference.metrics.replay_eq(&sharded.metrics()),
-        "pipelined metrics diverged after watchdog recovery"
-    );
-    let stats = sharded.stats();
-    assert!(sharded.fault_log().count(FaultKind::Hang) >= 1);
-    assert!(stats.recovered_jobs >= 1);
-    assert!(
-        stats.scans_invalidated >= 1,
-        "watchdog recovery left a speculative scan alive"
-    );
-}
-
-/// Pipelined drill: a poisoned queue never leaves speculative state
-/// behind — poison fires at submission, before any job is in flight,
-/// so no scan is ever prefetched (prefetching only overlaps real pool
-/// work) and nothing needs invalidating. Degraded inline, bit-identical.
-#[test]
-fn pipelined_poison_never_speculates() {
-    let configs = support::figure_configs();
-    let trace = trace_on(configs[0]);
-    let mut store = TraceStore::new();
-    let id = store.insert("em3d", configs[0], &trace);
-    let config = configs[1]; // CC-NUMA
-    let reference = store.replay_serial(id, config);
-
-    let plan = FaultPlan::parse("poison@0,seed=1").unwrap();
-    let mut sharded = forced_sharded(config, Arc::new(ShardPool::new(2)));
-    sharded.set_pipelined(true);
-    sharded.set_fault_plan(Some(plan));
-    sharded.run_trace(&trace);
-    assert!(
-        reference.metrics.replay_eq(&sharded.metrics()),
-        "pipelined metrics diverged after inline fallback"
-    );
-    let stats = sharded.stats();
-    assert!(stats.inline_fallbacks >= 1);
-    assert_eq!(
-        stats.scans_prefetched, 0,
-        "a scan was prefetched with no pool work in flight"
-    );
-    assert_eq!(stats.scans_invalidated, 0);
-}
-
-/// Shared-log drill: a worker panic under the log engine rolls back
-/// only the faulted shard's consumption cursor — the other shards'
-/// progress through the span log survives the recovery — and the run
-/// stays bit-identical on every figure-grid configuration. The log
-/// engine never speculates, so unlike the pipelined drills there is no
-/// prefetched scan to invalidate.
-#[test]
-fn log_fault_rolls_back_only_the_faulted_cursor_on_the_grid() {
-    let configs = support::figure_configs();
-    let trace = trace_on(configs[0]);
-    let mut store = TraceStore::new();
-    let id = store.insert("em3d", configs[0], &trace);
-    for &config in &configs {
-        let reference = store.replay_serial(id, config);
-        for spec in ["panic_before@0,seed=5", "panic_after@0,seed=5"] {
-            let plan = FaultPlan::parse(spec).expect("specs above are well-formed");
-            let mut sharded = forced_sharded(config, Arc::new(ShardPool::new(2)));
-            sharded.set_engine(ExecEngine::Log);
-            sharded.set_fault_plan(Some(plan));
-            sharded.run_trace(&trace);
-            assert!(
-                reference.metrics.replay_eq(&sharded.metrics()),
-                "log metrics diverged under plan {spec:?} on {}",
-                config.protocol
-            );
-            let stats = sharded.stats();
-            assert_eq!(stats.recovered_jobs, 1, "plan {spec:?} fires exactly once");
-            assert_eq!(stats.scans_invalidated, 0, "log engine never speculates");
-            let rollbacks = sharded.cursor_rollbacks();
-            assert_eq!(
-                rollbacks.iter().filter(|&&r| r > 0).count(),
-                1,
-                "exactly the faulted shard's cursor rolls back: {rollbacks:?}"
-            );
-            assert_eq!(rollbacks.iter().sum::<u64>(), stats.recovered_jobs);
-            let cursors = sharded.span_cursors();
-            assert!(
-                cursors.iter().all(|&c| c == cursors[0] && c >= 1),
-                "recovery must re-consume the rolled-back span: {cursors:?}"
-            );
-        }
-    }
 }
 
 /// Capture-time allocation pressure downgrades trace interning to
@@ -393,9 +117,9 @@ fn abort_drill_leaves_no_spill_file_behind() {
 /// The checkpoint/resume drill: a sweep killed mid-run by an injected
 /// abort, resumed from its journal, produces a grid bit-identical to a
 /// clean uninterrupted sweep — without re-simulating journaled cells.
-/// The resumed grid is then differentially pinned against a sharded
-/// re-execution under every engine: a journal restore is bit-identical
-/// to log, pipelined, and barrier execution alike.
+/// The resumed grid is then pinned against a fresh serial batched
+/// replay of the same stream: a journal restore is bit-identical to
+/// re-execution.
 #[test]
 fn journal_resume_is_bit_identical_to_clean_sweep() {
     let dir = std::env::temp_dir().join(format!("rnuma-fault-recovery-{}", std::process::id()));
@@ -448,23 +172,101 @@ fn journal_resume_is_bit_identical_to_clean_sweep() {
         );
     }
 
-    // Every engine agrees with the resumed grid: cells restored from
-    // the journal are bit-identical to sharded re-execution of the
-    // same stream under log, pipelined, and barrier consumption.
+    // Cells restored from the journal are bit-identical to a fresh
+    // serial batched replay of the same stream.
     let trace = trace_on(configs[0]);
-    for engine in [ExecEngine::Log, ExecEngine::Pipeline, ExecEngine::Barrier] {
-        for r in &resumed {
-            let mut sharded = forced_sharded(r.config, Arc::new(ShardPool::new(2)));
-            sharded.set_fault_plan(None);
-            sharded.set_engine(engine);
-            sharded.run_trace(&trace);
+    let mut store = TraceStore::new();
+    let id = store.insert("em3d", configs[0], &trace);
+    for r in &resumed {
+        let replayed = store.replay_serial(id, r.config);
+        assert!(
+            r.metrics.replay_eq(&replayed.metrics),
+            "batched re-execution diverged from the resumed journal on {}",
+            r.protocol
+        );
+    }
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every abort point: a journaled sweep killed by an injected panic
+/// after its `k`-th completed replay cell — for every `k` — journals at
+/// least the `k + 1` cells it completed, and its resumed run is bit-identical
+/// to a clean uninterrupted sweep.
+#[test]
+fn injected_panics_recover_bit_identical() {
+    let dir = std::env::temp_dir().join(format!("rnuma-abort-points-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let configs = support::figure_configs();
+    let clean = run_sweep_journaled(
+        &configs,
+        &mut by_name("lu", Scale::Tiny).unwrap(),
+        None,
+        &SweepAbort::with_plan(None),
+    );
+    // One abort decision per journaled cell: every configuration but
+    // the capture baseline.
+    for k in 0..configs.len() as u64 - 1 {
+        let path = dir.join(format!("abort_at_{k}.jsonl"));
+        let _ = std::fs::remove_file(&path);
+        let journal = Journal::open(&path).unwrap();
+        let abort = SweepAbort::with_plan(Some(FaultPlan::new(0).at(FaultKind::SweepAbort, k)));
+        let crashed = catch_unwind(AssertUnwindSafe(|| {
+            run_sweep_journaled(
+                &configs,
+                &mut by_name("lu", Scale::Tiny).unwrap(),
+                Some(&journal),
+                &abort,
+            )
+        }));
+        assert!(crashed.is_err(), "abort@{k} did not fire");
+        let journal = Journal::open(&path).unwrap();
+        assert!(
+            journal.entries() as u64 > k,
+            "abort@{k} journaled only {} cells",
+            journal.entries()
+        );
+        let resumed = run_sweep_journaled(
+            &configs,
+            &mut by_name("lu", Scale::Tiny).unwrap(),
+            Some(&journal),
+            &SweepAbort::with_plan(None),
+        );
+        assert_eq!(clean.len(), resumed.len());
+        for (c, r) in clean.iter().zip(&resumed) {
             assert!(
-                r.metrics.replay_eq(&sharded.metrics()),
-                "{engine} re-execution diverged from the resumed journal on {}",
+                c.metrics.replay_eq(&r.metrics),
+                "abort@{k}: resumed sweep diverged from clean on {}",
                 r.protocol
             );
         }
     }
-
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A worker of `sweep_grid`'s pool dying mid-sweep (here: a cell naming
+/// an unknown app panics) fails that sweep only. A later sweep in the
+/// same process runs to completion and is bit-identical to the same
+/// sweep run before the failure.
+#[test]
+fn pool_survives_worker_death_for_later_runs() {
+    let configs = support::figure_configs();
+    let before = sweep_grid(&["em3d", "moldyn"], &configs, Scale::Tiny);
+    let died = catch_unwind(AssertUnwindSafe(|| {
+        sweep_grid(&["em3d", "doom", "moldyn"], &configs, Scale::Tiny)
+    }));
+    assert!(died.is_err(), "the sweep with a dead worker did not fail");
+    let after = sweep_grid(&["em3d", "moldyn"], &configs, Scale::Tiny);
+    assert_eq!(before.len(), after.len());
+    for (row_b, row_a) in before.iter().zip(&after) {
+        for (b, a) in row_b.iter().zip(row_a) {
+            assert_eq!((b.workload, b.protocol), (a.workload, a.protocol));
+            assert!(
+                b.metrics.replay_eq(&a.metrics),
+                "{} on {} changed after a worker death",
+                a.workload,
+                a.protocol
+            );
+        }
+    }
 }

@@ -1,26 +1,22 @@
 //! The determinism contract of the trace-once/replay-many sweep
 //! driver: every cell a sweep produces is **bit-identical** to a serial
-//! `Machine::replay` of the captured stream on that cell's
-//! configuration — across the paper's entire figure grid, through the
-//! interned `TraceStore` arena, and through the pool-backed sharded
-//! executor at any shard count.
+//! batched replay of the captured stream on that cell's configuration —
+//! across the paper's entire figure grid and through the interned
+//! `TraceStore` arena.
 //!
 //! See `docs/SWEEP.md` for the model these tests enforce and
-//! `docs/DETERMINISM.md` for the underlying epoch/effect-ordering
-//! argument. The `RNUMA_SHARDS`/`RNUMA_JOBS` environment combinations
-//! are covered in `tests/sharded_env.rs` (environment mutation needs
-//! its own process).
+//! `docs/DETERMINISM.md` for the contract. The `RNUMA_JOBS`
+//! worker-count combinations are covered in `tests/sharded_env.rs`
+//! (environment mutation needs its own process).
 
 use rnuma::config::{MachineConfig, Protocol};
 use rnuma::experiment::TraceStore;
-use rnuma::shard::ShardedMachine;
 use rnuma_bench::sweep_grid;
 use rnuma_workloads::{by_name, Scale, APP_NAMES};
-use std::sync::Arc;
 
 #[path = "support.rs"]
 mod support;
-use support::{figure_configs, forced_pool};
+use support::figure_configs;
 
 /// The full figure grid through the real driver (`sweep_grid`): every
 /// cell must be bit-identical to an independently captured and
@@ -53,40 +49,30 @@ fn sweep_grid_cells_are_bit_identical_to_serial_replay() {
     }
 }
 
-/// Replay cells shard deterministically: the pool-backed sharded
-/// executor replaying straight from the interned arena's segments is
-/// bit-identical to the serial replay, for every configuration of the
-/// axis and several shard counts.
+/// A cell does not depend on which other cells share the sweep's
+/// worker pool: the figure grid cut into shards — one sweep per app,
+/// each app's replay configurations split across two sweeps that keep
+/// the grid's capture baseline — yields cells bit-identical to the
+/// whole grid swept at once.
 #[test]
 fn replayed_cells_shard_deterministically_on_the_pool() {
-    let pool = forced_pool();
     let configs = figure_configs();
-    for app in ["em3d", "lu", "moldyn"] {
-        let mut store = TraceStore::new();
-        let mut w = by_name(app, Scale::Tiny).expect("known app");
-        let (id, _) = store.capture(configs[0], &mut w);
-        for &config in &configs {
-            let serial = store.replay_serial(id, config);
-            for shards in [2usize, 4] {
-                let mut sm = ShardedMachine::with_pool(config, shards, Arc::clone(&pool))
-                    .expect("valid config");
-                sm.set_parallel_threshold(64);
-                store.replay_sharded(id, &mut sm);
+    let apps = ["em3d", "lu", "radix"];
+    let whole = sweep_grid(&apps, &configs, Scale::Tiny);
+    let shards: [&[usize]; 2] = [&[0, 1], &[0, 2, 3]];
+    for (a, &app) in apps.iter().enumerate() {
+        for shard in shards {
+            let subset: Vec<MachineConfig> = shard.iter().map(|&c| configs[c]).collect();
+            let rows = sweep_grid(&[app], &subset, Scale::Tiny);
+            for (cell, &c) in rows[0].iter().zip(shard) {
                 assert!(
-                    serial.metrics.replay_eq(&sm.metrics()),
-                    "{app} on {} diverged at {shards} shards\n\
-                     serial:  {}\nsharded: {}",
-                    config.protocol,
-                    serial.metrics,
-                    sm.metrics()
+                    cell.metrics.replay_eq(&whole[a][c].metrics),
+                    "{app} on {}: sharded sweep {shard:?} diverged from the whole grid",
+                    configs[c].protocol
                 );
             }
         }
     }
-    assert!(
-        pool.jobs_executed() > 0,
-        "the forced pool must actually have executed window jobs"
-    );
 }
 
 /// Interning is invisible to replay: an interned store and a raw store

@@ -1,15 +1,13 @@
-//! Robustness environment plumbing: `RNUMA_FAULTS`,
-//! `RNUMA_WINDOW_DEADLINE_MS`, and `RNUMA_JOURNAL` parsing — plus the
-//! CLI contracts of the figure binaries (warn-once misconfiguration on
-//! stderr for `RNUMA_SHARDS`, `RNUMA_JOBS`, `RNUMA_EXEC`, and
-//! `RNUMA_FAULTS`; one-line diagnostic and nonzero exit on emitter I/O
-//! failure; fault plans never abort a figure run).
+//! Robustness environment plumbing: `RNUMA_FAULTS` and `RNUMA_JOURNAL`
+//! parsing — plus the CLI contracts of the figure binaries (warn-once
+//! misconfiguration on stderr for `RNUMA_JOBS` and `RNUMA_FAULTS`;
+//! one-line diagnostic and nonzero exit on emitter I/O failure;
+//! capture-pressure plans never abort a figure run).
 //!
 //! The in-process tests mutate the environment, so they live in their
 //! own binary and one `#[test]` owns all the scenarios. The subprocess
 //! tests use `env_clear()` and are hermetic.
 
-use rnuma::shard::window_deadline_from_env;
 use rnuma::{FaultKind, FaultPlan, Journal};
 use std::process::Command;
 
@@ -47,36 +45,23 @@ fn robustness_env_plumbing() {
     with_var("RNUMA_FAULTS", Some(""), || {
         assert!(FaultPlan::from_env().is_none());
     });
-    with_var("RNUMA_FAULTS", Some("panic_before@0,seed=7"), || {
+    with_var("RNUMA_FAULTS", Some("abort@0,seed=7"), || {
         let mut plan = FaultPlan::from_env().expect("well-formed plan");
         assert!(!plan.is_empty());
         assert!(
-            plan.should_fire(FaultKind::PanicBefore),
+            plan.should_fire(FaultKind::SweepAbort),
             "pinned event at decision 0"
         );
     });
-    with_var("RNUMA_FAULTS", Some("hang~0.5,hang_ms=25,seed=9"), || {
-        let plan = FaultPlan::from_env().expect("well-formed plan");
-        assert_eq!(plan.hang_ms(), 25);
+    with_var("RNUMA_FAULTS", Some("pressure~0.5,seed=9"), || {
+        assert!(FaultPlan::from_env().is_some_and(|plan| !plan.is_empty()));
     });
-    with_var("RNUMA_FAULTS", Some("banana"), || {
-        assert!(FaultPlan::from_env().is_none());
-    });
-
-    // RNUMA_WINDOW_DEADLINE_MS mirrors RNUMA_SHARDS semantics: unset
-    // off; positive integer on; zero/garbage = warn-once + off.
-    with_var("RNUMA_WINDOW_DEADLINE_MS", None, || {
-        assert_eq!(window_deadline_from_env(), None);
-    });
-    with_var("RNUMA_WINDOW_DEADLINE_MS", Some("50"), || {
-        assert_eq!(window_deadline_from_env(), Some(50));
-    });
-    with_var("RNUMA_WINDOW_DEADLINE_MS", Some("0"), || {
-        assert_eq!(window_deadline_from_env(), None);
-    });
-    with_var("RNUMA_WINDOW_DEADLINE_MS", Some("soon"), || {
-        assert_eq!(window_deadline_from_env(), None);
-    });
+    // Garbage, and the kinds of the retired worker pool, are malformed.
+    for bad in ["banana", "panic_before@0", "hang~0.5,hang_ms=25"] {
+        with_var("RNUMA_FAULTS", Some(bad), || {
+            assert!(FaultPlan::from_env().is_none(), "{bad} built a plan");
+        });
+    }
 
     // RNUMA_JOURNAL: core treats the value as a path; bench resolves
     // the literal "1" to results/sweep_journal.jsonl; an unopenable
@@ -165,29 +150,6 @@ fn emitter_io_failure_exits_nonzero_with_one_line() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Misconfigured `RNUMA_SHARDS` warns exactly once per process on
-/// stderr — even though every grid cell consults it — and the figure
-/// still regenerates successfully.
-#[test]
-fn shard_misconfiguration_warns_once_and_completes() {
-    let dir = temp_dir("warn-once");
-    let out = Command::new(env!("CARGO_BIN_EXE_fig5_pages"))
-        .args(["--scale", "tiny"])
-        .env_clear()
-        .env("RNUMA_RESULTS_DIR", &dir)
-        .env("RNUMA_SHARDS", "banana")
-        .output()
-        .expect("spawn fig5_pages");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(out.status.success(), "fig5_pages failed; stderr: {stderr}");
-    assert_eq!(
-        stderr.matches("RNUMA_SHARDS").count(),
-        1,
-        "want exactly one warning; stderr was: {stderr}"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// `RNUMA_JOBS=0` (the classic "disable it" guess) is a
 /// misconfiguration, not a request for serial execution: it warns
 /// exactly once per process on stderr — even though every parallel
@@ -213,57 +175,35 @@ fn jobs_misconfiguration_warns_once_and_completes() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// An unknown `RNUMA_EXEC` engine name warns exactly once per process
-/// on stderr — even though every sharded machine consults the selector
-/// — falls back to the default engine resolution, and the figure still
-/// regenerates successfully.
-#[test]
-fn exec_misconfiguration_warns_once_and_completes() {
-    let dir = temp_dir("exec-warn-once");
-    let out = Command::new(env!("CARGO_BIN_EXE_fig5_pages"))
-        .args(["--scale", "tiny"])
-        .env_clear()
-        .env("RNUMA_RESULTS_DIR", &dir)
-        .env("RNUMA_SHARDS", "2")
-        .env("RNUMA_EXEC", "banana")
-        .output()
-        .expect("spawn fig5_pages");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(out.status.success(), "fig5_pages failed; stderr: {stderr}");
-    assert_eq!(
-        stderr.matches("RNUMA_EXEC").count(),
-        1,
-        "want exactly one warning; stderr was: {stderr}"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// A malformed `RNUMA_FAULTS` spec warns exactly once per process on
-/// stderr — even though every capture and every sharded replay
+/// A malformed `RNUMA_FAULTS` spec — garbage, or a plan naming a
+/// fault kind of the retired worker pool — warns exactly once per
+/// process on stderr — even though every capture and every replay
 /// consults the plan — and the figure still regenerates successfully.
 #[test]
 fn fault_misconfiguration_warns_once_and_completes() {
     let dir = temp_dir("faults-warn-once");
-    let out = Command::new(env!("CARGO_BIN_EXE_fig5_pages"))
-        .args(["--scale", "tiny"])
-        .env_clear()
-        .env("RNUMA_RESULTS_DIR", &dir)
-        .env("RNUMA_FAULTS", "banana")
-        .output()
-        .expect("spawn fig5_pages");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(out.status.success(), "fig5_pages failed; stderr: {stderr}");
-    assert_eq!(
-        stderr.matches("ignoring RNUMA_FAULTS").count(),
-        1,
-        "want exactly one warning; stderr was: {stderr}"
-    );
+    for spec in ["banana", "panic_before@0,seed=7"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_fig5_pages"))
+            .args(["--scale", "tiny"])
+            .env_clear()
+            .env("RNUMA_RESULTS_DIR", &dir)
+            .env("RNUMA_FAULTS", spec)
+            .output()
+            .expect("spawn fig5_pages");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "fig5_pages failed; stderr: {stderr}");
+        assert_eq!(
+            stderr.matches("ignoring RNUMA_FAULTS").count(),
+            1,
+            "want exactly one warning for {spec:?}; stderr was: {stderr}"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A figure binary under an active fault plan (worker panics at a 20%
-/// rate, sharded execution forced) completes successfully: injected
-/// faults self-heal instead of aborting the run.
+/// A figure binary under an active fault plan (capture pressure at a
+/// 20% rate) completes successfully: injected faults degrade interning
+/// instead of aborting the run.
 #[test]
 fn figure_binary_completes_under_fault_plan() {
     let dir = temp_dir("chaos");
@@ -271,8 +211,7 @@ fn figure_binary_completes_under_fault_plan() {
         .args(["--scale", "tiny"])
         .env_clear()
         .env("RNUMA_RESULTS_DIR", &dir)
-        .env("RNUMA_SHARDS", "2")
-        .env("RNUMA_FAULTS", "panic_before~0.2,panic_after~0.1,seed=42")
+        .env("RNUMA_FAULTS", "pressure~0.2,seed=42")
         .output()
         .expect("spawn fig5_pages");
     assert!(

@@ -1,23 +1,17 @@
-//! `RNUMA_SHARDS` plumbing — and the rest of the executor's env
-//! contract (`RNUMA_EXEC`, `RNUMA_PIPELINE`, `RNUMA_DIR_SHARDS`,
-//! `RNUMA_JOBS`): the environment variables route every batch driver
-//! job (`run_parallel`, and therefore `rnuma_bench::run_grid`) through
-//! the self-checking sharded path, and misconfigured values follow one
-//! warn-once-then-default contract.
+//! The sweep driver's environment contract: `RNUMA_JOBS` sizes the
+//! worker pool behind `parallel_map` and `rnuma_bench::sweep_grid`
+//! (misconfigured values follow the warn-once-then-default contract),
+//! the sweep's result is independent of the worker count, and a
+//! failing cell — or an `RNUMA_FAULTS` abort under `RNUMA_JOURNAL` —
+//! propagates out of the queue instead of hanging it.
 //!
 //! These tests mutate the process environment, so they live in their own
 //! integration-test binary (their own process) and each holds
 //! [`env_lock`] for its whole body.
 
 use rnuma::config::{MachineConfig, Protocol};
-use rnuma::experiment::{
-    parallel_workers, run, run_env_sharded, run_parallel, run_traced, RunReport, TraceStore,
-};
+use rnuma::experiment::{parallel_workers, run, run_traced, RunReport, TraceStore};
 use rnuma::journal::{cell_key, Journal};
-use rnuma::shard::{
-    dir_shards_from_env, engine_from_env, exec_from_env, pipeline_from_env, shards_from_env,
-    ExecEngine, ShardedMachine, DEFAULT_DIR_SHARDS, MAX_DIR_SHARDS,
-};
 use rnuma_bench::sweep_grid;
 use rnuma_workloads::{by_name, Scale, APP_NAMES};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -44,119 +38,18 @@ fn with_var<R>(name: &str, value: Option<&str>, body: impl FnOnce() -> R) -> R {
     out
 }
 
-fn with_env<R>(value: Option<&str>, body: impl FnOnce() -> R) -> R {
-    with_var("RNUMA_SHARDS", value, body)
-}
-
 fn with_jobs<R>(value: Option<&str>, body: impl FnOnce() -> R) -> R {
     with_var("RNUMA_JOBS", value, body)
 }
 
-/// Every executor-knob scenario, in one test body.
+/// Routing of the sweep's cells across its worker shards: `RNUMA_JOBS`
+/// parsing, and the sweep's cells against per-op live dispatch.
 #[test]
 fn rnuma_shards_routing() {
     let _env = env_lock();
-    let config = MachineConfig::paper_base(Protocol::paper_rnuma());
-    let baseline = run(config, &mut by_name("em3d", Scale::Tiny).unwrap());
 
-    // Unset: no sharding requested.
-    with_env(None, || assert_eq!(shards_from_env(), None));
-
-    // RNUMA_SHARDS=1 is, by regression contract, the existing
-    // single-threaded path: run_env_sharded must not enter the checked
-    // sharded mode, and the report is the plain serial one.
-    with_env(Some("1"), || {
-        assert_eq!(shards_from_env(), Some(1));
-        let r = run_env_sharded(config, &mut by_name("em3d", Scale::Tiny).unwrap());
-        assert!(baseline.metrics.replay_eq(&r.metrics));
-    });
-
-    // RNUMA_SHARDS>1: every job self-checks sharded-vs-serial (a panic
-    // here would mean the executor diverged) and still reports the
-    // serial metrics bit-for-bit.
-    with_env(Some("4"), || {
-        assert_eq!(shards_from_env(), Some(4));
-        let reports = run_parallel(&[0u8, 1u8], |_| {
-            (config, by_name("em3d", Scale::Tiny).unwrap())
-        });
-        for r in &reports {
-            assert!(baseline.metrics.replay_eq(&r.metrics));
-        }
-    });
-
-    // Misconfiguration is uniform: an unparsable value and an explicit
-    // zero both mean "no sharding" (with a one-time stderr warning),
-    // never a crash and never a silent clamp to 1.
-    with_env(Some("banana"), || assert_eq!(shards_from_env(), None));
-    with_env(Some("0"), || assert_eq!(shards_from_env(), None));
-    with_env(Some("-3"), || assert_eq!(shards_from_env(), None));
-
-    // RNUMA_PIPELINE selects the engine: unset and the accepted "on"
-    // spellings are pipelined (the default), the "off" spellings are
-    // the barrier engine, anything else warns once and keeps the
-    // default. A freshly built machine picks the choice up.
-    with_var("RNUMA_PIPELINE", None, || assert!(pipeline_from_env()));
-    for on in ["1", "on", "true"] {
-        with_var("RNUMA_PIPELINE", Some(on), || assert!(pipeline_from_env()));
-    }
-    for off in ["0", "off", "false"] {
-        with_var("RNUMA_PIPELINE", Some(off), || {
-            assert!(!pipeline_from_env());
-            let sm = ShardedMachine::new(config, 2).expect("valid config");
-            assert!(!sm.pipelined());
-        });
-    }
-    with_var("RNUMA_PIPELINE", Some("sideways"), || {
-        assert!(pipeline_from_env());
-    });
-
-    // RNUMA_EXEC is the three-way engine selector and beats the legacy
-    // RNUMA_PIPELINE switch when both are set; with neither set the
-    // shared-log engine is the default. Garbage warns once and falls
-    // through to that resolution. A freshly built machine picks the
-    // choice up.
-    with_var("RNUMA_EXEC", None, || {
-        assert_eq!(exec_from_env(), None);
-        with_var("RNUMA_PIPELINE", None, || {
-            assert_eq!(engine_from_env(), ExecEngine::Log);
-            let sm = ShardedMachine::new(config, 2).expect("valid config");
-            assert_eq!(sm.engine(), ExecEngine::Log);
-        });
-        with_var("RNUMA_PIPELINE", Some("1"), || {
-            assert_eq!(engine_from_env(), ExecEngine::Pipeline);
-        });
-        with_var("RNUMA_PIPELINE", Some("0"), || {
-            assert_eq!(engine_from_env(), ExecEngine::Barrier);
-        });
-    });
-    for (spelling, engine) in [
-        ("log", ExecEngine::Log),
-        ("pipeline", ExecEngine::Pipeline),
-        ("pipelined", ExecEngine::Pipeline),
-        ("barrier", ExecEngine::Barrier),
-    ] {
-        with_var("RNUMA_EXEC", Some(spelling), || {
-            assert_eq!(exec_from_env(), Some(engine));
-            assert_eq!(engine_from_env(), engine);
-            let sm = ShardedMachine::new(config, 2).expect("valid config");
-            assert_eq!(sm.engine(), engine);
-        });
-    }
-    with_var("RNUMA_EXEC", Some("barrier"), || {
-        with_var("RNUMA_PIPELINE", Some("1"), || {
-            assert_eq!(
-                engine_from_env(),
-                ExecEngine::Barrier,
-                "RNUMA_EXEC beats the legacy switch"
-            );
-        });
-    });
-    with_var("RNUMA_EXEC", Some("sideways"), || {
-        assert_eq!(exec_from_env(), None, "garbage warns and selects nothing");
-    });
-
-    // RNUMA_JOBS follows the same warn-once misconfiguration contract
-    // as the other numeric knobs (the shared env_usize helper): unset
+    // RNUMA_JOBS follows the warn-once misconfiguration contract of
+    // the numeric knobs (the shared env_usize helper): unset
     // means the host's parallelism, a valid count sticks (clamped to
     // the job count), and zero or garbage warn once to stderr and fall
     // back to the host default — never a silent coercion to serial.
@@ -176,34 +69,6 @@ fn rnuma_shards_routing() {
         assert_eq!(parallel_workers(8), host.clamp(1, 8));
     });
 
-    // RNUMA_DIR_SHARDS banks the footprint directory: unset means the
-    // default bank count, valid values stick (clamped to the maximum),
-    // and zero or garbage warn once and fall back to the default.
-    with_var("RNUMA_DIR_SHARDS", None, || {
-        assert_eq!(dir_shards_from_env(), None);
-        let sm = ShardedMachine::new(config, 2).expect("valid config");
-        assert_eq!(sm.dir_shards(), DEFAULT_DIR_SHARDS);
-    });
-    with_var("RNUMA_DIR_SHARDS", Some("3"), || {
-        assert_eq!(dir_shards_from_env(), Some(3));
-        let sm = ShardedMachine::new(config, 2).expect("valid config");
-        assert_eq!(sm.dir_shards(), 3);
-    });
-    with_var("RNUMA_DIR_SHARDS", Some("100000"), || {
-        assert_eq!(dir_shards_from_env(), Some(MAX_DIR_SHARDS));
-    });
-    with_var("RNUMA_DIR_SHARDS", Some("0"), || {
-        assert_eq!(dir_shards_from_env(), None);
-    });
-    with_var("RNUMA_DIR_SHARDS", Some("banana"), || {
-        assert_eq!(dir_shards_from_env(), None);
-    });
-
-    // The trace-once/replay-many sweep driver honors the same
-    // environment: every (RNUMA_JOBS, RNUMA_SHARDS) combination must
-    // reproduce the env-free sweep bit-for-bit, with RNUMA_SHARDS>1
-    // additionally self-checking each replay cell on the pool-backed
-    // sharded executor.
     let configs = [
         MachineConfig::paper_base(Protocol::ideal()),
         MachineConfig::paper_base(Protocol::paper_rnuma()),
@@ -211,10 +76,10 @@ fn rnuma_shards_routing() {
     let reference = sweep_grid(&["em3d"], &configs, Scale::Tiny);
     // The sweep's cells run the batched replay loop; pin them to a
     // per-op live-dispatch reference (the thin stand-in for the
-    // retired per-op replay entry points) so every environment
-    // combination below transitively proves batched ≡ per-op dispatch.
-    let (_, trace) =
-        rnuma::experiment::run_traced(configs[0], &mut by_name("em3d", Scale::Tiny).unwrap());
+    // retired per-op replay entry points), proving batched ≡ per-op
+    // dispatch on the sweep path. The worker-count test below extends
+    // the result to every worker count.
+    let (_, trace) = run_traced(configs[0], &mut by_name("em3d", Scale::Tiny).unwrap());
     for (r, &config) in reference[0].iter().zip(&configs) {
         let mut per_op = rnuma::Machine::new(config).unwrap();
         rnuma_bench::sweep::live_dispatch(&mut per_op, &trace);
@@ -223,21 +88,6 @@ fn rnuma_shards_routing() {
             "sweep cell diverged from per-op replay on {}",
             config.protocol
         );
-    }
-    for (jobs, shards) in [
-        (Some("1"), Some("4")),
-        (Some("2"), Some("2")),
-        (Some("2"), None),
-    ] {
-        let rows = with_jobs(jobs, || {
-            with_env(shards, || sweep_grid(&["em3d"], &configs, Scale::Tiny))
-        });
-        for (r, b) in rows[0].iter().zip(&reference[0]) {
-            assert!(
-                r.metrics.replay_eq(&b.metrics),
-                "sweep diverged under RNUMA_JOBS={jobs:?} RNUMA_SHARDS={shards:?}"
-            );
-        }
     }
 }
 

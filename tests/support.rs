@@ -5,17 +5,6 @@
 //! its own subset.
 
 use rnuma::config::{MachineConfig, Protocol};
-use rnuma::shard::ShardPool;
-use std::sync::{Arc, OnceLock};
-
-/// A pool that always has workers, so the suites exercise the pooled
-/// (threaded) executor even on single-core CI hosts, where the shared
-/// pool would fall back to inline serial replay.
-#[allow(dead_code)]
-pub fn forced_pool() -> Arc<ShardPool> {
-    static POOL: OnceLock<Arc<ShardPool>> = OnceLock::new();
-    Arc::clone(POOL.get_or_init(|| Arc::new(ShardPool::new(2))))
-}
 
 /// The figure-grid protocol axis: the ideal (infinite block cache)
 /// baseline every figure normalizes to, then the paper's three finite

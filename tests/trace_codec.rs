@@ -28,15 +28,14 @@ use proptest::prelude::*;
 use rnuma::config::MachineConfig;
 use rnuma::experiment::{run_traced, TraceStore};
 use rnuma::metrics::Metrics;
-use rnuma::shard::{CpuRun, ShardedMachine, TraceOp};
-use rnuma::Machine;
+use rnuma::{CpuRun, Machine, TraceOp};
 use rnuma_mem::addr::{CpuId, Va};
 use rnuma_sim::Cycles;
 use rnuma_workloads::{by_name, Scale, APP_NAMES};
 
 #[path = "support.rs"]
 mod support;
-use support::{figure_configs, forced_pool};
+use support::figure_configs;
 
 /// Replays `ops` through the flat batched engine (no store involved).
 fn flat_replay(config: MachineConfig, ops: &[TraceOp]) -> Metrics {
@@ -74,7 +73,7 @@ fn assert_exact_decode(store: &TraceStore, id: rnuma::experiment::TraceId, ops: 
 
 /// The headline three-way: every cell of the figure grid, executed
 /// live, replayed flat from the original op array, and replayed from
-/// the encoded store (serial and sharded) — all bit-identical, with
+/// the encoded store — all bit-identical, with
 /// the decode itself exact.
 #[test]
 fn encoded_flat_and_live_agree_across_the_figure_grid() {
@@ -98,14 +97,6 @@ fn encoded_flat_and_live_agree_across_the_figure_grid() {
                 "{app} on {}: encoded replay diverged from live\nlive:    {}\nencoded: {encoded}",
                 config.protocol,
                 live.metrics
-            );
-            let mut sm = ShardedMachine::with_pool(config, 4, forced_pool()).expect("valid config");
-            sm.set_parallel_threshold(64);
-            store.replay_sharded(id, &mut sm);
-            assert!(
-                live.metrics.replay_eq(&sm.metrics()),
-                "{app} on {}: sharded encoded replay diverged from live",
-                config.protocol
             );
         }
     }

@@ -10,8 +10,8 @@
 //! | D02 | no wall clock / ambient randomness in simulation crates (simulated time + `DetRng` only) |
 //! | D03 | no raw `std::env::var("RNUMA_*")` outside the blessed helpers in `experiment.rs` |
 //! | E01 | every `RNUMA_*` literal in source has a row in README's env table, and vice versa |
-//! | R01 | no `.unwrap()`/`.expect(` in the pool dispatch/recovery paths of `shard.rs` |
-//! | P01 | the per-op replay path stays retired (`apply_op` confined to `exec_blocking`) |
+//! | R01 | no `.unwrap()`/`.expect(` in `sweep_grid`'s worker pool dispatch (`crates/bench/src/lib.rs`) |
+//! | P01 | the per-op replay path stays retired (no `apply_op` anywhere) |
 //!
 //! A finding is suppressed by an inline escape on the same or the
 //! preceding line — `// lint: allow(ID, reason)` — with the reason
@@ -33,29 +33,15 @@ const SIM_CRATES: &[&str] = &["core", "proto", "mem", "net", "os", "sim", "workl
 /// `std::env::var` on an `RNUMA_*` name (D03).
 const BLESSED_ENV_FILE: &str = "crates/core/src/experiment.rs";
 
-/// Functions in `shard.rs` forming the pool dispatch/recovery region
-/// where PR 6's typed-`PoolError` contract bans `.unwrap()`/`.expect(`
-/// (R01). Closures inherit their enclosing named function.
-const SHARD_RECOVERY_FNS: &[&str] = &[
-    "worker_loop",
-    "submit",
-    "spawn_worker",
-    "respawn_worker",
-    "poison",
-    "run_trace",
-    "run_segments",
-    "run_ops",
-    "run_ops_log",
-    "run_ops_windowed",
-    "exec_span",
-    "exec_window",
-    "dispatch_shard",
-    "collect_pending",
-    "apply_effects",
-    "recover_window",
-    "exec_blocking",
-    "fold_shard_metrics",
-];
+/// The file holding the workspace's one worker pool: `sweep_grid`'s
+/// dependency-driven work queue (R01).
+const POOL_FILE: &str = "crates/bench/src/lib.rs";
+
+/// Functions in [`POOL_FILE`] forming the pool's worker/dispatch region,
+/// where a panic must not escape as anything but a job panic the queue
+/// catches and re-raises (R01). Closures inherit their enclosing named
+/// function.
+const POOL_DISPATCH_FNS: &[&str] = &["sweep_grid", "work", "into_rows", "next_job", "complete"];
 
 /// Wall-clock / ambient-randomness identifiers banned in simulation
 /// crates (D02). `Instant`/`SystemTime` cover `::now()` and every
@@ -104,18 +90,14 @@ pub struct Analysis {
 /// Analyzes `files` (`(workspace-relative path, contents)` pairs).
 ///
 /// `readme` is the README's contents when the caller scanned the whole
-/// workspace; the global lints (E01's registry cross-check and P01's
-/// call-site census) only run in that mode, because they reason about
-/// the tree as a whole.
+/// workspace; the global lint (E01's registry cross-check) only runs in
+/// that mode, because it reasons about the tree as a whole.
 #[must_use]
 pub fn analyze(files: &[(String, String)], readme: Option<&str>) -> Analysis {
     let mut findings: Vec<Finding> = Vec::new();
     let mut allows: Vec<Allow> = Vec::new();
-    // (file, line, ok_site) for every `apply_op` use outside machine.rs.
-    let mut apply_op_sites: Vec<(String, u32, bool)> = Vec::new();
     // name -> first (file, line) for every "RNUMA_*" string literal.
     let mut env_literals: Vec<(String, String, u32)> = Vec::new();
-    let mut have_machine_rs = false;
 
     for (rel, src) in files {
         let fs = scan(rel, src);
@@ -124,16 +106,10 @@ pub fn analyze(files: &[(String, String)], readme: Option<&str>) -> Analysis {
         lint_d02(&fs, &mut findings);
         lint_d03(&fs, &mut findings);
         lint_r01(&fs, &mut findings);
-        lint_p01_file(&fs, &mut findings, &mut apply_op_sites);
+        lint_p01(&fs, &mut findings);
         collect_env_literals(&fs, &mut env_literals);
-        if rel == "crates/core/src/machine.rs" {
-            have_machine_rs = true;
-        }
     }
 
-    if have_machine_rs {
-        lint_p01_census(&apply_op_sites, &mut findings);
-    }
     if let Some(readme) = readme {
         lint_e01(&env_literals, readme, &mut findings);
     }
@@ -338,11 +314,12 @@ fn lint_d03(fs: &FileScan, findings: &mut Vec<Finding>) {
     }
 }
 
-/// R01: `.unwrap()` / `.expect(` inside the dispatch/recovery region
-/// of `shard.rs`, where every failure must surface as a typed
-/// `PoolError` (or degrade) rather than a panic.
+/// R01: `.unwrap()` / `.expect(` inside `sweep_grid`'s worker/dispatch
+/// region, where a failure must surface as a job panic the queue
+/// catches and re-raises (or as typed handling), never as a panic in
+/// the dispatch loop itself that would strand the other workers.
 fn lint_r01(fs: &FileScan, findings: &mut Vec<Finding>) {
-    if fs.rel != "crates/core/src/shard.rs" {
+    if fs.rel != POOL_FILE {
         return;
     }
     walk_fns(&fs.toks, |t, i, enclosing| {
@@ -359,14 +336,14 @@ fn lint_r01(fs: &FileScan, findings: &mut Vec<Finding>) {
             return;
         }
         if let Some(f) = enclosing {
-            if SHARD_RECOVERY_FNS.contains(&f) {
+            if POOL_DISPATCH_FNS.contains(&f) {
                 findings.push(Finding {
                     id: "R01".into(),
                     file: fs.rel.clone(),
                     line,
                     msg: format!(
-                        ".{}() in pool dispatch/recovery path `{f}`; the robustness \
-                         contract wants a typed PoolError or a degrade, not a panic",
+                        ".{}() in the sweep pool's worker/dispatch path `{f}`; handle \
+                         the case or justify the invariant with a reasoned allow",
                         t[i + 1].text
                     ),
                 });
@@ -375,81 +352,46 @@ fn lint_r01(fs: &FileScan, findings: &mut Vec<Finding>) {
     });
 }
 
-/// P01 (per-file half): in `machine.rs`, the retired per-op entry
-/// points must not be re-published; everywhere else, census every
-/// `apply_op` use and whether it is *the* blessed `exec_blocking`
-/// call site (`self.machine.apply_op(op)` inside `exec_blocking`).
-fn lint_p01_file(fs: &FileScan, findings: &mut Vec<Finding>, sites: &mut Vec<(String, u32, bool)>) {
+/// P01: the per-op replay path stays retired. Replay goes through
+/// `Machine::apply_batch`/`replay_segment`; in `machine.rs` no
+/// `apply_op` may be defined and `replay`/`replay_segments` may not be
+/// public again, and no other file may name `apply_op` at all.
+fn lint_p01(fs: &FileScan, findings: &mut Vec<Finding>) {
     let t = &fs.toks;
-    if fs.rel == "crates/core/src/machine.rs" {
-        for i in 0..t.len() {
+    let in_machine = fs.rel == "crates/core/src/machine.rs";
+    for i in 0..t.len() {
+        let hit = if in_machine {
+            let defined =
+                t[i].is_ident("fn") && t.get(i + 1).is_some_and(|x| x.is_ident("apply_op"));
             let republished = t[i].is_ident("pub")
                 && t.get(i + 1).is_some_and(|x| x.is_ident("fn"))
                 && t.get(i + 2).is_some_and(|x| {
-                    x.kind == Kind::Ident
-                        && matches!(x.text.as_str(), "apply_op" | "replay" | "replay_segments")
+                    x.kind == Kind::Ident && matches!(x.text.as_str(), "replay" | "replay_segments")
                 });
-            if republished {
-                findings.push(Finding {
-                    id: "P01".into(),
-                    file: fs.rel.clone(),
-                    line: t[i + 2].line,
-                    msg: format!(
-                        "retired per-op replay entry point `{}` is public again on \
-                         Machine; replay goes through apply_batch/replay_segment",
-                        t[i + 2].text
-                    ),
-                });
+            if defined {
+                Some(i + 1)
+            } else if republished {
+                Some(i + 2)
+            } else {
+                None
             }
-        }
-        return;
-    }
-    walk_fns(t, |t, i, enclosing| {
-        if !t[i].is_ident("apply_op") {
-            return;
-        }
-        let line = t[i].line;
-        let called = t.get(i + 1).is_some_and(|x| x.is_punct('('));
-        let via_machine = i >= 4
-            && t[i - 1].is_punct('.')
-            && t[i - 2].is_ident("machine")
-            && t[i - 3].is_punct('.')
-            && t[i - 4].is_ident("self");
-        let ok_site = called
-            && via_machine
-            && fs.rel == "crates/core/src/shard.rs"
-            && enclosing == Some("exec_blocking")
-            && !fs.in_test(line);
-        sites.push((fs.rel.clone(), line, ok_site));
-    });
-}
-
-/// P01 (global half): outside `machine.rs` there must be *exactly one*
-/// `apply_op` site — the sharded executor's serial between-window leg.
-fn lint_p01_census(sites: &[(String, u32, bool)], findings: &mut Vec<Finding>) {
-    for (file, line, ok) in sites {
-        if !ok {
+        } else if t[i].is_ident("apply_op") {
+            Some(i)
+        } else {
+            None
+        };
+        if let Some(at) = hit {
             findings.push(Finding {
                 id: "P01".into(),
-                file: file.clone(),
-                line: *line,
-                msg: "per-op replay caller outside ShardedMachine::exec_blocking; \
-                      replay through apply_batch/replay_segment instead"
-                    .into(),
+                file: fs.rel.clone(),
+                line: t[at].line,
+                msg: format!(
+                    "retired per-op replay entry point `{}` is back; replay goes \
+                     through Machine::apply_batch/replay_segment",
+                    t[at].text
+                ),
             });
         }
-    }
-    let blessed = sites.iter().filter(|(_, _, ok)| *ok).count();
-    if blessed != 1 {
-        findings.push(Finding {
-            id: "P01".into(),
-            file: "crates/core/src/shard.rs".into(),
-            line: 1,
-            msg: format!(
-                "expected exactly one exec_blocking apply_op call site, found {blessed} \
-                 — the serial between-window leg moved or was duplicated"
-            ),
-        });
     }
 }
 
@@ -667,7 +609,7 @@ mod tests {
     fn d03_fires_on_raw_env_reads_outside_experiment() {
         let a = one(
             "crates/core/src/other.rs",
-            r#"fn f() { let v = std::env::var("RNUMA_SHARDS"); let w = std::env::var_os("RNUMA_EXEC"); }"#,
+            r#"fn f() { let v = std::env::var("RNUMA_JOBS"); let w = std::env::var_os("RNUMA_JOURNAL"); }"#,
         );
         assert_eq!(ids(&a), ["D03", "D03"]);
     }
@@ -676,12 +618,12 @@ mod tests {
     fn d03_silent_in_experiment_and_on_helpers_and_other_vars() {
         let blessed = one(
             "crates/core/src/experiment.rs",
-            r#"fn f() { let v = std::env::var("RNUMA_SHARDS"); }"#,
+            r#"fn f() { let v = std::env::var("RNUMA_JOBS"); }"#,
         );
         assert!(blessed.findings.is_empty());
         let helper = one(
             "crates/core/src/other.rs",
-            r#"fn f() { let v = crate::experiment::env_raw("RNUMA_SHARDS"); }"#,
+            r#"fn f() { let v = crate::experiment::env_raw("RNUMA_JOBS"); }"#,
         );
         assert!(helper.findings.is_empty(), "{:?}", helper.findings);
         let other_var = one(
@@ -696,8 +638,8 @@ mod tests {
     #[test]
     fn r01_fires_in_recovery_fns_only() {
         let a = one(
-            "crates/core/src/shard.rs",
-            "fn recover_window(&mut self) { self.x.lock().unwrap(); }\n\
+            "crates/bench/src/lib.rs",
+            "fn work(&self) { self.x.lock().unwrap(); }\n\
              fn elsewhere() { foo().unwrap(); }",
         );
         assert_eq!(ids(&a), ["R01"]);
@@ -707,12 +649,15 @@ mod tests {
     #[test]
     fn r01_silent_on_unwrap_or_else_tests_and_other_files() {
         let a = one(
-            "crates/core/src/shard.rs",
-            "fn submit(&self) { self.q.lock().unwrap_or_else(std::sync::PoisonError::into_inner); }\n\
-             #[cfg(test)]\nmod tests { fn exec_window() { x().unwrap(); } }",
+            "crates/bench/src/lib.rs",
+            "fn work(&self) { self.q.lock().unwrap_or_else(std::sync::PoisonError::into_inner); }\n\
+             fn into_rows(self) {\n\
+             // lint: allow(R01, the queue completes every cell before it returns)\n\
+             cell.expect(\"ran\"); }\n\
+             #[cfg(test)]\nmod tests { fn sweep_grid() { x().unwrap(); } }",
         );
         assert!(a.findings.is_empty(), "{:?}", a.findings);
-        let other = one("crates/core/src/trace.rs", "fn submit() { x().unwrap(); }");
+        let other = one("crates/core/src/trace.rs", "fn work() { x().unwrap(); }");
         assert!(other.findings.is_empty());
     }
 
@@ -724,7 +669,9 @@ mod tests {
             &[
                 (
                     "crates/core/src/machine.rs".into(),
-                    "impl Machine { pub fn apply_op(&mut self, op: &TraceOp) {} }".into(),
+                    "impl Machine { pub(crate) fn apply_op(&mut self, op: &TraceOp) {} \
+                     pub fn replay(&mut self) {} }"
+                        .into(),
                 ),
                 (
                     "crates/core/src/other.rs".into(),
@@ -733,27 +680,18 @@ mod tests {
             ],
             None,
         );
-        let got = ids(&a);
-        assert!(got.iter().filter(|i| **i == "P01").count() >= 2, "{got:?}");
+        assert_eq!(ids(&a), ["P01", "P01", "P01"], "{:?}", a.findings);
     }
 
     #[test]
     fn p01_accepts_the_blessed_tree_shape() {
         let a = analyze(
-            &[
-                (
-                    "crates/core/src/machine.rs".into(),
-                    "impl Machine { pub(crate) fn apply_op(&mut self, op: &TraceOp) {} \
-                     pub fn replay_segment(&mut self) {} }"
-                        .into(),
-                ),
-                (
-                    "crates/core/src/shard.rs".into(),
-                    "impl ShardedMachine { fn exec_blocking(&mut self, op: &TraceOp) { \
-                     self.machine.apply_op(op); } }"
-                        .into(),
-                ),
-            ],
+            &[(
+                "crates/core/src/machine.rs".into(),
+                "impl Machine { fn replay_per_op(&mut self, ops: &[TraceOp]) {} \
+                 pub fn apply_batch(&mut self) {} pub fn replay_segment(&mut self) {} }"
+                    .into(),
+            )],
             None,
         );
         assert!(a.findings.is_empty(), "{:?}", a.findings);

@@ -11,10 +11,10 @@
 //! ```
 //!
 //! * `--check` (and the no-argument default) scans the whole
-//!   workspace, including the global lints (E01 registry cross-check,
-//!   P01 call-site census), and exits nonzero on any finding.
+//!   workspace, including the global lint (E01 registry cross-check),
+//!   and exits nonzero on any finding.
 //! * Explicit `FILE` arguments restrict the scan to those files;
-//!   the global lints are skipped because they need the whole tree.
+//!   the global lint is skipped because it needs the whole tree.
 //! * `--format json` emits machine-readable findings + escape
 //!   inventory instead of text.
 //!

@@ -457,9 +457,9 @@ mod tests {
 
     #[test]
     fn string_contents_are_preserved() {
-        let s = scan("x.rs", r#"let v = std::env::var("RNUMA_SHARDS");"#);
+        let s = scan("x.rs", r#"let v = std::env::var("RNUMA_JOBS");"#);
         let lit = s.toks.iter().find(|t| t.kind == Kind::Str).unwrap();
-        assert_eq!(lit.text, "RNUMA_SHARDS");
+        assert_eq!(lit.text, "RNUMA_JOBS");
     }
 
     #[test]

@@ -50,7 +50,7 @@ fn seeded_violations_fire_all_six_lints_with_file_line_diagnostics() {
     put(
         &root,
         "README.md",
-        "| `RNUMA_SHARDS=n` | a knob |\n| `RNUMA_STALE=1` | documented but unread |\n",
+        "| `RNUMA_JOBS=n` | a knob |\n| `RNUMA_STALE=1` | documented but unread |\n",
     );
     // D01: std HashMap in a result-bearing crate.
     put(
@@ -69,7 +69,7 @@ fn seeded_violations_fire_all_six_lints_with_file_line_diagnostics() {
     put(
         &root,
         "crates/core/src/knobs.rs",
-        "fn f() -> Option<String> { std::env::var(\"RNUMA_SHARDS\").ok() }\n",
+        "fn f() -> Option<String> { std::env::var(\"RNUMA_JOBS\").ok() }\n",
     );
     // E01 (source side): a knob with no README row.
     put(
@@ -77,22 +77,22 @@ fn seeded_violations_fire_all_six_lints_with_file_line_diagnostics() {
         "crates/core/src/rogue.rs",
         "const K: &str = \"RNUMA_ROGUE\";\n",
     );
-    // P01: the retired entry point re-published, and a stray caller.
+    // P01: the retired entry point reintroduced, and a stray caller.
     put(
         &root,
         "crates/core/src/machine.rs",
-        "impl Machine { pub fn apply_op(&mut self, op: &TraceOp) {} }\n",
+        "impl Machine { fn apply_op(&mut self, op: &TraceOp) {} }\n",
     );
     put(
         &root,
         "crates/core/src/stray.rs",
         "fn f(m: &mut Machine, op: &TraceOp) { m.apply_op(op); }\n",
     );
-    // R01: a panic in the recovery region of shard.rs.
+    // R01: a panic in the sweep pool's dispatch loop.
     put(
         &root,
-        "crates/core/src/shard.rs",
-        "fn recover_window(&mut self) { self.lock.lock().unwrap(); }\n",
+        "crates/bench/src/lib.rs",
+        "fn work(&self) { self.state.lock().unwrap(); }\n",
     );
 
     let (ok, text) = run(&root, &[]);
@@ -103,9 +103,9 @@ fn seeded_violations_fire_all_six_lints_with_file_line_diagnostics() {
         ("crates/core/src/knobs.rs:1: D03", "raw env read"),
         ("crates/core/src/rogue.rs:1: E01", "knob without README row"),
         ("README.md:2: E01", "README row without source reader"),
-        ("crates/core/src/machine.rs:1: P01", "re-published apply_op"),
+        ("crates/core/src/machine.rs:1: P01", "reintroduced apply_op"),
         ("crates/core/src/stray.rs:1: P01", "stray apply_op caller"),
-        ("crates/core/src/shard.rs:1: R01", "unwrap in recovery path"),
+        ("crates/bench/src/lib.rs:1: R01", "unwrap in pool dispatch"),
     ] {
         assert!(text.contains(needle), "missing {why} ({needle}):\n{text}");
     }
@@ -127,24 +127,27 @@ fn seeded_violations_fire_all_six_lints_with_file_line_diagnostics() {
 #[test]
 fn clean_tree_with_reasoned_escape_exits_zero_and_prints_the_inventory() {
     let root = fresh_tree("clean");
-    put(&root, "README.md", "| `RNUMA_SHARDS=n` | a knob |\n");
-    // The blessed tree shape for P01…
+    put(&root, "README.md", "| `RNUMA_JOBS=n` | a knob |\n");
+    // The blessed tree shape for P01: batched replay only…
     put(
         &root,
         "crates/core/src/machine.rs",
-        "impl Machine { pub(crate) fn apply_op(&mut self, op: &TraceOp) {} }\n",
+        "impl Machine { pub fn apply_batch(&mut self, ops: &[TraceOp]) {} }\n",
     );
+    // …a justified invariant in the pool's dispatch loop for R01…
     put(
         &root,
-        "crates/core/src/shard.rs",
-        "impl ShardedMachine { fn exec_blocking(&mut self, op: &TraceOp) { self.machine.apply_op(op); } }\n",
+        "crates/bench/src/lib.rs",
+        "fn into_rows(self) {\n\
+         // lint: allow(R01, the queue fills every cell before it returns)\n\
+         cell.expect(\"ran\");\n}\n",
     );
     // …the blessed env helper for D03…
     put(
         &root,
         "crates/core/src/experiment.rs",
         "pub fn env_raw(name: &str) -> Option<String> { std::env::var(name).ok() }\n\
-         pub fn shards() -> Option<String> { std::env::var(\"RNUMA_SHARDS\").ok() }\n",
+         pub fn jobs() -> Option<String> { std::env::var(\"RNUMA_JOBS\").ok() }\n",
     );
     // …deterministic maps, std maps only under cfg(test)…
     put(
