@@ -2,7 +2,7 @@
 //! counts at the selected scale.
 
 use rnuma::config::Protocol;
-use rnuma_bench::{apps, parse_scale, run_protocol_grid, save, TextTable};
+use rnuma_bench::{apps, parse_scale, save, sweep_protocol_grid, TextTable};
 use rnuma_workloads::input_description;
 
 fn main() {
@@ -12,7 +12,7 @@ fn main() {
         "application  input (Table 3)                                               references   shared pages",
     );
     let mut csv = String::from("app,references,shared_pages\n");
-    let grid = run_protocol_grid(apps(), &[Protocol::ideal()], scale);
+    let grid = sweep_protocol_grid(apps(), &[Protocol::ideal()], scale);
     for (app, row) in apps().iter().zip(&grid) {
         let report = &row[0];
         let refs = report.metrics.references();

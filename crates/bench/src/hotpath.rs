@@ -19,7 +19,6 @@
 
 use rnuma::config::{MachineConfig, Protocol};
 use rnuma::machine::Machine;
-use rnuma::TraceOp;
 use rnuma_mem::addr::{CpuId, Va};
 use rnuma_mem::fxmap::FxMap64;
 use rnuma_sim::DetRng;
@@ -55,50 +54,6 @@ pub fn synth_stream(refs: usize, pages: u64, cpus: u16) -> Vec<Ref> {
         out.push((cpu, Va(page * 4096 + offset), write));
     }
     out
-}
-
-/// Generates a node-partitioned trace with the locality first-touch
-/// placement creates: each CPU streams over pages in its own node's
-/// region, with one reference in eight going to its *partner* node's
-/// region (remote traffic through the full protocol walk), and a
-/// barrier every few thousand references. Nothing in the workspace
-/// replays it today; it is kept as a deterministic trace-shaped
-/// counterpart of [`synth_stream`].
-#[must_use]
-pub fn synth_partitioned_trace(refs: usize, pages_per_node: u64) -> Vec<TraceOp> {
-    let mut rng = DetRng::seeded(0x5EED_D00D);
-    let mut ops = Vec::with_capacity(refs + refs / 4096 + 1);
-    ops.push(TraceOp::ArmFirstTouch);
-    let region = |node: u64| (1 + node) << 30;
-    // Home each node's region by a first touch from its own CPU 0.
-    for node in 0..8u64 {
-        for p in 0..pages_per_node {
-            ops.push(TraceOp::Access {
-                cpu: CpuId((node * 4) as u16),
-                va: Va(region(node) + p * 4096),
-                write: true,
-            });
-        }
-    }
-    let mut offsets = [0u64; 32];
-    for i in 0..refs {
-        let cpu = (i % 32) as u64;
-        let node = cpu / 4;
-        // 1 in 8 references goes to the partner node's region.
-        let target = if i % 8 == 5 { node ^ 1 } else { node };
-        let off = &mut offsets[cpu as usize];
-        *off = (*off + 32) % (pages_per_node * 4096);
-        let write = target == node && rng.chance(0.1);
-        ops.push(TraceOp::Access {
-            cpu: CpuId(cpu as u16),
-            va: Va(region(target) + *off),
-            write,
-        });
-        if i % 16384 == 16383 {
-            ops.push(TraceOp::Barrier);
-        }
-    }
-    ops
 }
 
 /// Replays `stream` on a fresh machine and reports references per
@@ -309,19 +264,6 @@ mod tests {
         let b = synth_stream(1000, 16, 32);
         assert_eq!(a, b);
         assert!(a.iter().all(|&(cpu, va, _)| cpu.0 < 32 && va.0 < 16 * 4096));
-    }
-
-    #[test]
-    fn partitioned_trace_is_deterministic_and_partitioned() {
-        let a = synth_partitioned_trace(2000, 8);
-        let b = synth_partitioned_trace(2000, 8);
-        assert_eq!(a, b);
-        assert!(matches!(a[0], TraceOp::ArmFirstTouch));
-        let refs = a
-            .iter()
-            .filter(|op| matches!(op, TraceOp::Access { .. }))
-            .count();
-        assert!(refs >= 2000);
     }
 
     #[test]

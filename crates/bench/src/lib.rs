@@ -1,6 +1,7 @@
 //! Experiment harness for the R-NUMA reproduction.
 //!
-//! One binary per table/figure of the paper (see DESIGN.md §5):
+//! One binary per table/figure of the paper (`RESULTS.md` maps each to
+//! the paper and records its output):
 //!
 //! | binary | regenerates |
 //! |---|---|
@@ -13,18 +14,20 @@
 //! | `fig7_cache` | Figure 7 (cache-size sensitivity) |
 //! | `fig8_threshold` | Figure 8 (relocation-threshold sensitivity) |
 //! | `fig9_overhead` | Figure 9 (page-fault/TLB overhead sensitivity) |
+//! | `ablation_replacement` | page-cache replacement-policy ablation (not a paper figure) |
 //! | `all_experiments` | everything above, in order |
 //!
 //! Every binary accepts `--scale paper|small|tiny` (default `paper`) and
 //! writes both a text report to stdout and machine-readable CSV under
-//! `results/`.
+//! `results/`. Every binary that runs an application grid runs it on
+//! [`sweep_grid`] (directly or through [`sweep_protocol_grid`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use rnuma::config::{MachineConfig, Protocol};
 use rnuma::experiment::{
-    parallel_workers, run, run_parallel, RunReport, SweepAbort, TraceId, TraceStore,
+    parallel_map, parallel_workers, run, RunReport, SweepAbort, TraceId, TraceStore,
 };
 use rnuma::journal::{cell_key, Journal};
 use rnuma_workloads::{by_name, Scale, APP_NAMES};
@@ -133,13 +136,12 @@ pub fn save(name: &str, content: &str) {
     println!("[saved {}]", path.display());
 }
 
-/// Resolves `RNUMA_JOURNAL` the bench way: the literal value `1` means
-/// "the canonical sweep journal", `results/sweep_journal.jsonl` under
-/// [`results_dir`]; any other non-empty value is used as a path
-/// directly (the core semantics, [`Journal::from_env`]). Unset or
-/// empty means no journal. An unopenable journal warns once on stderr
-/// and disables checkpointing — a sweep must never fail because its
-/// crash-recovery aid did.
+/// The workspace's one `RNUMA_JOURNAL` resolver: the literal value `1`
+/// means "the canonical sweep journal", `results/sweep_journal.jsonl`
+/// under [`results_dir`]; any other non-empty value is used as a path
+/// directly. Unset or empty means no journal. An unopenable journal
+/// warns once on stderr and disables checkpointing — a sweep must never
+/// fail because its crash-recovery aid did.
 #[must_use]
 pub fn sweep_journal_from_env() -> Option<Journal> {
     let val = rnuma::experiment::env_raw("RNUMA_JOURNAL")?;
@@ -235,11 +237,9 @@ pub fn run_grid(
         .iter()
         .flat_map(|&app| configs.iter().map(move |&c| (app, c)))
         .collect();
-    let reports = run_parallel(&jobs, |&(app, config)| {
-        (
-            config,
-            by_name(app, scale).unwrap_or_else(|| panic!("unknown app {app}")),
-        )
+    let reports = parallel_map(&jobs, |&(app, config)| {
+        let mut w = by_name(app, scale).unwrap_or_else(|| panic!("unknown app {app}"));
+        run(config, &mut w)
     });
     let mut rows = Vec::with_capacity(apps.len());
     let mut it = reports.into_iter();
@@ -264,7 +264,10 @@ pub fn run_grid(
 /// a worker takes the ready replay with the longest stream, ties going
 /// to the lower `(app, config)` index. A panicking cell stops dispatch;
 /// once every worker has returned, the first panic is re-raised with
-/// its payload. `RNUMA_JOURNAL` checkpoints replay cells.
+/// its payload. `RNUMA_JOURNAL` checkpoints replay cells
+/// ([`sweep_journal_from_env`]) and `RNUMA_FAULTS` may abort the sweep
+/// after a replay cell ([`SweepAbort::from_env`]); both are handed to
+/// [`sweep_grid_journaled`], which does the work.
 ///
 /// Returns the same row shape as [`run_grid`]. The difference in
 /// *meaning*: every cell of a row simulates the **same** reference
@@ -304,17 +307,46 @@ pub fn sweep_grid(
     configs: &[MachineConfig],
     scale: Scale,
 ) -> Vec<Vec<RunReport>> {
+    sweep_grid_journaled(
+        apps,
+        configs,
+        scale,
+        sweep_journal_from_env().as_ref(),
+        &SweepAbort::from_env(),
+    )
+}
+
+/// [`sweep_grid`] with its checkpoint/resume plumbing explicit instead
+/// of read from the environment.
+///
+/// Completed replay cells are appended to `journal`, keyed by
+/// [`cell_key`] (workload, stream content hash, configuration), and
+/// cells already present in the journal are restored without
+/// re-simulation — so a sweep killed mid-run resumes where it died and
+/// finishes bit-identical to a clean run (see `docs/ROBUSTNESS.md`).
+/// `abort` takes one decision after every re-simulated replay cell:
+/// the crash-injection point the fault drills in
+/// `tests/fault_recovery.rs` use.
+///
+/// Capture cells are *not* journaled: re-running the workload is what
+/// regenerates the reference stream (deterministically), and the
+/// journal's keys depend on that stream's content hash.
+///
+/// # Panics
+///
+/// As [`sweep_grid`], and when `abort` fires.
+#[must_use]
+pub fn sweep_grid_journaled(
+    apps: &[&'static str],
+    configs: &[MachineConfig],
+    scale: Scale,
+    journal: Option<&Journal>,
+    abort: &SweepAbort,
+) -> Vec<Vec<RunReport>> {
     assert!(
         !configs.is_empty(),
         "need at least a baseline configuration"
     );
-    // With `RNUMA_JOURNAL` set, completed replay cells checkpoint into
-    // the sweep journal keyed by (workload, stream content hash,
-    // config): cells already journaled restore without re-simulation,
-    // so a sweep killed mid-run resumes where it died and finishes
-    // bit-identical to a clean one (see docs/ROBUSTNESS.md).
-    let journal = sweep_journal_from_env();
-    let abort = SweepAbort::from_env();
     // Each app's stream sits alone in its own store, so no capture ever
     // waits on another app's encoding.
     let captured: Vec<OnceLock<(TraceStore, TraceId)>> =
@@ -337,7 +369,7 @@ pub fn sweep_grid(
             // lint: allow(R01, the queue releases app a's replays only when its capture completed and set captured[a]; a miss is a queue bug, and the worker's catch_unwind re-raises it as a job panic)
             let (store, id) = captured[a].get().expect("replay released before capture");
             let key = cell_key(store.workload(*id), store.content_hash(*id), &configs[c]);
-            let report = match journal.as_ref().and_then(|j| j.lookup(key)) {
+            let report = match journal.and_then(|j| j.lookup(key)) {
                 Some(metrics) => RunReport {
                     workload: store.workload(*id),
                     protocol: configs[c].protocol.label(),
@@ -346,7 +378,7 @@ pub fn sweep_grid(
                 },
                 None => {
                     let report = store.replay_serial(*id, configs[c]);
-                    if let Some(journal) = journal.as_ref() {
+                    if let Some(journal) = journal {
                         journal.record(key, report.workload, report.protocol, &report.metrics);
                     }
                     abort.after_cell();
@@ -516,24 +548,6 @@ pub fn sweep_protocol_grid(
         .map(|&p| MachineConfig::paper_base(p))
         .collect();
     sweep_grid(apps, &configs, scale)
-}
-
-/// [`run_grid`] over protocols on the paper's base machine.
-///
-/// # Panics
-///
-/// Panics if any `app` is not a Table-3 application.
-#[must_use]
-pub fn run_protocol_grid(
-    apps: &[&'static str],
-    protocols: &[Protocol],
-    scale: Scale,
-) -> Vec<Vec<RunReport>> {
-    let configs: Vec<MachineConfig> = protocols
-        .iter()
-        .map(|&p| MachineConfig::paper_base(p))
-        .collect();
-    run_grid(apps, &configs, scale)
 }
 
 /// Renders a unit-scaled horizontal ASCII bar.

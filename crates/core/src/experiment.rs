@@ -1,42 +1,36 @@
-//! One-call experiment execution and the trace-once/replay-many sweep
-//! driver.
+//! One-call experiment execution and the trace-once/replay-many
+//! building blocks.
 //!
 //! The paper's figures all follow the same recipe: run an application on
 //! several machine configurations and report execution times normalized
 //! to the ideal CC-NUMA (infinite block cache). [`run`] performs one
-//! such run; [`run_normalized`] performs a batch against the ideal
-//! baseline.
-//!
-//! # Parallel batches
-//!
-//! Each simulation is a pure function of its `(config, workload)` pair
-//! and owns its [`Machine`], so batches are embarrassingly parallel.
-//! [`run_parallel`] fans a job list out over the host's cores with
-//! scoped threads: every job still runs exactly the serial code path on
-//! its own machine, so per-run metrics are bit-identical to a serial
-//! execution ([`run_normalized_serial`] exists as the reference
-//! implementation, and the workspace determinism tests compare the
-//! two).
+//! such run on its own [`Machine`].
 //!
 //! # Trace-once, replay many
 //!
 //! A parameter sweep runs the *same* application against every
 //! configuration in a grid. Re-executing the workload per cell re-pays
 //! its generation cost (item scheduling, address arithmetic, setup
-//! RNG) once per configuration; the sweep driver instead captures the
-//! workload's [`TraceOp`] stream **once** — into a [`TraceStore`], a
-//! columnar, delta-encoded, profile-interned store with streaming
-//! (bounded-memory) capture and optional spill-to-disk — and replays
-//! it against every other configuration
-//! ([`TraceStore::replay_serial`] per cell, [`run_sweep`] for a whole
-//! config axis). Replay is bit-identical to a serial batched
-//! [`Machine::apply_batch`] of the same stream, and the sweep's
-//! reference stream is *fixed across cells* — the classic
-//! trace-driven methodology. See `docs/SWEEP.md` for the model and its
-//! guarantees.
+//! RNG) once per configuration; instead the workload's [`TraceOp`]
+//! stream is captured **once** — into a [`TraceStore`], a columnar,
+//! delta-encoded, profile-interned store with streaming
+//! (bounded-memory) capture and optional spill-to-disk — and replayed
+//! against every other configuration with
+//! [`TraceStore::replay_serial`]. Replay is bit-identical to a serial
+//! batched [`Machine::apply_batch`] of the same stream, and the
+//! reference stream is *fixed across cells* — the classic trace-driven
+//! methodology. The sweep driver itself, with its work queue, journal
+//! and abort point ([`SweepAbort`]), is `rnuma_bench::sweep_grid`; see
+//! `docs/SWEEP.md` for the model and its guarantees.
+//!
+//! # Worker pool
+//!
+//! [`parallel_map`] fans independent jobs over the host's cores
+//! (`rnuma_bench::run_grid` runs one simulation per grid cell on it),
+//! and [`parallel_workers`] sizes every worker pool in the workspace
+//! from `RNUMA_JOBS`.
 
 use crate::config::MachineConfig;
-use crate::journal::{cell_key, Journal};
 use crate::machine::Machine;
 use crate::metrics::Metrics;
 use crate::program::{Runner, Workload};
@@ -121,76 +115,14 @@ pub fn run_traced<W: Workload + ?Sized>(
     (report, trace)
 }
 
-/// A report together with its execution time normalized to a baseline.
-#[derive(Clone, Debug)]
-pub struct NormalizedReport {
-    /// The underlying run.
-    pub report: RunReport,
-    /// `report` execution time divided by the baseline's.
-    pub normalized_time: f64,
-}
-
-/// Runs one simulation per job, fanned out over the host's cores.
-///
-/// `make` turns a job description into a `(config, workload)` pair *on
-/// the worker thread*, so workloads never cross threads (they may hold
-/// non-`Send` state). Results come back in job order, and each is
-/// bit-identical to what a serial `run` of the same pair produces —
-/// runs share nothing.
-///
-/// Set `RNUMA_JOBS=1` (or any number) to override the worker count,
-/// e.g. to force serial execution when profiling.
-///
-/// # Example
-///
-/// ```
-/// use rnuma::config::{MachineConfig, Protocol};
-/// use rnuma::experiment::run_parallel;
-/// use rnuma::program::{Runner, Workload};
-///
-/// struct Touch(u64);
-/// impl Workload for Touch {
-///     fn name(&self) -> &'static str { "touch" }
-///     fn run(&mut self, r: &mut Runner<'_>) {
-///         let data = r.alloc(self.0 * 8);
-///         let items = r.block_partition(self.0);
-///         r.parallel(&items, |ctx, _cpu, i| ctx.read(data.word(i)));
-///     }
-/// }
-///
-/// // One simulation per word count, fanned over the host's cores.
-/// let reports = run_parallel(&[256u64, 512], |&words| {
-///     (MachineConfig::paper_base(Protocol::paper_rnuma()), Touch(words))
-/// });
-/// assert_eq!(reports.len(), 2);
-/// assert_eq!(reports[0].metrics.references(), 256);
-/// assert_eq!(reports[1].metrics.references(), 512);
-/// ```
-///
-/// # Panics
-///
-/// Propagates panics from workload execution.
-pub fn run_parallel<J, W, F>(jobs: &[J], make: F) -> Vec<RunReport>
-where
-    J: Sync,
-    W: Workload,
-    F: Fn(&J) -> (MachineConfig, W) + Sync,
-{
-    parallel_map(jobs, |j| {
-        let (config, mut w) = make(j);
-        run(config, &mut w)
-    })
-}
-
 /// Applies `f` to every job, fanned out over the host's cores, and
 /// returns the results in job order.
 ///
-/// This is the worker-pool primitive behind [`run_parallel`] and the
-/// sweep drivers: jobs are claimed from a shared cursor, each `f`
-/// invocation runs entirely on one worker thread, and `RNUMA_JOBS`
-/// overrides the worker count (1 forces serial execution). `f` must be
-/// order-independent — a pure function of its job — which every
-/// simulation in this workspace is.
+/// Jobs are claimed from a shared cursor, each `f` invocation runs
+/// entirely on one worker thread, and `RNUMA_JOBS` overrides the worker
+/// count (1 forces serial execution). `f` must be order-independent — a
+/// pure function of its job — which every simulation in this workspace
+/// is.
 ///
 /// # Panics
 ///
@@ -312,56 +244,6 @@ pub fn parallel_workers(jobs: usize) -> usize {
     env_usize("RNUMA_JOBS", Some(host), usize::MAX)
         .unwrap_or(host)
         .clamp(1, jobs.max(1))
-}
-
-/// Runs `workload` on each configuration — in parallel across
-/// configurations — and normalizes execution times to the first
-/// configuration in `configs` (conventionally the ideal machine).
-///
-/// Returns one entry per configuration, in order; the first entry's
-/// `normalized_time` is 1.0 by construction. Every entry is
-/// bit-identical to the serial [`run_normalized_serial`] result.
-///
-/// # Panics
-///
-/// Panics if `configs` is empty or the baseline executes in zero cycles.
-pub fn run_normalized<W, F>(configs: &[MachineConfig], make_workload: F) -> Vec<NormalizedReport>
-where
-    W: Workload,
-    F: Fn() -> W + Sync,
-{
-    assert!(
-        !configs.is_empty(),
-        "need at least a baseline configuration"
-    );
-    let reports = run_parallel(configs, |&config| (config, make_workload()));
-    normalize_to_first(reports)
-}
-
-/// The serial reference implementation of [`run_normalized`]: identical
-/// results, one run at a time. Kept for determinism tests and
-/// single-core profiling.
-///
-/// # Panics
-///
-/// Panics if `configs` is empty or the baseline executes in zero cycles.
-pub fn run_normalized_serial<W, F>(
-    configs: &[MachineConfig],
-    mut make_workload: F,
-) -> Vec<NormalizedReport>
-where
-    W: Workload,
-    F: FnMut() -> W,
-{
-    assert!(
-        !configs.is_empty(),
-        "need at least a baseline configuration"
-    );
-    let reports = configs
-        .iter()
-        .map(|&config| run(config, &mut make_workload()))
-        .collect();
-    normalize_to_first(reports)
 }
 
 /// Handle of one captured trace inside a [`TraceStore`].
@@ -814,7 +696,7 @@ impl TraceStore {
     /// the pre-encoding chunk), so this hash is a property of the
     /// *operation sequence*, not the encoding. Two streams hash equal
     /// iff their operation sequences are identical (modulo hash
-    /// collisions, which [`Journal`] keying tolerates: a collision only
+    /// collisions, which [`crate::journal::Journal`] keying tolerates: a collision only
     /// risks a stale journal hit, and journal cells additionally carry
     /// the configuration in their key). This is what distinguishes
     /// `em3d@Tiny` from `em3d@Paper` in a sweep journal — same workload
@@ -896,66 +778,7 @@ fn seg_hash(ops: &[TraceOp]) -> u64 {
     h
 }
 
-/// Runs one workload against a whole configuration axis the
-/// trace-once/replay-many way: the workload executes **once**, on
-/// `configs[0]` (capturing its stream), and every other configuration
-/// replays the captured stream — fanned over the host's cores
-/// (`RNUMA_JOBS` overrides). Returns one report per configuration, in
-/// order.
-///
-/// All cells therefore simulate the *same* reference stream — the
-/// fixed-trace methodology classic ccNUMA tooling uses for sweeps —
-/// and each cell is bit-identical to a serial batched
-/// [`Machine::apply_batch`] of that stream on its configuration (see
-/// `docs/SWEEP.md`).
-///
-/// # Example
-///
-/// ```
-/// use rnuma::config::{MachineConfig, Protocol};
-/// use rnuma::experiment::run_sweep;
-/// use rnuma::program::{Runner, Workload};
-///
-/// struct Touch;
-/// impl Workload for Touch {
-///     fn name(&self) -> &'static str { "touch" }
-///     fn run(&mut self, r: &mut Runner<'_>) {
-///         let data = r.alloc(4096);
-///         let items = r.block_partition(64);
-///         r.parallel(&items, |ctx, _cpu, i| ctx.update(data.word(i)));
-///     }
-/// }
-///
-/// let configs = [
-///     MachineConfig::paper_base(Protocol::ideal()),
-///     MachineConfig::paper_base(Protocol::paper_rnuma()),
-/// ];
-/// // The workload executes once; the second cell replays its stream.
-/// let reports = run_sweep(&configs, &mut Touch);
-/// assert_eq!(reports.len(), 2);
-/// assert_eq!(
-///     reports[0].metrics.references(),
-///     reports[1].metrics.references(),
-/// );
-/// ```
-///
-/// # Panics
-///
-/// Panics if `configs` is empty, a configuration fails validation, or
-/// the configurations disagree on cluster shape.
-pub fn run_sweep<W: Workload + ?Sized>(
-    configs: &[MachineConfig],
-    workload: &mut W,
-) -> Vec<RunReport> {
-    run_sweep_journaled(
-        configs,
-        workload,
-        Journal::from_env().as_ref(),
-        &SweepAbort::from_env(),
-    )
-}
-
-/// The sweep drivers' crash-injection point: fires [`FaultKind::SweepAbort`]
+/// The sweep driver's crash-injection point: fires [`FaultKind::SweepAbort`]
 /// decisions *after* completed cells, panicking the driver mid-sweep so the
 /// checkpoint/resume lane can prove a journal-resumed sweep is bit-identical
 /// to a clean one.
@@ -998,64 +821,6 @@ impl SweepAbort {
             }
         }
     }
-}
-
-/// [`run_sweep`] with explicit checkpoint/resume plumbing: completed
-/// replay cells are appended to `journal` (keyed by workload, stream
-/// content hash and configuration), and cells already present in the
-/// journal are restored without re-simulation — so a sweep killed
-/// mid-run resumes where it died and finishes bit-identical to a clean
-/// run. `abort` is the crash-injection point exercising exactly that.
-///
-/// The capture cell is *not* journaled: re-running the workload is what
-/// regenerates the reference stream (deterministically), and the
-/// journal's keys depend on that stream's content hash.
-///
-/// # Panics
-///
-/// Panics if `configs` is empty, a configuration fails validation, the
-/// configurations disagree on cluster shape — or when `abort` fires.
-pub fn run_sweep_journaled<W: Workload + ?Sized>(
-    configs: &[MachineConfig],
-    workload: &mut W,
-    journal: Option<&Journal>,
-    abort: &SweepAbort,
-) -> Vec<RunReport> {
-    assert!(!configs.is_empty(), "need at least one configuration");
-    let mut store = TraceStore::new();
-    let (id, first) = store.capture(configs[0], workload);
-    let trace_hash = store.content_hash(id);
-    let mut reports = vec![first];
-    reports.extend(parallel_map(&configs[1..], |&config| {
-        let key = cell_key(store.workload(id), trace_hash, &config);
-        if let Some(metrics) = journal.and_then(|j| j.lookup(key)) {
-            return RunReport {
-                workload: store.workload(id),
-                protocol: config.protocol.label(),
-                config,
-                metrics: metrics.clone(),
-            };
-        }
-        let report = store.replay_serial(id, config);
-        if let Some(journal) = journal {
-            journal.record(key, report.workload, report.protocol, &report.metrics);
-        }
-        abort.after_cell();
-        report
-    }));
-    reports
-}
-
-fn normalize_to_first(reports: Vec<RunReport>) -> Vec<NormalizedReport> {
-    let base = reports[0].cycles();
-    assert!(base > 0, "baseline executed no cycles");
-    reports
-        .into_iter()
-        .map(|report| NormalizedReport {
-            normalized_time: report.cycles() as f64 / base as f64,
-            report,
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -1106,61 +871,6 @@ mod tests {
         assert_eq!(a.cycles(), b.cycles());
         assert_eq!(a.metrics.remote_fetches, b.metrics.remote_fetches);
         assert_eq!(a.metrics.refetches, b.metrics.refetches);
-    }
-
-    #[test]
-    fn parallel_batch_matches_serial_bit_for_bit() {
-        let configs = [
-            MachineConfig::paper_base(Protocol::ideal()),
-            MachineConfig::paper_base(Protocol::paper_ccnuma()),
-            MachineConfig::paper_base(Protocol::paper_scoma()),
-            MachineConfig::paper_base(Protocol::paper_rnuma()),
-        ];
-        let par = run_normalized(&configs, || Stream { words: 2048 });
-        let ser = run_normalized_serial(&configs, || Stream { words: 2048 });
-        assert_eq!(par.len(), ser.len());
-        for (p, s) in par.iter().zip(&ser) {
-            assert_eq!(p.report.cycles(), s.report.cycles());
-            assert_eq!(p.report.metrics.references(), s.report.metrics.references());
-            assert_eq!(
-                p.report.metrics.remote_fetches,
-                s.report.metrics.remote_fetches
-            );
-            assert_eq!(p.report.metrics.refetches, s.report.metrics.refetches);
-            assert!((p.normalized_time - s.normalized_time).abs() < f64::EPSILON);
-        }
-    }
-
-    #[test]
-    fn run_parallel_preserves_job_order() {
-        let jobs: Vec<u64> = vec![4096, 1024, 2048];
-        let reports = run_parallel(&jobs, |&words| {
-            (
-                MachineConfig::paper_base(Protocol::paper_ccnuma()),
-                Stream { words },
-            )
-        });
-        assert_eq!(reports.len(), 3);
-        assert_eq!(reports[0].metrics.references(), 2 * 4096);
-        assert_eq!(reports[1].metrics.references(), 2 * 1024);
-        assert_eq!(reports[2].metrics.references(), 2 * 2048);
-    }
-
-    #[test]
-    fn run_parallel_handles_empty_and_single() {
-        let empty: Vec<u64> = Vec::new();
-        assert!(run_parallel(&empty, |&w| (
-            MachineConfig::paper_base(Protocol::paper_ccnuma()),
-            Stream { words: w }
-        ))
-        .is_empty());
-        let one = run_parallel(&[64u64], |&w| {
-            (
-                MachineConfig::paper_base(Protocol::paper_ccnuma()),
-                Stream { words: w },
-            )
-        });
-        assert_eq!(one.len(), 1);
     }
 
     #[test]
@@ -1231,39 +941,6 @@ mod tests {
     }
 
     #[test]
-    fn sweep_replays_one_fixed_stream_across_the_axis() {
-        let configs = [
-            MachineConfig::paper_base(Protocol::ideal()),
-            MachineConfig::paper_base(Protocol::paper_ccnuma()),
-            MachineConfig::paper_base(Protocol::paper_scoma()),
-            MachineConfig::paper_base(Protocol::paper_rnuma()),
-        ];
-        let reports = run_sweep(&configs, &mut Stream { words: 2048 });
-        assert_eq!(reports.len(), 4);
-        // The capture cell is the execution-driven run itself.
-        let direct = run(configs[0], &mut Stream { words: 2048 });
-        assert!(reports[0].metrics.replay_eq(&direct.metrics));
-        // Every cell simulates the same reference stream.
-        for r in &reports {
-            assert_eq!(r.metrics.references(), reports[0].metrics.references());
-            assert!(r.cycles() > 0);
-        }
-        assert_eq!(reports[1].protocol, "CC-NUMA");
-        assert_eq!(reports[3].protocol, "R-NUMA");
-        // Each replay cell is bit-identical to a serial replay of the
-        // captured stream on its configuration.
-        let mut store = TraceStore::new();
-        let (id, _) = store.capture(configs[0], &mut Stream { words: 2048 });
-        for (i, r) in reports.iter().enumerate().skip(1) {
-            let serial = store.replay_serial(id, configs[i]);
-            assert!(
-                serial.metrics.replay_eq(&r.metrics),
-                "sweep cell {i} diverged from the serial replay path"
-            );
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "cluster shape")]
     fn replay_rejects_mismatched_geometry() {
         let mut store = TraceStore::new();
@@ -1281,18 +958,6 @@ mod tests {
         assert_eq!(out, (0..37).map(|j| j * 3).collect::<Vec<_>>());
         let empty: Vec<u64> = Vec::new();
         assert!(parallel_map(&empty, |&j| j).is_empty());
-    }
-
-    #[test]
-    fn normalization_baseline_is_first() {
-        let configs = [
-            MachineConfig::paper_base(Protocol::ideal()),
-            MachineConfig::paper_base(Protocol::paper_ccnuma()),
-        ];
-        let reports = run_normalized(&configs, || Stream { words: 2048 });
-        assert_eq!(reports.len(), 2);
-        assert!((reports[0].normalized_time - 1.0).abs() < 1e-12);
-        // The finite machine can never beat the ideal one.
-        assert!(reports[1].normalized_time >= 1.0 - 1e-12);
+        assert_eq!(parallel_map(&[7u64], |&j| j + 1), [8]);
     }
 }

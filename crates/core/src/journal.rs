@@ -16,13 +16,12 @@
 //! loses at most the line being written. Loading skips unparsable lines
 //! (a torn final write) instead of failing.
 //!
-//! Journals are opt-in via `RNUMA_JOURNAL`:
-//!
-//! * in the core driver ([`crate::experiment::run_sweep`]) the value is
-//!   the journal file path;
-//! * the bench driver (`rnuma_bench::sweep_grid`) additionally resolves
-//!   the value `1` to `sweep_journal.jsonl` in the canonical results
-//!   directory.
+//! This module is the file format and the in-memory index; it reads no
+//! environment. The sweep driver (`rnuma_bench::sweep_grid`) opens a
+//! journal when `RNUMA_JOURNAL` is set, through its one resolver,
+//! `rnuma_bench::sweep_journal_from_env`: the value `1` means
+//! `sweep_journal.jsonl` in the canonical results directory, any other
+//! non-empty value is the journal file path.
 //!
 //! Capture cells (the baseline every replay derives its stream from)
 //! are *not* journaled: a resume must re-capture to regenerate the
@@ -104,28 +103,6 @@ impl Journal {
             entries,
             append_lock: Mutex::new(()),
         })
-    }
-
-    /// The journal configured by `RNUMA_JOURNAL` (the value is the
-    /// journal file path), if any. An unopenable journal warns on
-    /// stderr once per process and disables journaling — a sweep must
-    /// run (slower, un-resumable) rather than abort.
-    #[must_use]
-    pub fn from_env() -> Option<Journal> {
-        let path = crate::experiment::env_raw("RNUMA_JOURNAL")?;
-        if path.trim().is_empty() {
-            return None;
-        }
-        match Journal::open(&path) {
-            Ok(j) => Some(j),
-            Err(e) => {
-                static WARN: std::sync::Once = std::sync::Once::new();
-                WARN.call_once(|| {
-                    eprintln!("warning: cannot open RNUMA_JOURNAL={path}: {e}; journaling off");
-                });
-                None
-            }
-        }
     }
 
     /// The journal's file path.

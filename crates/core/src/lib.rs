@@ -28,12 +28,13 @@
 //!   point-to-point interconnect with NI contention.
 //! * [`program`] — the shared-memory programming framework for workload
 //!   kernels (allocation, parallel phases, barriers, think time).
-//! * [`experiment`] — one-call runs, ideal-normalized batches, the
-//!   parallel batch driver (`RNUMA_JOBS` workers across machines), and
-//!   the trace-once/replay-many sweep driver (`TraceStore`, `run_sweep`;
-//!   see `docs/SWEEP.md`). Every replay is serial batched replay of a
-//!   [`TraceOp`] stream, bit-identical to the live run it was captured
-//!   from (see `docs/DETERMINISM.md`).
+//! * [`experiment`] — one-call runs, the worker pool (`RNUMA_JOBS`
+//!   workers across machines), and the trace-once/replay-many building
+//!   blocks (`TraceStore` capture and `replay_serial`; the sweep driver
+//!   on top of them is `rnuma_bench::sweep_grid`, see `docs/SWEEP.md`).
+//!   Every replay is serial batched replay of a [`TraceOp`] stream,
+//!   bit-identical to the live run it was captured from (see
+//!   `docs/DETERMINISM.md`).
 //! * [`model`] — the paper's Section-3.2 competitive analysis (EQ 1–3).
 //! * [`metrics`] — everything the paper's tables and figures report.
 //!
@@ -78,10 +79,7 @@ pub mod program;
 mod trace;
 
 pub use config::{MachineConfig, Protocol};
-pub use experiment::{
-    parallel_map, run, run_normalized, run_normalized_serial, run_parallel, run_sweep,
-    run_sweep_journaled, run_traced, NormalizedReport, RunReport, SweepAbort, TraceId, TraceStore,
-};
+pub use experiment::{parallel_map, run, run_traced, RunReport, SweepAbort, TraceId, TraceStore};
 pub use journal::{cell_key, Journal};
 pub use machine::Machine;
 pub use metrics::{Metrics, PageProfile};

@@ -186,167 +186,9 @@ impl<V: Default> PagedMap<V> {
     }
 }
 
-/// Assigns `page` to one of `shards` page-granular banks.
-///
-/// A pure placement hash for splitting per-page state into `shards`
-/// independent tables. No simulator component banks its state today;
-/// the function is kept as a standalone, tested primitive. Its contract
-/// is purely structural:
-///
-/// * **total**: every page maps to a bank in `0..shards` (for
-///   `shards <= 1`, always bank 0);
-/// * **stable**: a pure function of `(page, shards)` — the same page
-///   lands in the same bank on every call, in every process;
-/// * **page-granular**: derived from the page number alone, so all
-///   blocks and byte addresses within one page agree.
-///
-/// The definition is fixed (SplitMix64's finalizer over the page
-/// number, reduced modulo `shards`) and mirrored by the reference
-/// model in `crates/mem/tests/properties.rs`.
-#[must_use]
-#[inline]
-pub fn dir_shard_of(page: VPage, shards: usize) -> usize {
-    if shards <= 1 {
-        return 0;
-    }
-    let mut x = page.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^= x >> 31;
-    (x % shards as u64) as usize
-}
-
-/// Per-bank epoch high-water tags for a [`dir_shard_of`]-banked page
-/// directory.
-///
-/// Keeps, per *bank*, the maximum epoch stamp ever recorded for any of
-/// its pages — a coarse summary a consumer can check without walking
-/// the bank: if a cursor has passed `bank_tag(b)`, no page in bank `b`
-/// carries a later stamp. The tags are layout-only bookkeeping and have
-/// no caller in the simulator today.
-///
-/// Tags are monotone (recording is a per-bank `max`) and merge by
-/// bank-wise `max`.
-#[derive(Clone, Debug)]
-pub struct EpochTags {
-    banks: Vec<u64>,
-}
-
-impl EpochTags {
-    /// Zeroed tags for `banks` banks (minimum 1, matching
-    /// [`dir_shard_of`]'s degenerate single-bank case).
-    #[must_use]
-    pub fn new(banks: usize) -> EpochTags {
-        EpochTags {
-            banks: vec![0; banks.max(1)],
-        }
-    }
-
-    /// Number of banks.
-    #[must_use]
-    pub fn banks(&self) -> usize {
-        self.banks.len()
-    }
-
-    /// Folds an ownership stamp for `page` into its bank's tag.
-    #[inline]
-    pub fn record(&mut self, page: VPage, epoch: u64) {
-        let bank = dir_shard_of(page, self.banks.len());
-        self.banks[bank] = self.banks[bank].max(epoch);
-    }
-
-    /// The high-water ownership epoch of one bank.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `bank >= self.banks()`.
-    #[must_use]
-    pub fn bank_tag(&self, bank: usize) -> u64 {
-        self.banks[bank]
-    }
-
-    /// The high-water ownership epoch across all banks.
-    #[must_use]
-    pub fn high_water(&self) -> u64 {
-        self.banks.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Folds `other`'s tags in, bank by bank (bank counts must match —
-    /// tags always accompany a directory of the same banking).
-    pub fn merge_from(&mut self, other: &EpochTags) {
-        debug_assert_eq!(self.banks.len(), other.banks.len());
-        for (dst, src) in self.banks.iter_mut().zip(&other.banks) {
-            *dst = (*dst).max(*src);
-        }
-    }
-
-    /// Resets every tag to zero (bank structure is kept).
-    pub fn clear(&mut self) {
-        self.banks.fill(0);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn epoch_tags_track_per_bank_high_water() {
-        let mut tags = EpochTags::new(8);
-        assert_eq!(tags.banks(), 8);
-        assert_eq!(tags.high_water(), 0);
-        for p in 0..64u64 {
-            tags.record(VPage(p), p);
-        }
-        assert_eq!(tags.high_water(), 63);
-        // Each bank's tag is the max epoch of the pages it hosts, and
-        // recording an older epoch never regresses a tag.
-        let hot = VPage(63);
-        let hot_bank = dir_shard_of(hot, 8);
-        let before = tags.bank_tag(hot_bank);
-        tags.record(hot, 1);
-        assert_eq!(tags.bank_tag(hot_bank), before, "tags are monotone");
-        // Merge is a bank-wise max; clear zeroes but keeps the banking.
-        let mut other = EpochTags::new(8);
-        other.record(VPage(0), 1000);
-        tags.merge_from(&other);
-        assert_eq!(tags.high_water(), 1000);
-        tags.clear();
-        assert_eq!((tags.banks(), tags.high_water()), (8, 0));
-    }
-
-    #[test]
-    fn epoch_tags_degenerate_bankings_stay_total() {
-        for banks in [0usize, 1] {
-            let mut tags = EpochTags::new(banks);
-            assert_eq!(tags.banks(), 1, "minimum one bank");
-            tags.record(VPage(u64::MAX), 7);
-            assert_eq!(tags.bank_tag(0), 7);
-        }
-    }
-
-    #[test]
-    fn dir_shard_assignment_is_total_and_stable() {
-        for shards in [0usize, 1, 2, 3, 8, 64] {
-            for p in (0u64..4096).chain([u64::MAX, u64::MAX - 4095]) {
-                let bank = dir_shard_of(VPage(p), shards);
-                assert!(bank < shards.max(1), "page {p} escaped {shards} banks");
-                assert_eq!(bank, dir_shard_of(VPage(p), shards), "unstable for {p}");
-            }
-        }
-    }
-
-    #[test]
-    fn dir_shard_assignment_spreads_pages() {
-        // Not a statistical guarantee — just a tripwire against a
-        // degenerate constant hash: 4096 consecutive pages across 8
-        // banks must populate every bank.
-        let mut seen = [0usize; 8];
-        for p in 0..4096u64 {
-            seen[dir_shard_of(VPage(p), 8)] += 1;
-        }
-        assert!(seen.iter().all(|&n| n > 0), "empty bank: {seen:?}");
-    }
 
     #[test]
     fn absent_blocks_read_none() {

@@ -9,7 +9,7 @@ use rnuma_mem::fxmap::FxMap64;
 use rnuma_mem::l1::L1Cache;
 use rnuma_mem::moesi::Moesi;
 use rnuma_mem::page_cache::PageCache;
-use rnuma_mem::paged::{dir_shard_of, PagedMap};
+use rnuma_mem::paged::PagedMap;
 
 fn arb_tag() -> impl Strategy<Value = AccessTag> {
     prop_oneof![
@@ -354,78 +354,6 @@ proptest! {
                 prop_assert!(pair[0].0 .0 < pair[1].0 .0, "page {} out of order", page);
             }
             prop_assert_eq!(from_paged, from_model, "page {}", page);
-        }
-    }
-
-    /// Page bank assignment is total, stable, and
-    /// pinned to the reference model below: for any page and any bank
-    /// count the production hash must land in range, return the same
-    /// bank every time it is asked, and agree bit-for-bit with an
-    /// independent spelling of the SplitMix64 finalizer. Pinning the
-    /// constants here means any edit to the production hash — which
-    /// would silently re-home every banked page — fails a test.
-    #[test]
-    fn dir_shard_assignment_matches_reference_model(
-        pages in prop::collection::vec(any::<u64>(), 1..200),
-        shards in prop_oneof![
-            Just(1usize), Just(2usize), Just(3usize), Just(8usize),
-            Just(17usize), Just(256usize),
-            1usize..=256,
-        ],
-    ) {
-        // Independent reference: SplitMix64's finalizer over the raw
-        // page number, reduced mod the bank count (1 bank → bank 0).
-        let reference = |page: u64| -> usize {
-            if shards == 1 {
-                return 0;
-            }
-            let mut z = page.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^= z >> 31;
-            (z % shards as u64) as usize
-        };
-        for &p in &pages {
-            let bank = dir_shard_of(VPage(p), shards);
-            prop_assert!(bank < shards, "page {p} overflowed {shards} banks");
-            prop_assert_eq!(bank, dir_shard_of(VPage(p), shards), "unstable for page {}", p);
-            prop_assert_eq!(bank, reference(p), "diverged from reference for page {}", p);
-        }
-    }
-
-    /// Bank assignment under boundary-straddling access runs: every
-    /// block of a run maps through its *page's* bank, so a run that
-    /// crosses a page boundary changes bank only at exactly that
-    /// boundary, and revisiting the same pages from a later run lands
-    /// in the same banks — the stability a banked page directory relies
-    /// on when the same page is reached from different runs.
-    #[test]
-    fn dir_shard_is_page_granular_across_straddling_runs(
-        runs in prop::collection::vec(
-            (0u64..64, 0u64..BLOCKS_PER_PAGE, 1u64..(2 * BLOCKS_PER_PAGE + 2)),
-            1..40,
-        ),
-        shards in 1usize..=16,
-    ) {
-        let mut first_seen: std::collections::BTreeMap<u64, usize> =
-            std::collections::BTreeMap::new();
-        for &(page, offset, len) in &runs {
-            let start = page * BLOCKS_PER_PAGE + offset;
-            for b in start..start + len {
-                let vpage = VBlock(b).vpage();
-                let bank = dir_shard_of(vpage, shards);
-                prop_assert!(bank < shards);
-                // Same page → same bank, no matter which run (or which
-                // side of a straddled boundary) reached it.
-                let prior = first_seen.entry(vpage.0).or_insert(bank);
-                prop_assert_eq!(
-                    *prior, bank,
-                    "page {} changed bank between visits", vpage.0
-                );
-                // Crossing into the next page re-keys the hash; within
-                // a page the bank is constant by construction.
-                prop_assert_eq!(bank, dir_shard_of(VBlock(b).vpage(), shards));
-            }
         }
     }
 

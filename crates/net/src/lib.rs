@@ -7,8 +7,7 @@
 //! * [`msg`] — the directory protocol's message vocabulary and size
 //!   classes;
 //! * [`net`] — the [`Network`]: constant-latency fabric plus per-node
-//!   FCFS NI ports in both directions, splittable into per-node-range
-//!   [`NetWindow`]s.
+//!   FCFS NI ports in both directions.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -18,4 +17,4 @@ pub mod msg;
 pub mod net;
 
 pub use msg::{MsgKind, SizeClass};
-pub use net::{NetConfig, NetWindow, Network};
+pub use net::{NetConfig, Network};

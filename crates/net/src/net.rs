@@ -7,28 +7,20 @@
 //! each node has one outbound and one inbound FCFS network-interface
 //! port whose occupancy depends on the message's size class.
 //!
-//! # Windows
-//!
 //! All per-message state (both NI ports and the send counters, which are
-//! attributed to the *sender*) lives in one [`NodeNi`] per node, so the
-//! network can be split into disjoint [`NetWindow`]s over node ranges
-//! with [`Network::windows`]. The simulator itself drives the whole
-//! network through [`Network::send`]/[`Network::post`] (a full-width
-//! window); the split views are a standalone, tested primitive with no
-//! caller in the simulator. Two message operations exist:
+//! attributed to the *sender*) lives in one `NodeNi` per node. Two
+//! message operations exist:
 //!
-//! * [`NetWindow::send`] — a synchronous transaction hop: occupies the
-//!   sender's out-NI *and* the receiver's in-NI, so both endpoints must
-//!   belong to the window.
-//! * [`NetWindow::post`] — a posted (fire-and-forget) message, used for
+//! * [`Network::send`] — a synchronous transaction hop: occupies the
+//!   sender's out-NI *and* the receiver's in-NI;
+//! * [`Network::post`] — a posted (fire-and-forget) message, used for
 //!   eviction write-backs: it occupies only the sender's out-NI and
 //!   sinks at the destination's memory controller without occupying the
-//!   in-NI port, so only the *sender* must belong to the window.
+//!   in-NI port.
 
 use crate::msg::{MsgKind, SizeClass};
 use rnuma_mem::addr::NodeId;
 use rnuma_sim::{Cycles, Resource};
-use std::ops::Range;
 
 /// Interconnect timing parameters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -65,19 +57,10 @@ impl NetConfig {
     }
 }
 
-/// Out-of-window NI access: a containment bug in the caller, kept out of
-/// line so the bounds check on the send/post fast path stays a single
-/// compare-and-branch to a cold block.
-#[cold]
-#[inline(never)]
-fn window_violation(node: NodeId, base: usize, len: usize) -> ! {
-    panic!("node {node} outside NI window {base}..{}", base + len);
-}
-
 /// One node's complete network-interface state: both FCFS ports plus the
 /// node's (sender-attributed) message counters.
 #[derive(Clone, Debug)]
-pub struct NodeNi {
+struct NodeNi {
     out: Resource,
     inbound: Resource,
     sent_by_kind: [u64; MsgKind::COUNT],
@@ -93,14 +76,12 @@ impl NodeNi {
     }
 
     /// Messages this node has sent, of any kind.
-    #[must_use]
-    pub fn total_sent(&self) -> u64 {
+    fn total_sent(&self) -> u64 {
         self.sent_by_kind.iter().sum()
     }
 
     /// Queueing delay imposed by this node's two NI ports.
-    #[must_use]
-    pub fn wait(&self) -> Cycles {
+    fn wait(&self) -> Cycles {
         self.out.total_wait() + self.inbound.total_wait()
     }
 }
@@ -153,87 +134,50 @@ impl Network {
         self.config
     }
 
-    /// A window spanning the whole network (the serial execution view).
-    #[must_use]
-    pub fn full_window(&mut self) -> NetWindow<'_> {
-        NetWindow {
-            config: self.config,
-            base: 0,
-            nis: &mut self.nis,
-        }
-    }
-
-    /// Detaches every node's NI state, leaving the network empty until
-    /// [`Network::put_nis`] restores it: an ownership handoff that lets
-    /// NI state move into an owned value (and across threads) without
-    /// borrowing the network.
-    ///
-    /// While detached, every message operation panics (there are no
-    /// nodes); callers must restore the state before using the network.
-    #[must_use]
-    pub fn take_nis(&mut self) -> Vec<NodeNi> {
-        std::mem::take(&mut self.nis)
-    }
-
-    /// Restores NI state previously removed with [`Network::take_nis`]
-    /// (in the same node order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the network is not currently empty.
-    pub fn put_nis(&mut self, nis: Vec<NodeNi>) {
-        assert!(
-            self.nis.is_empty(),
-            "put_nis on a network that still owns NI state"
-        );
-        self.nis = nis;
-    }
-
-    /// Splits the network into disjoint windows, one per node range.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `ranges` are contiguous, ascending, and cover all
-    /// nodes exactly once.
-    #[must_use]
-    pub fn windows(&mut self, ranges: &[Range<usize>]) -> Vec<NetWindow<'_>> {
-        let config = self.config;
-        let mut out = Vec::with_capacity(ranges.len());
-        let mut rest: &mut [NodeNi] = &mut self.nis;
-        let mut at = 0usize;
-        for r in ranges {
-            assert_eq!(r.start, at, "ranges must tile the node space");
-            let (head, tail) = rest.split_at_mut(r.end - r.start);
-            out.push(NetWindow {
-                config,
-                base: r.start,
-                nis: head,
-            });
-            rest = tail;
-            at = r.end;
-        }
-        assert!(rest.is_empty(), "ranges must cover every node");
-        out
-    }
-
     /// Sends one synchronous message, returning its delivery time at
-    /// `to`. See [`NetWindow::send`].
+    /// `to`.
+    ///
+    /// The sender's outbound NI is occupied first (queueing behind other
+    /// departures), the fabric adds its constant latency, and the
+    /// receiver's inbound NI is occupied on arrival (queueing behind
+    /// other arrivals). The returned time is when the payload is
+    /// available to the destination's protocol controller.
     ///
     /// # Panics
     ///
-    /// Panics if `from == to` or either id is out of range.
+    /// Panics if `from == to` (nodes never message themselves) or either
+    /// id is out of range.
     pub fn send(&mut self, now: Cycles, from: NodeId, to: NodeId, kind: MsgKind) -> Cycles {
-        self.full_window().send(now, from, to, kind)
+        assert_ne!(from, to, "loopback messages are a protocol bug");
+        let occ = self.config.occupancy(kind.size_class());
+        let departed = {
+            let src = &mut self.nis[from.0 as usize];
+            let t = src.out.acquire(now, occ) + occ;
+            src.sent_by_kind[kind.index()] += 1;
+            t
+        };
+        let at_dest = departed + self.config.latency;
+        self.nis[to.0 as usize].inbound.acquire(at_dest, occ) + occ
     }
 
-    /// Posts one fire-and-forget message, returning its arrival time at
-    /// `to`'s memory controller. See [`NetWindow::post`].
+    /// Posts one fire-and-forget message (an eviction write-back),
+    /// returning its arrival time at `to`.
+    ///
+    /// Posted messages occupy the sender's outbound NI and traverse the
+    /// fabric, but sink directly at the destination's memory controller
+    /// without occupying its inbound NI port and without any reply —
+    /// only sender-side state is touched.
     ///
     /// # Panics
     ///
     /// Panics if `from == to` or `from` is out of range.
     pub fn post(&mut self, now: Cycles, from: NodeId, to: NodeId, kind: MsgKind) -> Cycles {
-        self.full_window().post(now, from, to, kind)
+        assert_ne!(from, to, "loopback messages are a protocol bug");
+        let occ = self.config.occupancy(kind.size_class());
+        let src = &mut self.nis[from.0 as usize];
+        let departed = src.out.acquire(now, occ) + occ;
+        src.sent_by_kind[kind.index()] += 1;
+        departed + self.config.latency
     }
 
     /// The uncontended one-way cost of a synchronous message of `kind`,
@@ -263,90 +207,6 @@ impl Network {
     #[must_use]
     pub fn total_ni_wait(&self) -> Cycles {
         self.nis.iter().map(NodeNi::wait).sum()
-    }
-}
-
-/// A mutable view of a contiguous node range's NI state.
-///
-/// Obtained from [`Network::full_window`] or [`Network::windows`]; all
-/// node ids are *absolute* machine node ids, and indexing a node outside
-/// the window panics — the window's containment guarantee.
-#[derive(Debug)]
-pub struct NetWindow<'a> {
-    config: NetConfig,
-    base: usize,
-    nis: &'a mut [NodeNi],
-}
-
-impl<'a> NetWindow<'a> {
-    /// A window over externally owned NI state (e.g. state that was
-    /// detached with [`Network::take_nis`]), covering absolute node
-    /// ids `base..base + nis.len()`.
-    #[must_use]
-    pub fn over(config: NetConfig, base: usize, nis: &'a mut [NodeNi]) -> NetWindow<'a> {
-        NetWindow { config, base, nis }
-    }
-
-    /// Wrapping index arithmetic turns "below base" into a huge index,
-    /// so one length compare covers both out-of-window directions; the
-    /// panic itself lives in a cold out-of-line block.
-    #[inline]
-    fn ni_mut(&mut self, node: NodeId) -> &mut NodeNi {
-        let idx = (node.0 as usize).wrapping_sub(self.base);
-        let len = self.nis.len();
-        match self.nis.get_mut(idx) {
-            Some(ni) => ni,
-            None => window_violation(node, self.base, len),
-        }
-    }
-
-    /// Sends one synchronous message, returning its delivery time at
-    /// `to`.
-    ///
-    /// The sender's outbound NI is occupied first (queueing behind other
-    /// departures), the fabric adds its constant latency, and the
-    /// receiver's inbound NI is occupied on arrival (queueing behind
-    /// other arrivals). The returned time is when the payload is
-    /// available to the destination's protocol controller.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from == to` (nodes never message themselves) or either
-    /// id is outside the window.
-    #[inline]
-    pub fn send(&mut self, now: Cycles, from: NodeId, to: NodeId, kind: MsgKind) -> Cycles {
-        assert_ne!(from, to, "loopback messages are a protocol bug");
-        let occ = self.config.occupancy(kind.size_class());
-        let departed = {
-            let src = self.ni_mut(from);
-            let t = src.out.acquire(now, occ) + occ;
-            src.sent_by_kind[kind.index()] += 1;
-            t
-        };
-        let at_dest = departed + self.config.latency;
-        self.ni_mut(to).inbound.acquire(at_dest, occ) + occ
-    }
-
-    /// Posts one fire-and-forget message (an eviction write-back),
-    /// returning its arrival time at `to`.
-    ///
-    /// Posted messages occupy the sender's outbound NI and traverse the
-    /// fabric, but sink directly at the destination's memory controller
-    /// without occupying its inbound NI port and without any reply —
-    /// only sender-side state is touched, so `to` may lie outside the
-    /// window.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from == to` or `from` is outside the window.
-    #[inline]
-    pub fn post(&mut self, now: Cycles, from: NodeId, to: NodeId, kind: MsgKind) -> Cycles {
-        assert_ne!(from, to, "loopback messages are a protocol bug");
-        let occ = self.config.occupancy(kind.size_class());
-        let src = self.ni_mut(from);
-        let departed = src.out.acquire(now, occ) + occ;
-        src.sent_by_kind[kind.index()] += 1;
-        departed + self.config.latency
     }
 }
 
@@ -437,63 +297,5 @@ mod tests {
         // arrival right behind it sees an idle port.
         let t2 = n.send(Cycles(0), NodeId(2), NodeId(1), MsgKind::GetShared);
         assert_eq!(t2, Cycles(108));
-    }
-
-    #[test]
-    fn windows_split_state_and_keep_absolute_ids() {
-        let mut n = net();
-        n.send(Cycles(0), NodeId(6), NodeId(7), MsgKind::GetShared);
-        {
-            let mut ws = n.windows(&[0..4, 4..8]);
-            let t = ws[1].send(Cycles(0), NodeId(6), NodeId(7), MsgKind::GetShared);
-            assert_eq!(t, Cycles(112), "window shares the full network's NI state");
-            // A posted message may target a node outside the window.
-            let p = ws[1].post(Cycles(0), NodeId(4), NodeId(0), MsgKind::WriteBack);
-            assert_eq!(p, Cycles(108));
-        }
-        assert_eq!(n.total_sends(), 3);
-    }
-
-    #[test]
-    fn detached_nis_drive_windows_and_reattach() {
-        let mut n = net();
-        n.send(Cycles(0), NodeId(4), NodeId(5), MsgKind::GetShared);
-        let mut nis = n.take_nis();
-        {
-            let (head, tail) = nis.split_at_mut(4);
-            let mut w0 = NetWindow::over(NetConfig::default(), 0, head);
-            let mut w1 = NetWindow::over(NetConfig::default(), 4, tail);
-            // The detached state carries the earlier send's occupancy.
-            let t = w1.send(Cycles(0), NodeId(4), NodeId(5), MsgKind::GetShared);
-            assert_eq!(t, Cycles(112));
-            // Posted messages may leave the window.
-            let p = w0.post(Cycles(0), NodeId(0), NodeId(7), MsgKind::WriteBack);
-            assert_eq!(p, Cycles(108));
-        }
-        n.put_nis(nis);
-        assert_eq!(n.total_sends(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "still owns NI state")]
-    fn double_attach_panics() {
-        let mut n = net();
-        n.put_nis(vec![]);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside NI window")]
-    fn window_rejects_out_of_range_sender() {
-        let mut n = net();
-        let mut ws = n.windows(&[0..4, 4..8]);
-        let _ = ws[1].send(Cycles(0), NodeId(1), NodeId(5), MsgKind::GetShared);
-    }
-
-    #[test]
-    #[should_panic(expected = "ranges must cover")]
-    fn windows_must_tile_the_node_space() {
-        let mut n = net();
-        let half = 0..4;
-        let _ = n.windows(std::slice::from_ref(&half));
     }
 }

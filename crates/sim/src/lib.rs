@@ -49,4 +49,4 @@ pub use fault::{FaultEvent, FaultKind, FaultLog, FaultPlan};
 pub use resource::Resource;
 pub use rng::DetRng;
 pub use stats::{Cdf, Counter, Histogram};
-pub use time::{Cycles, Epoch, EpochClock};
+pub use time::Cycles;

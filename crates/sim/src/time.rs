@@ -167,59 +167,6 @@ impl From<Cycles> for u64 {
     }
 }
 
-/// A logical epoch number.
-///
-/// Epochs are *logical* time, orthogonal to [`Cycles`]: a run that is
-/// cut into barrier-separated windows can number them consecutively.
-/// Keeping the number a distinct type stops it from being mixed up with
-/// cycle counts or trace sequence numbers. No simulator component
-/// numbers epochs today; the type is a standalone, tested primitive.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Epoch(pub u64);
-
-impl fmt::Display for Epoch {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "epoch {}", self.0)
-    }
-}
-
-/// An epoch counter advanced at each barrier.
-///
-/// # Example
-///
-/// ```
-/// use rnuma_sim::time::{Epoch, EpochClock};
-///
-/// let mut clock = EpochClock::new();
-/// assert_eq!(clock.current(), Epoch(0));
-/// assert_eq!(clock.advance(), Epoch(1));
-/// assert_eq!(clock.current(), Epoch(1));
-/// ```
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct EpochClock {
-    current: Epoch,
-}
-
-impl EpochClock {
-    /// A clock at epoch 0 (the first execution window).
-    #[must_use]
-    pub fn new() -> EpochClock {
-        EpochClock::default()
-    }
-
-    /// The epoch currently executing.
-    #[must_use]
-    pub fn current(&self) -> Epoch {
-        self.current
-    }
-
-    /// Ends the current epoch at a barrier and returns the next one.
-    pub fn advance(&mut self) -> Epoch {
-        self.current.0 += 1;
-        self.current
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -8,9 +8,10 @@
 //! shared data structures at the paper's input sizes, the phase/barrier
 //! skeleton, the per-CPU traversal order, and the read/write sharing
 //! pattern — emitting every load and store to the simulated machine.
-//! DESIGN.md §4 documents this substitution and why it preserves the
-//! paper's results, which depend on data-access structure rather than
-//! instruction encodings.
+//! The substitution preserves the paper's results, which depend on
+//! data-access structure rather than instruction encodings; each
+//! kernel's module documentation names the input and sharing pattern
+//! it reproduces.
 //!
 //! Each kernel takes a [`Scale`]: [`Scale::Paper`] reproduces Table 3's
 //! inputs; [`Scale::Small`] and [`Scale::Tiny`] shrink the data sets for

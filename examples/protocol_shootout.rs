@@ -2,30 +2,31 @@
 //! machines — ideal, CC-NUMA, S-COMA, R-NUMA — and prints the
 //! Figure-6-style normalized comparison plus traffic counters.
 //!
-//! Uses the trace-once/replay-many sweep driver
-//! (`rnuma::experiment::run_sweep`): the application executes once, on
-//! the ideal baseline, and the captured reference stream replays
-//! against the three finite machines (see `docs/SWEEP.md`).
+//! Uses the trace-once/replay-many sweep driver the figure binaries use
+//! (`rnuma_bench::sweep_grid`): the application executes once, on the
+//! ideal baseline, and the captured reference stream replays against
+//! the three finite machines (see `docs/SWEEP.md`). `RNUMA_JOURNAL=1`
+//! checkpoints the replay cells into `results/sweep_journal.jsonl`.
 //!
 //! Run with:
 //! `cargo run --release -p rnuma-bench --example protocol_shootout -- [app] [tiny|small|paper]`
 
 use rnuma::config::{MachineConfig, Protocol};
-use rnuma::experiment::run_sweep;
-use rnuma_workloads::{by_name, Scale, APP_NAMES};
+use rnuma_bench::sweep_grid;
+use rnuma_workloads::{Scale, APP_NAMES};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let app = args.get(1).map_or("moldyn", String::as_str);
+    let arg = args.get(1).map_or("moldyn", String::as_str);
     let scale = match args.get(2).map(String::as_str) {
         Some("paper") => Scale::Paper,
         Some("small") => Scale::Small,
         _ => Scale::Tiny,
     };
-    assert!(
-        APP_NAMES.contains(&app),
-        "unknown app {app}; choose one of {APP_NAMES:?}"
-    );
+    let app = APP_NAMES
+        .into_iter()
+        .find(|&name| name == arg)
+        .unwrap_or_else(|| panic!("unknown app {arg}; choose one of {APP_NAMES:?}"));
 
     println!("{app} at {scale:?} scale on the paper's base machines\n");
     println!(
@@ -39,11 +40,10 @@ fn main() {
         Protocol::paper_rnuma(),
     ]
     .map(MachineConfig::paper_base);
-    let mut w = by_name(app, scale).expect("validated above");
     // One execution, three replays: every machine sees the same stream.
-    let reports = run_sweep(&configs, &mut w);
-    let base = reports[0].cycles() as f64;
-    for report in &reports {
+    let rows = sweep_grid(&[app], &configs, scale);
+    let base = rows[0][0].cycles() as f64;
+    for report in &rows[0] {
         println!(
             "{:38} {:12} {:7.2} {:9} {:9} {:7} {:7}",
             report.config.protocol.to_string(),

@@ -48,47 +48,34 @@ fn different_seeds_change_stochastic_workloads() {
 
 #[test]
 fn parallel_driver_reports_are_bit_identical_to_serial() {
-    // The figure binaries fan (config, workload) pairs out over
-    // threads; every NormalizedReport must match the serial reference
-    // implementation exactly, on real application kernels.
-    use rnuma::experiment::{run_normalized, run_normalized_serial};
+    // `run_grid` fans (app, config) cells out over the worker pool;
+    // every cell must match a serial `run` of the same pair exactly,
+    // on real application kernels, in grid order.
     let configs = [
         MachineConfig::paper_base(Protocol::ideal()),
         MachineConfig::paper_base(Protocol::paper_ccnuma()),
         MachineConfig::paper_base(Protocol::paper_scoma()),
         MachineConfig::paper_base(Protocol::paper_rnuma()),
     ];
-    for app in ["em3d", "lu", "moldyn"] {
-        let par = run_normalized(&configs, || by_name(app, Scale::Tiny).expect("known app"));
-        let ser = run_normalized_serial(&configs, || by_name(app, Scale::Tiny).expect("known app"));
-        assert_eq!(par.len(), ser.len());
-        for (p, s) in par.iter().zip(&ser) {
-            assert_eq!(p.report.protocol, s.report.protocol, "{app} order changed");
+    let apps = ["em3d", "lu", "moldyn"];
+    let rows = rnuma_bench::run_grid(&apps, &configs, Scale::Tiny);
+    assert_eq!(rows.len(), apps.len());
+    for (&app, row) in apps.iter().zip(&rows) {
+        assert_eq!(row.len(), configs.len(), "{app} row length changed");
+        for (par, &config) in row.iter().zip(&configs) {
+            let ser = run(config, &mut by_name(app, Scale::Tiny).expect("known app"));
             assert_eq!(
-                p.report.cycles(),
-                s.report.cycles(),
-                "{app} cycles diverged"
-            );
-            assert_eq!(
-                p.report.metrics.references(),
-                s.report.metrics.references(),
-                "{app} reference counts diverged"
-            );
-            assert_eq!(
-                p.report.metrics.remote_fetches, s.report.metrics.remote_fetches,
-                "{app} remote fetches diverged"
-            );
-            assert_eq!(
-                p.report.metrics.refetches, s.report.metrics.refetches,
-                "{app} refetches diverged"
-            );
-            assert_eq!(
-                p.report.metrics.os.page_replacements, s.report.metrics.os.page_replacements,
-                "{app} page replacements diverged"
+                (par.workload, par.protocol),
+                (ser.workload, ser.protocol),
+                "{app} order changed"
             );
             assert!(
-                (p.normalized_time - s.normalized_time).abs() < f64::EPSILON,
-                "{app} normalized time diverged"
+                par.metrics.replay_eq(&ser.metrics),
+                "{app} on {}: parallel cell diverged from serial run\n\
+                 serial:   {}\nparallel: {}",
+                config.protocol,
+                ser.metrics,
+                par.metrics
             );
         }
     }

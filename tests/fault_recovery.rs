@@ -3,15 +3,16 @@
 //! never results, and a sweep killed mid-run by an injected abort must
 //! leave no spill file behind and, resumed from its journal, finish
 //! bit-identical to a clean uninterrupted sweep, whichever cell the
-//! abort hits. A sweep whose worker dies leaves nothing behind that
+//! abort hits. The journal drills drive the figure driver itself,
+//! through `sweep_grid_journaled`, its explicit-journal entry point. A sweep whose worker dies leaves nothing behind that
 //! later sweeps in the same process could trip over (see
 //! `docs/ROBUSTNESS.md`).
 
 use rnuma::config::MachineConfig;
-use rnuma::experiment::{run_sweep_journaled, run_traced, SweepAbort, TraceStore};
+use rnuma::experiment::{run_traced, RunReport, SweepAbort, TraceStore};
 use rnuma::journal::Journal;
 use rnuma::TraceOp;
-use rnuma_bench::sweep_grid;
+use rnuma_bench::{sweep_grid, sweep_grid_journaled};
 use rnuma_sim::fault::{FaultKind, FaultPlan};
 use rnuma_workloads::{by_name, Scale};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -96,7 +97,7 @@ fn abort_drill_leaves_no_spill_file_behind() {
     // The abort@0 crash drill: the injected panic unwinds past the
     // store, whose teardown must take the spill file with it.
     let abort = SweepAbort::with_plan(Some(FaultPlan::new(0).at(FaultKind::SweepAbort, 0)));
-    let crashed = std::panic::catch_unwind(AssertUnwindSafe(move || {
+    let crashed = catch_unwind(AssertUnwindSafe(move || {
         let _store = store;
         abort.after_cell();
     }));
@@ -114,11 +115,43 @@ fn abort_drill_leaves_no_spill_file_behind() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The grid the journal drills sweep: two apps, so abort points land in
+/// both rows, on the figure configurations.
+const DRILL_APPS: [&str; 2] = ["em3d", "lu"];
+
+/// One journaled run of the drill grid through the figure driver.
+fn drill_sweep(journal: Option<&Journal>, abort: &SweepAbort) -> Vec<Vec<RunReport>> {
+    sweep_grid_journaled(
+        &DRILL_APPS,
+        &support::figure_configs(),
+        Scale::Tiny,
+        journal,
+        abort,
+    )
+}
+
+/// Asserts two drill grids agree cell for cell.
+fn assert_grids_equal(clean: &[Vec<RunReport>], resumed: &[Vec<RunReport>], what: &str) {
+    assert_eq!(clean.len(), resumed.len());
+    for (row_c, row_r) in clean.iter().zip(resumed) {
+        assert_eq!(row_c.len(), row_r.len());
+        for (c, r) in row_c.iter().zip(row_r) {
+            assert_eq!((c.workload, c.protocol), (r.workload, r.protocol));
+            assert!(
+                c.metrics.replay_eq(&r.metrics),
+                "{what}: resumed sweep diverged from clean on {} / {}",
+                r.workload,
+                r.protocol
+            );
+        }
+    }
+}
+
 /// The checkpoint/resume drill: a sweep killed mid-run by an injected
 /// abort, resumed from its journal, produces a grid bit-identical to a
 /// clean uninterrupted sweep — without re-simulating journaled cells.
 /// The resumed grid is then pinned against a fresh serial batched
-/// replay of the same stream: a journal restore is bit-identical to
+/// replay of the same streams: a journal restore is bit-identical to
 /// re-execution.
 #[test]
 fn journal_resume_is_bit_identical_to_clean_sweep() {
@@ -127,98 +160,61 @@ fn journal_resume_is_bit_identical_to_clean_sweep() {
     let path = dir.join("sweep_journal.jsonl");
     let configs = support::figure_configs();
 
-    let clean = run_sweep_journaled(
-        &configs,
-        &mut by_name("em3d", Scale::Tiny).unwrap(),
-        None,
-        &SweepAbort::with_plan(None),
-    );
+    let clean = drill_sweep(None, &SweepAbort::with_plan(None));
 
     // Crash the journaled sweep right after its first completed cell.
     let journal = Journal::open(&path).unwrap();
     let abort = SweepAbort::with_plan(Some(FaultPlan::new(0).at(FaultKind::SweepAbort, 0)));
-    let crashed = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        run_sweep_journaled(
-            &configs,
-            &mut by_name("em3d", Scale::Tiny).unwrap(),
-            Some(&journal),
-            &abort,
-        )
-    }));
+    let crashed = catch_unwind(AssertUnwindSafe(|| drill_sweep(Some(&journal), &abort)));
     assert!(crashed.is_err(), "the injected abort did not fire");
 
     // The killed sweep checkpointed at least the cell it completed.
     let journal = Journal::open(&path).unwrap();
-    let checkpointed = journal.entries();
     assert!(
-        checkpointed >= 1,
+        journal.entries() >= 1,
         "no cells were journaled before the crash"
     );
 
     // Resume: journaled cells restore, the rest re-simulate.
-    let resumed = run_sweep_journaled(
-        &configs,
-        &mut by_name("em3d", Scale::Tiny).unwrap(),
-        Some(&journal),
-        &SweepAbort::with_plan(None),
-    );
-    assert_eq!(clean.len(), resumed.len());
-    for (c, r) in clean.iter().zip(&resumed) {
-        assert_eq!(c.protocol, r.protocol);
-        assert!(
-            c.metrics.replay_eq(&r.metrics),
-            "resumed sweep diverged from clean on {}",
-            r.protocol
-        );
-    }
+    let resumed = drill_sweep(Some(&journal), &SweepAbort::with_plan(None));
+    assert_grids_equal(&clean, &resumed, "abort@0");
 
     // Cells restored from the journal are bit-identical to a fresh
     // serial batched replay of the same stream.
-    let trace = trace_on(configs[0]);
-    let mut store = TraceStore::new();
-    let id = store.insert("em3d", configs[0], &trace);
-    for r in &resumed {
-        let replayed = store.replay_serial(id, r.config);
-        assert!(
-            r.metrics.replay_eq(&replayed.metrics),
-            "batched re-execution diverged from the resumed journal on {}",
-            r.protocol
-        );
+    for (&app, row) in DRILL_APPS.iter().zip(&resumed) {
+        let mut store = TraceStore::new();
+        let (id, _) = store.capture(configs[0], &mut by_name(app, Scale::Tiny).unwrap());
+        for r in row {
+            let replayed = store.replay_serial(id, r.config);
+            assert!(
+                r.metrics.replay_eq(&replayed.metrics),
+                "batched re-execution diverged from the resumed journal on {app} / {}",
+                r.protocol
+            );
+        }
     }
 
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Every abort point: a journaled sweep killed by an injected panic
-/// after its `k`-th completed replay cell — for every `k` — journals at
-/// least the `k + 1` cells it completed, and its resumed run is bit-identical
-/// to a clean uninterrupted sweep.
+/// after its `k`-th completed replay cell — for every `k`, across both
+/// rows of the grid — journals at least the `k + 1` cells it completed,
+/// and its resumed run is bit-identical to a clean uninterrupted sweep.
 #[test]
 fn injected_panics_recover_bit_identical() {
     let dir = std::env::temp_dir().join(format!("rnuma-abort-points-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let configs = support::figure_configs();
-    let clean = run_sweep_journaled(
-        &configs,
-        &mut by_name("lu", Scale::Tiny).unwrap(),
-        None,
-        &SweepAbort::with_plan(None),
-    );
-    // One abort decision per journaled cell: every configuration but
-    // the capture baseline.
-    for k in 0..configs.len() as u64 - 1 {
+    let clean = drill_sweep(None, &SweepAbort::with_plan(None));
+    // One abort decision per journaled cell: every cell of every row
+    // but the capture baseline.
+    let cells = (DRILL_APPS.len() * (support::figure_configs().len() - 1)) as u64;
+    for k in 0..cells {
         let path = dir.join(format!("abort_at_{k}.jsonl"));
         let _ = std::fs::remove_file(&path);
         let journal = Journal::open(&path).unwrap();
         let abort = SweepAbort::with_plan(Some(FaultPlan::new(0).at(FaultKind::SweepAbort, k)));
-        let crashed = catch_unwind(AssertUnwindSafe(|| {
-            run_sweep_journaled(
-                &configs,
-                &mut by_name("lu", Scale::Tiny).unwrap(),
-                Some(&journal),
-                &abort,
-            )
-        }));
+        let crashed = catch_unwind(AssertUnwindSafe(|| drill_sweep(Some(&journal), &abort)));
         assert!(crashed.is_err(), "abort@{k} did not fire");
         let journal = Journal::open(&path).unwrap();
         assert!(
@@ -226,20 +222,8 @@ fn injected_panics_recover_bit_identical() {
             "abort@{k} journaled only {} cells",
             journal.entries()
         );
-        let resumed = run_sweep_journaled(
-            &configs,
-            &mut by_name("lu", Scale::Tiny).unwrap(),
-            Some(&journal),
-            &SweepAbort::with_plan(None),
-        );
-        assert_eq!(clean.len(), resumed.len());
-        for (c, r) in clean.iter().zip(&resumed) {
-            assert!(
-                c.metrics.replay_eq(&r.metrics),
-                "abort@{k}: resumed sweep diverged from clean on {}",
-                r.protocol
-            );
-        }
+        let resumed = drill_sweep(Some(&journal), &SweepAbort::with_plan(None));
+        assert_grids_equal(&clean, &resumed, &format!("abort@{k}"));
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -6,7 +6,7 @@
 //!
 //! See `docs/SWEEP.md` for the model these tests enforce and
 //! `docs/DETERMINISM.md` for the contract. The `RNUMA_JOBS`
-//! worker-count combinations are covered in `tests/sharded_env.rs`
+//! worker-count combinations are covered in `tests/sweep_env.rs`
 //! (environment mutation needs its own process).
 
 use rnuma::config::{MachineConfig, Protocol};
@@ -101,14 +101,19 @@ fn interned_and_raw_stores_replay_identically() {
     }
 }
 
-/// A one-configuration sweep (what fig5/table4-style binaries run) is
+/// A one-configuration sweep (what fig5, table3 and table4 run) is
 /// just the capture cell, and still matches a plain execution-driven
-/// run bit-for-bit.
+/// run bit-for-bit — on CC-NUMA and on table3's ideal machine.
 #[test]
 fn single_config_sweep_equals_direct_run() {
-    let config = MachineConfig::paper_base(Protocol::paper_ccnuma());
-    let rows = sweep_grid(&["barnes"], &[config], Scale::Tiny);
-    let mut w = by_name("barnes", Scale::Tiny).expect("known app");
-    let direct = rnuma::experiment::run(config, &mut w);
-    assert!(rows[0][0].metrics.replay_eq(&direct.metrics));
+    for protocol in [Protocol::paper_ccnuma(), Protocol::ideal()] {
+        let config = MachineConfig::paper_base(protocol);
+        let rows = sweep_grid(&["barnes"], &[config], Scale::Tiny);
+        let mut w = by_name("barnes", Scale::Tiny).expect("known app");
+        let direct = rnuma::experiment::run(config, &mut w);
+        assert!(
+            rows[0][0].metrics.replay_eq(&direct.metrics),
+            "one-cell sweep diverged from a direct run on {protocol}"
+        );
+    }
 }

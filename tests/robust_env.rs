@@ -63,17 +63,16 @@ fn robustness_env_plumbing() {
         });
     }
 
-    // RNUMA_JOURNAL: core treats the value as a path; bench resolves
-    // the literal "1" to results/sweep_journal.jsonl; an unopenable
-    // journal (here: a directory) disables checkpointing, never aborts.
+    // RNUMA_JOURNAL: the one resolver treats the value as a path and
+    // resolves the literal "1" to results/sweep_journal.jsonl; an
+    // unopenable journal (here: a directory) disables checkpointing,
+    // never aborts.
     let dir = temp_dir("journal");
     let explicit = dir.join("explicit.jsonl");
     with_var("RNUMA_JOURNAL", None, || {
-        assert!(Journal::from_env().is_none());
         assert!(rnuma_bench::sweep_journal_from_env().is_none());
     });
     with_var("RNUMA_JOURNAL", Some(explicit.to_str().unwrap()), || {
-        assert_eq!(Journal::from_env().expect("fresh journal").path(), explicit);
         assert_eq!(
             rnuma_bench::sweep_journal_from_env()
                 .expect("fresh journal")
@@ -83,7 +82,7 @@ fn robustness_env_plumbing() {
     });
     with_var("RNUMA_JOURNAL", Some(dir.to_str().unwrap()), || {
         assert!(
-            Journal::from_env().is_none(),
+            rnuma_bench::sweep_journal_from_env().is_none(),
             "a directory is not a journal"
         );
     });

@@ -1,5 +1,6 @@
-//! The sweep driver's environment contract: `RNUMA_JOBS` sizes the
-//! worker pool behind `parallel_map` and `rnuma_bench::sweep_grid`
+//! The sweep driver's environment contract: `RNUMA_JOBS` sizes both
+//! worker pools — `parallel_map`'s (behind `rnuma_bench::run_grid`) and
+//! `rnuma_bench::sweep_grid`'s work queue — through `parallel_workers`
 //! (misconfigured values follow the warn-once-then-default contract),
 //! the sweep's result is independent of the worker count, and a
 //! failing cell — or an `RNUMA_FAULTS` abort under `RNUMA_JOURNAL` —
@@ -42,10 +43,10 @@ fn with_jobs<R>(value: Option<&str>, body: impl FnOnce() -> R) -> R {
     with_var("RNUMA_JOBS", value, body)
 }
 
-/// Routing of the sweep's cells across its worker shards: `RNUMA_JOBS`
+/// Routing of the sweep's cells across its workers: `RNUMA_JOBS`
 /// parsing, and the sweep's cells against per-op live dispatch.
 #[test]
-fn rnuma_shards_routing() {
+fn rnuma_jobs_routing() {
     let _env = env_lock();
 
     // RNUMA_JOBS follows the warn-once misconfiguration contract of
@@ -166,7 +167,7 @@ fn sweep_grid_failures_propagate() {
     let _env = env_lock();
     let configs = figure_configs();
     let apps = ["em3d", "moldyn"];
-    let dir = std::env::temp_dir().join(format!("rnuma-sharded-env-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("rnuma-sweep-env-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("sweep_journal.jsonl");
     let _ = std::fs::remove_file(&path);

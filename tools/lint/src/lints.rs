@@ -33,15 +33,25 @@ const SIM_CRATES: &[&str] = &["core", "proto", "mem", "net", "os", "sim", "workl
 /// `std::env::var` on an `RNUMA_*` name (D03).
 const BLESSED_ENV_FILE: &str = "crates/core/src/experiment.rs";
 
-/// The file holding the workspace's one worker pool: `sweep_grid`'s
-/// dependency-driven work queue (R01).
+/// The file holding `sweep_grid`'s dependency-driven work queue (R01).
+/// It is one of two worker pools in the workspace; the other,
+/// `rnuma::experiment::parallel_map` behind `run_grid`, runs every job
+/// on a scoped thread whose panic the scope propagates, so it has no
+/// dispatch loop to strand.
 const POOL_FILE: &str = "crates/bench/src/lib.rs";
 
 /// Functions in [`POOL_FILE`] forming the pool's worker/dispatch region,
 /// where a panic must not escape as anything but a job panic the queue
 /// catches and re-raises (R01). Closures inherit their enclosing named
 /// function.
-const POOL_DISPATCH_FNS: &[&str] = &["sweep_grid", "work", "into_rows", "next_job", "complete"];
+const POOL_DISPATCH_FNS: &[&str] = &[
+    "sweep_grid",
+    "sweep_grid_journaled",
+    "work",
+    "into_rows",
+    "next_job",
+    "complete",
+];
 
 /// Wall-clock / ambient-randomness identifiers banned in simulation
 /// crates (D02). `Instant`/`SystemTime` cover `::now()` and every
@@ -640,10 +650,11 @@ mod tests {
         let a = one(
             "crates/bench/src/lib.rs",
             "fn work(&self) { self.x.lock().unwrap(); }\n\
+             fn sweep_grid_journaled() { let job = |a| captured[a].get().expect(\"set\"); }\n\
              fn elsewhere() { foo().unwrap(); }",
         );
-        assert_eq!(ids(&a), ["R01"]);
-        assert_eq!(a.findings[0].line, 1);
+        assert_eq!(ids(&a), ["R01", "R01"]);
+        assert_eq!((a.findings[0].line, a.findings[1].line), (1, 2));
     }
 
     #[test]
@@ -654,6 +665,9 @@ mod tests {
              fn into_rows(self) {\n\
              // lint: allow(R01, the queue completes every cell before it returns)\n\
              cell.expect(\"ran\"); }\n\
+             fn sweep_grid_journaled() {\n\
+             // lint: allow(R01, the queue releases a replay only after its capture)\n\
+             let job = |a| captured[a].get().expect(\"set\"); }\n\
              #[cfg(test)]\nmod tests { fn sweep_grid() { x().unwrap(); } }",
         );
         assert!(a.findings.is_empty(), "{:?}", a.findings);
