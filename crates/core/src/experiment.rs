@@ -14,9 +14,8 @@
 //! RNG) once per configuration; instead the workload's [`TraceOp`]
 //! stream is captured **once** — into a [`TraceStore`], a columnar,
 //! delta-encoded, profile-interned store with streaming
-//! (bounded-memory) capture and optional spill-to-disk — and replayed
-//! against every other configuration with
-//! [`TraceStore::replay_serial`]. Replay is bit-identical to a serial
+//! (bounded-memory) capture — and replayed against every other
+//! configuration with [`TraceStore::replay_serial`]. Replay is bit-identical to a serial
 //! batched [`Machine::apply_batch`] of the same stream, and the
 //! reference stream is *fixed across cells* — the classic trace-driven
 //! methodology. The sweep driver itself, with its work queue, journal
@@ -35,11 +34,9 @@ use crate::machine::Machine;
 use crate::metrics::Metrics;
 use crate::program::{Runner, Workload};
 use crate::trace::{
-    decode_segment, encode_segment, spill_dir_from_env, CpuRefs, CpuRun, ProfileArena, SegMeta,
-    TraceOp, SEG_OPS,
+    decode_segment, encode_segment, CpuRefs, CpuRun, ProfileArena, SegMeta, TraceOp, SEG_OPS,
 };
-use rnuma_sim::fault::{FaultKind, FaultLog, FaultPlan};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 
 /// The result of one (configuration, workload) simulation.
@@ -196,7 +193,7 @@ pub fn env_usize(name: &str, default: Option<usize>, max: usize) -> Option<usize
 ///
 /// This is the blessed escape hatch companion to [`env_usize`] for
 /// knobs whose values are names, paths, or switch words
-/// (`RNUMA_TRACE_SPILL`, `RNUMA_JOURNAL`, …). Call sites
+/// (`RNUMA_FAULTS`, `RNUMA_JOURNAL`, …). Call sites
 /// still own their documented warn-once misconfiguration semantics —
 /// what this helper centralizes is the *access point*: `rnuma-lint`'s
 /// D03 lint rejects raw `std::env::var("RNUMA_…")` reads anywhere
@@ -263,8 +260,8 @@ struct TraceRec {
 
 /// The encodable innards of a [`TraceStore`]: the profile arena, run
 /// and segment tables, and the capture-time state (interning flag,
-/// fault plan). Split out so a streaming capture can move it behind an
-/// `Arc<Mutex<_>>` shared with the machine's trace sink and take it
+/// encode scratch). Split out so a streaming capture can move it behind
+/// an `Arc<Mutex<_>>` shared with the machine's trace sink and take it
 /// back afterwards.
 #[derive(Debug)]
 struct StoreCore {
@@ -275,47 +272,29 @@ struct StoreCore {
     segs: Vec<SegMeta>,
     interning: bool,
     captured_ops: u64,
-    /// Deterministic fault plan for capture-time allocation pressure
-    /// (`RNUMA_FAULTS`, `pressure` kind); `None` when faults are off.
-    fault_plan: Option<FaultPlan>,
-    /// Injected faults this store absorbed.
-    fault_log: FaultLog,
     /// Reusable encode scratch (one run's blob).
     blob_scratch: Vec<u8>,
-    /// Reusable spilled-read scratch for dedup verification.
-    read_scratch: Vec<u8>,
     /// Reusable per-CPU base references for encoding.
     refs_scratch: CpuRefs,
 }
 
 impl Default for StoreCore {
-    /// A cheap placeholder (no env reads, no spill file) for
-    /// `std::mem::take` during streaming capture.
+    /// An empty, interning store core (also the placeholder
+    /// `std::mem::take` leaves behind during streaming capture).
     fn default() -> StoreCore {
         StoreCore {
-            profiles: ProfileArena::new(None),
+            profiles: ProfileArena::default(),
             runs: Vec::new(),
             segs: Vec::new(),
             interning: true,
             captured_ops: 0,
-            fault_plan: None,
-            fault_log: FaultLog::new(),
             blob_scratch: Vec::new(),
-            read_scratch: Vec::new(),
             refs_scratch: CpuRefs::default(),
         }
     }
 }
 
 impl StoreCore {
-    fn new(spill: Option<&std::path::Path>) -> StoreCore {
-        StoreCore {
-            profiles: ProfileArena::new(spill),
-            fault_plan: FaultPlan::from_env(),
-            ..StoreCore::default()
-        }
-    }
-
     /// Encodes one segment of captured ops into the store. This is the
     /// streaming-capture sink: it holds no reference to the chunk after
     /// returning, so capture memory stays bounded by one chunk plus the
@@ -324,26 +303,6 @@ impl StoreCore {
         if chunk.is_empty() {
             return;
         }
-        if self.interning {
-            if let Some(plan) = self.fault_plan.as_mut() {
-                if plan.should_fire(FaultKind::CapturePressure) {
-                    // Simulated allocation pressure: the dedup table
-                    // "fails to grow", so the store degrades to verbatim
-                    // profile storage from here on. Replay results are
-                    // identical either way — interning only affects
-                    // memory residency — so the sweep keeps its
-                    // bit-identical contract under this fault.
-                    self.interning = false;
-                    self.profiles.drop_dedup();
-                    let index = self.segs.len() as u64;
-                    self.fault_log.record(
-                        FaultKind::CapturePressure,
-                        index,
-                        "dedup table allocation failed; interning disabled".to_string(),
-                    );
-                }
-            }
-        }
         let meta = encode_segment(
             chunk,
             seg_hash(chunk),
@@ -351,15 +310,14 @@ impl StoreCore {
             &mut self.runs,
             self.interning,
             &mut self.blob_scratch,
-            &mut self.read_scratch,
             &mut self.refs_scratch,
         );
         self.segs.push(meta);
         self.captured_ops += chunk.len() as u64;
     }
 
-    /// Encoded size of the store: profile bytes (resident or spilled)
-    /// plus the run streams and the segment/span tables.
+    /// Encoded size of the store: profile bytes plus the run streams
+    /// and the segment/span tables.
     fn encoded_bytes(&self) -> u64 {
         self.profiles.stored_bytes()
             + self.profiles.table_bytes()
@@ -381,8 +339,7 @@ impl StoreCore {
 /// [`TraceStore::interning_ratio`] drops well below 1.0 on real
 /// workloads. Capture is *streaming*: the workload's ops are encoded
 /// in fixed-size chunks as they are produced, never materializing the
-/// flat op array, and profile bytes optionally spill to a temp file
-/// (`RNUMA_TRACE_SPILL`). Replay decodes segment by segment into a
+/// flat op array. Replay decodes segment by segment into a
 /// bounded scratch ([`TraceStore::for_each_batch`]) feeding
 /// [`Machine::replay_segment`];
 /// `tests/trace_codec.rs` pins the encoded replay bit-identical to
@@ -416,58 +373,17 @@ impl StoreCore {
 /// let rnuma = store.replay_serial(id, MachineConfig::paper_base(Protocol::paper_rnuma()));
 /// assert_eq!(rnuma.metrics.references(), report.metrics.references());
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct TraceStore {
     core: StoreCore,
     traces: Vec<TraceRec>,
 }
 
-impl Default for TraceStore {
-    fn default() -> Self {
-        TraceStore::new()
-    }
-}
-
 impl TraceStore {
-    /// An empty store with profile interning enabled and spill behavior
-    /// taken from `RNUMA_TRACE_SPILL` (unset: profiles stay resident).
+    /// An empty store with profile interning enabled.
     #[must_use]
     pub fn new() -> TraceStore {
-        TraceStore {
-            core: StoreCore::new(spill_dir_from_env().as_deref()),
-            traces: Vec::new(),
-        }
-    }
-
-    /// An empty store spilling profile bytes to a file under `dir`
-    /// regardless of `RNUMA_TRACE_SPILL` (tests and tools; degrades to
-    /// resident storage, with a warning, when `dir` is unusable).
-    #[must_use]
-    pub fn spilled_to(dir: &std::path::Path) -> TraceStore {
-        TraceStore {
-            core: StoreCore::new(Some(dir)),
-            traces: Vec::new(),
-        }
-    }
-
-    /// The spill file backing this store's profile bytes, if any
-    /// (tests truncate it to drill the torn-file diagnostics).
-    #[must_use]
-    pub fn spill_path(&self) -> Option<&std::path::Path> {
-        self.core.profiles.spill_path()
-    }
-
-    /// Overrides the capture-pressure fault plan (tests; `new` reads
-    /// `RNUMA_FAULTS`). `None` disables injection.
-    pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
-        self.core.fault_plan = plan;
-    }
-
-    /// Injected faults this store absorbed (capture-time allocation
-    /// pressure downgrading interning to verbatim storage).
-    #[must_use]
-    pub fn fault_log(&self) -> &FaultLog {
-        &self.core.fault_log
+        TraceStore::default()
     }
 
     /// An empty store that stores every run's profile verbatim (no
@@ -477,7 +393,6 @@ impl TraceStore {
     pub fn raw() -> TraceStore {
         let mut store = TraceStore::new();
         store.core.interning = false;
-        store.core.profiles.drop_dedup();
         store
     }
 
@@ -582,7 +497,6 @@ impl TraceStore {
         let rec = self.rec(id);
         let mut ops = Vec::with_capacity(SEG_OPS);
         let mut runs = Vec::new();
-        let mut scratch = Vec::new();
         let mut refs = CpuRefs::default();
         for seg in rec.seg_start..rec.seg_end {
             decode_segment(
@@ -591,7 +505,6 @@ impl TraceStore {
                 &self.core.runs,
                 &mut ops,
                 &mut runs,
-                &mut scratch,
                 &mut refs,
             );
             f(&ops, &runs);
@@ -644,26 +557,20 @@ impl TraceStore {
         self.core.captured_ops * std::mem::size_of::<TraceOp>() as u64
     }
 
-    /// Bytes the encoded store occupies: profile bytes (resident or
-    /// spilled) plus the run, segment, and profile-span tables.
+    /// Bytes the encoded store occupies: profile bytes plus the run,
+    /// segment, and profile-span tables.
     #[must_use]
     pub fn encoded_bytes(&self) -> u64 {
         self.core.encoded_bytes()
     }
 
-    /// Encoded bytes actually resident in memory — [`encoded_bytes`]
-    /// minus profile bytes living in the spill file.
+    /// Encoded bytes resident in memory. The whole store is resident,
+    /// so this always equals [`encoded_bytes`].
     ///
     /// [`encoded_bytes`]: TraceStore::encoded_bytes
     #[must_use]
     pub fn resident_bytes(&self) -> u64 {
-        self.core.encoded_bytes() - self.core.profiles.spilled_bytes()
-    }
-
-    /// Profile bytes living in the spill file (0 unless spilling).
-    #[must_use]
-    pub fn spilled_bytes(&self) -> u64 {
-        self.core.profiles.spilled_bytes()
+        self.core.encoded_bytes()
     }
 
     /// Stored over referenced profile bytes: 1.0 when every run's
@@ -778,30 +685,86 @@ fn seg_hash(ops: &[TraceOp]) -> u64 {
     h
 }
 
-/// The sweep driver's crash-injection point: fires [`FaultKind::SweepAbort`]
-/// decisions *after* completed cells, panicking the driver mid-sweep so the
-/// checkpoint/resume lane can prove a journal-resumed sweep is bit-identical
-/// to a clean one.
+/// The sweep driver's crash-injection point: after each completed cell
+/// it takes one abort decision, and panics the driver mid-sweep when the
+/// decision's index is on its list, so the checkpoint/resume lane can
+/// prove a journal-resumed sweep is bit-identical to a clean one.
 ///
-/// Decisions are taken in cell *completion* order, which under a parallel
-/// driver is nondeterministic — deliberately so: the resume contract must
-/// hold no matter where the sweep died.
+/// Decisions are counted in cell *completion* order, which under a
+/// parallel driver is nondeterministic — deliberately so: the resume
+/// contract must hold no matter where the sweep died. The default
+/// never fires.
+///
+/// # Example
+///
+/// ```
+/// use rnuma::SweepAbort;
+///
+/// let abort = SweepAbort::parse("abort@1").unwrap();
+/// assert!(!abort.should_fire()); // decision 0
+/// assert!(abort.should_fire()); // decision 1
+/// assert!(!abort.should_fire()); // decision 2
+/// ```
 #[derive(Debug, Default)]
-pub struct SweepAbort(Mutex<Option<FaultPlan>>);
+pub struct SweepAbort {
+    /// Decision indices that fire.
+    fire_at: Vec<u64>,
+    /// Decisions taken so far.
+    decisions: AtomicU64,
+}
 
 impl SweepAbort {
-    /// An abort plan from `RNUMA_FAULTS` (inactive when unset or the
-    /// plan has no `abort` events/rates).
+    /// An abort point firing at each of the given decision indices
+    /// (tests); an empty list never fires.
     #[must_use]
-    pub fn from_env() -> SweepAbort {
-        SweepAbort(Mutex::new(FaultPlan::from_env()))
+    pub fn at(indices: &[u64]) -> SweepAbort {
+        SweepAbort {
+            fire_at: indices.to_vec(),
+            decisions: AtomicU64::new(0),
+        }
     }
 
-    /// An abort point driven by an explicit plan (tests). `None` never
-    /// fires.
+    /// Parses an `RNUMA_FAULTS` spec: comma- or whitespace-separated
+    /// `abort@<n>` tokens, each making the `n`-th decision fire. An
+    /// empty spec never fires.
+    ///
+    /// # Errors
+    ///
+    /// Returns a one-line description naming the first malformed token;
+    /// any token other than `abort@<n>` is malformed.
+    pub fn parse(spec: &str) -> Result<SweepAbort, String> {
+        let indices = spec
+            .split(|c: char| c == ',' || c.is_whitespace())
+            .filter(|t| !t.is_empty())
+            .map(|token| {
+                token
+                    .strip_prefix("abort@")
+                    .and_then(|n| n.parse().ok())
+                    .ok_or_else(|| format!("malformed token '{token}', want abort@<n>"))
+            })
+            .collect::<Result<Vec<u64>, String>>()?;
+        Ok(SweepAbort::at(&indices))
+    }
+
+    /// The abort point configured by `RNUMA_FAULTS`. Unset or empty
+    /// never fires; a malformed spec warns on stderr once per process
+    /// and also never fires (misconfiguration must not abort a run,
+    /// matching the numeric `RNUMA_*` knobs).
     #[must_use]
-    pub fn with_plan(plan: Option<FaultPlan>) -> SweepAbort {
-        SweepAbort(Mutex::new(plan))
+    pub fn from_env() -> SweepAbort {
+        let spec = env_raw("RNUMA_FAULTS").unwrap_or_default();
+        SweepAbort::parse(&spec).unwrap_or_else(|msg| {
+            static WARN: std::sync::Once = std::sync::Once::new();
+            WARN.call_once(|| eprintln!("warning: ignoring RNUMA_FAULTS ({msg})"));
+            SweepAbort::default()
+        })
+    }
+
+    /// Takes one abort decision, advancing the decision counter, and
+    /// reports whether it fires.
+    pub fn should_fire(&self) -> bool {
+        let index = self.decisions.fetch_add(1, Ordering::Relaxed);
+        self.fire_at.contains(&index)
     }
 
     /// Takes one abort decision; panics with an "injected:" payload
@@ -809,16 +772,10 @@ impl SweepAbort {
     ///
     /// # Panics
     ///
-    /// Panics — that is the injection — when the plan fires.
+    /// Panics — that is the injection — when the decision fires.
     pub fn after_cell(&self) {
-        let mut guard = self
-            .0
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(plan) = guard.as_mut() {
-            if plan.should_fire(FaultKind::SweepAbort) {
-                panic!("injected: sweep abort (checkpoint/resume drill)");
-            }
+        if self.should_fire() {
+            panic!("injected: sweep abort (checkpoint/resume drill)");
         }
     }
 }
@@ -935,8 +892,6 @@ mod tests {
             store.flat_bytes(),
             store.encoded_bytes()
         );
-        // Without spilling, everything encoded is resident.
-        assert_eq!(store.spilled_bytes(), 0);
         assert_eq!(store.resident_bytes(), store.encoded_bytes());
     }
 
@@ -959,5 +914,53 @@ mod tests {
         let empty: Vec<u64> = Vec::new();
         assert!(parallel_map(&empty, |&j| j).is_empty());
         assert_eq!(parallel_map(&[7u64], |&j| j + 1), [8]);
+    }
+
+    #[test]
+    fn empty_spec_is_empty_plan() {
+        assert!(SweepAbort::parse("").unwrap().fire_at.is_empty());
+        assert!(SweepAbort::parse(" , ,, ").unwrap().fire_at.is_empty());
+        let never = SweepAbort::default();
+        assert!((0..16).all(|_| !never.should_fire()));
+    }
+
+    #[test]
+    fn explicit_events_fire_at_their_index_only() {
+        let abort = SweepAbort::parse("abort@0,abort@2").unwrap();
+        let fired: Vec<bool> = (0..4).map(|_| abort.should_fire()).collect();
+        assert_eq!(fired, [true, false, true, false]);
+        assert_eq!(abort.decisions.load(Ordering::Relaxed), 4);
+    }
+
+    #[test]
+    fn parse_rejects_malformed_tokens() {
+        for bad in [
+            "bogus",
+            "abort@x",
+            "nope@3",
+            "pressure~banana",
+            "pressure~1.5",
+            "seed=pear",
+            // Tokens of the retired seeded-rate grammar.
+            "pressure~0.2",
+            "pressure@0",
+            "abort~0.5",
+            "seed=7",
+            // Kinds and knobs of the retired worker pool.
+            "panic_before@0",
+            "panic_after@1",
+            "hang~0.5",
+            "poison@0",
+            "hang_ms=10",
+        ] {
+            assert!(SweepAbort::parse(bad).is_err(), "{bad} should not parse");
+        }
+    }
+
+    #[test]
+    fn parse_full_grammar() {
+        let abort = SweepAbort::parse("abort@3 abort@1,\tabort@1").unwrap();
+        let fired: Vec<bool> = (0..5).map(|_| abort.should_fire()).collect();
+        assert_eq!(fired, [false, true, false, true, false]);
     }
 }

@@ -85,5 +85,4 @@ pub use machine::Machine;
 pub use metrics::{Metrics, PageProfile};
 pub use model::ModelParams;
 pub use program::{Ctx, Region, Runner, Workload};
-pub use rnuma_sim::fault::{FaultEvent, FaultKind, FaultLog, FaultPlan};
 pub use trace::{split_cpu_runs, CpuRun, TraceOp, MAX_RUN_LEN};

@@ -395,7 +395,8 @@ impl Machine {
     /// Replays one trace segment through the batched loop, consuming a
     /// pre-split run table (see
     /// [`split_cpu_runs`](crate::split_cpu_runs) and
-    /// `TraceStore::batches`) instead of re-scanning the ops for
+    /// [`TraceStore::for_each_batch`](crate::TraceStore::for_each_batch))
+    /// instead of re-scanning the ops for
     /// same-CPU runs. Bit-identical to [`Machine::apply_batch`] of
     /// `ops`.
     ///

@@ -28,12 +28,9 @@
 //! walking its own partition of an array with the same stride maps to
 //! the same profile.
 //!
-//! Profile bytes can optionally spill to a temporary file
-//! (`RNUMA_TRACE_SPILL`), bounding capture memory to the run/segment
-//! tables plus one in-flight chunk; replay then reads blobs back
-//! positionally (`read_at`), verifying each against its recorded
-//! content hash so a torn or truncated spill file fails loudly instead
-//! of replaying garbage.
+//! Every decoder checks its input and panics with a "trace profile
+//! corrupt" diagnostic on a malformed blob or run stream, so a store
+//! bug fails loudly instead of replaying garbage.
 
 use rnuma_mem::addr::{CpuId, Va};
 use rnuma_mem::fxmap::FxMap64;
@@ -290,8 +287,8 @@ fn encode_think_run(ops: &[TraceOp], blob: &mut Vec<u8>) {
 /// # Panics
 ///
 /// Panics with a "trace profile corrupt" diagnostic when the blob does
-/// not decode to exactly `len` ops — a truncated spill file or a store
-/// bug, either of which must fail loudly rather than replay garbage.
+/// not decode to exactly `len` ops — a store bug, which must fail
+/// loudly rather than replay garbage.
 pub(crate) fn decode_run(
     cpu: CpuId,
     len: u32,
@@ -335,41 +332,19 @@ pub(crate) fn decode_run(
 
 #[cold]
 fn corrupt(what: &str) -> ! {
-    panic!("trace profile corrupt ({what}): truncated spill file or store bug")
+    panic!("trace profile corrupt ({what}): store bug")
 }
 
 // ---------------------------------------------------------------------
-// The profile arena: interned blobs, resident or spilled to disk.
+// The profile arena: interned blobs.
 // ---------------------------------------------------------------------
 
 /// Where a profile's bytes live: `(offset, len)` into the arena's byte
-/// store, plus the content hash interning keyed it under (re-verified
-/// on every spilled read).
+/// store.
 #[derive(Clone, Copy, Debug)]
 struct ProfileSpan {
     offset: u64,
     len: u32,
-    hash: u64,
-}
-
-/// The arena's byte store: an in-memory vector, or an anonymous
-/// append-only temp file when `RNUMA_TRACE_SPILL` is active.
-#[derive(Debug)]
-enum ProfileBytes {
-    Resident(Vec<u8>),
-    Spilled {
-        file: std::fs::File,
-        path: std::path::PathBuf,
-        len: u64,
-    },
-}
-
-impl Drop for ProfileBytes {
-    fn drop(&mut self) {
-        if let ProfileBytes::Spilled { path, .. } = self {
-            let _ = std::fs::remove_file(path);
-        }
-    }
 }
 
 /// Deterministic content hash of a profile blob (FxHash-style multiply
@@ -388,236 +363,67 @@ fn blob_hash(blob: &[u8]) -> u64 {
 }
 
 /// Interned storage for profile blobs.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct ProfileArena {
     spans: Vec<ProfileSpan>,
-    bytes: ProfileBytes,
+    bytes: Vec<u8>,
     /// Blob hash → profile id (first-wins; collisions verified).
     dedup: FxMap64<u32>,
-    /// Bytes actually stored (resident or spilled), after dedup.
-    stored_bytes: u64,
     /// Bytes all runs reference — what storage would cost without dedup.
     referenced_bytes: u64,
 }
 
 impl ProfileArena {
-    pub(crate) fn new(spill: Option<&std::path::Path>) -> ProfileArena {
-        let bytes = match spill {
-            Some(dir) => match spill_file(dir) {
-                Some((file, path)) => ProfileBytes::Spilled { file, path, len: 0 },
-                None => ProfileBytes::Resident(Vec::new()),
-            },
-            None => ProfileBytes::Resident(Vec::new()),
-        };
-        ProfileArena {
-            spans: Vec::new(),
-            bytes,
-            dedup: FxMap64::new(),
-            stored_bytes: 0,
-            referenced_bytes: 0,
-        }
-    }
-
     /// Interns `blob`, returning its profile id. With `interning` off
-    /// every call stores a fresh copy (the capture-pressure degraded
-    /// mode); replay results are identical either way.
-    pub(crate) fn intern(&mut self, blob: &[u8], interning: bool, scratch: &mut Vec<u8>) -> u32 {
+    /// every call stores a fresh copy (verbatim storage, as
+    /// `TraceStore::raw` uses); replay results are identical either way.
+    pub(crate) fn intern(&mut self, blob: &[u8], interning: bool) -> u32 {
         self.referenced_bytes += blob.len() as u64;
+        if !interning {
+            return self.push(blob);
+        }
         let hash = blob_hash(blob);
-        if interning {
-            // First-wins on hash collisions: a mismatching occupant just
-            // costs this blob its dedup, never its correctness.
-            if let Some(&id) = self.dedup.get(hash) {
-                if self.read(id, scratch) == blob {
-                    return id;
-                }
-            } else {
-                let id = self.push(blob, hash);
+        // First-wins on hash collisions: a mismatching occupant just
+        // costs this blob its dedup, never its correctness.
+        match self.dedup.get(hash) {
+            Some(&id) if self.read(id) == blob => id,
+            Some(_) => self.push(blob),
+            None => {
+                let id = self.push(blob);
                 self.dedup.insert(hash, id);
-                return id;
+                id
             }
         }
-        self.push(blob, hash)
     }
 
-    fn push(&mut self, blob: &[u8], hash: u64) -> u32 {
+    fn push(&mut self, blob: &[u8]) -> u32 {
         let id = u32::try_from(self.spans.len()).expect("profile count overflow");
         let len = u32::try_from(blob.len()).expect("profile blob overflow");
-        let offset = match &mut self.bytes {
-            ProfileBytes::Resident(v) => {
-                let offset = v.len() as u64;
-                v.extend_from_slice(blob);
-                offset
-            }
-            ProfileBytes::Spilled { file, path, len } => {
-                use std::io::Write as _;
-                let offset = *len;
-                file.write_all(blob).unwrap_or_else(|e| {
-                    panic!("cannot append to trace spill file {}: {e}", path.display())
-                });
-                *len += blob.len() as u64;
-                offset
-            }
-        };
-        self.spans.push(ProfileSpan { offset, len, hash });
-        self.stored_bytes += blob.len() as u64;
+        let offset = self.bytes.len() as u64;
+        self.bytes.extend_from_slice(blob);
+        self.spans.push(ProfileSpan { offset, len });
         id
     }
 
-    /// The bytes of profile `id` — borrowed from the arena when
-    /// resident, read into `scratch` (and hash-verified) when spilled.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a spilled blob cannot be read back intact: a torn or
-    /// truncated spill file must fail loudly, not replay garbage.
-    pub(crate) fn read<'a>(&'a self, id: u32, scratch: &'a mut Vec<u8>) -> &'a [u8] {
+    /// The bytes of profile `id`.
+    pub(crate) fn read(&self, id: u32) -> &[u8] {
         let span = self.spans[id as usize];
-        match &self.bytes {
-            ProfileBytes::Resident(v) => {
-                &v[span.offset as usize..span.offset as usize + span.len as usize]
-            }
-            ProfileBytes::Spilled { file, path, .. } => {
-                use std::os::unix::fs::FileExt as _;
-                scratch.clear();
-                scratch.resize(span.len as usize, 0);
-                file.read_exact_at(scratch, span.offset)
-                    .unwrap_or_else(|e| {
-                        panic!(
-                            "trace spill file {} truncated or unreadable at {}+{}: {e}",
-                            path.display(),
-                            span.offset,
-                            span.len
-                        )
-                    });
-                assert_eq!(
-                    blob_hash(scratch),
-                    span.hash,
-                    "trace spill file {} corrupt: profile {id} fails its content hash",
-                    path.display()
-                );
-                scratch
-            }
-        }
+        let start = span.offset as usize;
+        &self.bytes[start..start + span.len as usize]
     }
 
-    /// Forgets the dedup table (capture-pressure fault: the table
-    /// "failed to grow", so interning degrades to verbatim storage).
-    pub(crate) fn drop_dedup(&mut self) {
-        self.dedup = FxMap64::new();
-    }
-
+    /// Bytes actually stored, after dedup.
     pub(crate) fn stored_bytes(&self) -> u64 {
-        self.stored_bytes
+        self.bytes.len() as u64
     }
 
     pub(crate) fn referenced_bytes(&self) -> u64 {
         self.referenced_bytes
     }
 
-    /// Stored bytes living on disk rather than in memory.
-    pub(crate) fn spilled_bytes(&self) -> u64 {
-        match &self.bytes {
-            ProfileBytes::Resident(_) => 0,
-            ProfileBytes::Spilled { len, .. } => *len,
-        }
-    }
-
-    /// Heap bytes of the span/dedup tables (the resident cost that
-    /// remains even when blob bytes are spilled).
+    /// Heap bytes of the span table. The dedup map is not counted.
     pub(crate) fn table_bytes(&self) -> u64 {
         (self.spans.len() * std::mem::size_of::<ProfileSpan>()) as u64
-    }
-
-    /// The spill file's path, when spilling (tests truncate it to drill
-    /// the torn-file diagnostics).
-    pub(crate) fn spill_path(&self) -> Option<&std::path::Path> {
-        match &self.bytes {
-            ProfileBytes::Resident(_) => None,
-            ProfileBytes::Spilled { path, .. } => Some(path),
-        }
-    }
-}
-
-/// Removes stale spill files left under `dir` by processes that died
-/// without unwinding through [`ProfileBytes::drop`] — a `SweepAbort`
-/// fault, a `panic = "abort"` build, or a kill. Spill names embed the
-/// owning pid (`rnuma-trace-spill-<pid>-<counter>.bin`), so a file is
-/// stale exactly when its pid is not ours and no longer has a live
-/// `/proc/<pid>` entry; live pids (including our own other arenas) are
-/// never touched. Runs on every spilling-arena construction, keeping
-/// the reap races-free without a registry: the worst case is two
-/// processes both observing a dead pid and one `remove_file` losing,
-/// which is harmless.
-fn reap_stale_spills(dir: &std::path::Path) {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return; // unusable dir is spill_file's problem to warn about
-    };
-    let me = std::process::id();
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        let Some(pid) = name
-            .to_str()
-            .and_then(|n| n.strip_prefix("rnuma-trace-spill-"))
-            .and_then(|n| n.strip_suffix(".bin"))
-            .and_then(|n| n.split_once('-'))
-            .filter(|(_, counter)| counter.bytes().all(|b| b.is_ascii_digit()))
-            .and_then(|(pid, _)| pid.parse::<u32>().ok())
-        else {
-            continue; // not one of ours; never delete foreign files
-        };
-        if pid != me && !std::path::Path::new(&format!("/proc/{pid}")).exists() {
-            let _ = std::fs::remove_file(entry.path());
-        }
-    }
-}
-
-/// Creates a unique spill file under `dir`. `None` (with a warning,
-/// once per process) when the directory is unusable — a misconfigured
-/// `RNUMA_TRACE_SPILL` must degrade to resident storage, not abort.
-/// Stale spill files from dead processes are reaped first (see
-/// [`reap_stale_spills`]).
-fn spill_file(dir: &std::path::Path) -> Option<(std::fs::File, std::path::PathBuf)> {
-    reap_stale_spills(dir);
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    let name = format!(
-        "rnuma-trace-spill-{}-{}.bin",
-        std::process::id(),
-        COUNTER.fetch_add(1, Ordering::Relaxed)
-    );
-    let path = dir.join(name);
-    match std::fs::File::options()
-        .read(true)
-        .append(true)
-        .create_new(true)
-        .open(&path)
-    {
-        Ok(file) => Some((file, path)),
-        Err(e) => {
-            static WARN: std::sync::Once = std::sync::Once::new();
-            WARN.call_once(|| {
-                eprintln!(
-                    "warning: cannot create RNUMA_TRACE_SPILL file {}: {e}; \
-                     trace stays resident",
-                    path.display()
-                );
-            });
-            None
-        }
-    }
-}
-
-/// The spill directory requested by `RNUMA_TRACE_SPILL`: unset, empty,
-/// or `0` means off; `1` means the system temp directory; anything else
-/// is the directory itself.
-pub(crate) fn spill_dir_from_env() -> Option<std::path::PathBuf> {
-    let v = crate::experiment::env_raw("RNUMA_TRACE_SPILL")?;
-    let v = v.trim();
-    match v {
-        "" | "0" => None,
-        "1" => Some(std::env::temp_dir()),
-        dir => Some(std::path::PathBuf::from(dir)),
     }
 }
 
@@ -675,7 +481,6 @@ pub(crate) struct SegMeta {
 /// run stream is itself varint-coded — a short-run-heavy segment (CPUs
 /// interleaving every item) costs ~5 bytes per run, not a fixed
 /// record.
-#[allow(clippy::too_many_arguments)] // the store's scratch buffers are threaded in individually
 pub(crate) fn encode_segment(
     chunk: &[TraceOp],
     hash: u64,
@@ -683,7 +488,6 @@ pub(crate) fn encode_segment(
     runs: &mut Vec<u8>,
     interning: bool,
     blob_scratch: &mut Vec<u8>,
-    read_scratch: &mut Vec<u8>,
     refs: &mut CpuRefs,
 ) -> SegMeta {
     let run_start = runs.len() as u64;
@@ -702,7 +506,7 @@ pub(crate) fn encode_segment(
                     0
                 }
             };
-            let profile = arena.intern(blob_scratch, interning, read_scratch);
+            let profile = arena.intern(blob_scratch, interning);
             put_varint(runs, TAG_CPU_BASE + u64::from(cpu.0));
             put_varint(runs, range.len() as u64);
             put_varint(runs, delta);
@@ -733,14 +537,13 @@ pub(crate) fn encode_segment(
 /// # Panics
 ///
 /// Panics with a "trace profile corrupt" diagnostic on a malformed run
-/// stream or profile blob (a truncated spill file or a store bug).
+/// stream or profile blob (a store bug).
 pub(crate) fn decode_segment(
     seg: SegMeta,
     arena: &ProfileArena,
     run_stream: &[u8],
     ops: &mut Vec<TraceOp>,
     runs: &mut Vec<CpuRun>,
-    read_scratch: &mut Vec<u8>,
     refs: &mut CpuRefs,
 ) {
     ops.clear();
@@ -773,8 +576,7 @@ pub(crate) fn decode_segment(
                     .and_then(|v| u32::try_from(v).ok())
                     .unwrap_or_else(|| corrupt("profile id short"));
                 let base = Va(refs.get(cpu).wrapping_add(unzigzag(delta) as u64));
-                let blob = arena.read(profile, read_scratch);
-                if let Some(last) = decode_run(cpu, len, base, blob, ops) {
+                if let Some(last) = decode_run(cpu, len, base, arena.read(profile), ops) {
                     refs.set(cpu, last.0);
                 }
                 runs.push(CpuRun::Cpu { cpu, len });
@@ -999,22 +801,21 @@ mod tests {
 
     #[test]
     fn identical_relative_patterns_share_one_profile() {
-        let mut arena = ProfileArena::new(None);
+        let mut arena = ProfileArena::default();
         let mut blob = Vec::new();
-        let mut scratch = Vec::new();
         // Two walks with the same stride pattern at different bases.
         let a: Vec<TraceOp> = (0..64).map(|i| access(0, 0x1000 + i * 8, false)).collect();
         let b: Vec<TraceOp> = (0..64).map(|i| access(0, 0x9000 + i * 8, false)).collect();
         encode_run(&a, &mut blob).unwrap();
-        let pa = arena.intern(&blob, true, &mut scratch);
+        let pa = arena.intern(&blob, true);
         encode_run(&b, &mut blob).unwrap();
-        let pb = arena.intern(&blob, true, &mut scratch);
+        let pb = arena.intern(&blob, true);
         assert_eq!(pa, pb, "same relative pattern must intern to one blob");
         assert!(arena.stored_bytes() < arena.referenced_bytes());
         // A different stride is a different profile.
         let c: Vec<TraceOp> = (0..64).map(|i| access(0, 0x1000 + i * 16, false)).collect();
         encode_run(&c, &mut blob).unwrap();
-        assert_ne!(arena.intern(&blob, true, &mut scratch), pa);
+        assert_ne!(arena.intern(&blob, true), pa);
     }
 
     #[test]
@@ -1039,29 +840,17 @@ mod tests {
             })
             .collect();
 
-        let mut arena = ProfileArena::new(None);
+        let mut arena = ProfileArena::default();
         let mut runs = Vec::new();
-        let (mut blob, mut read, mut refs) = (Vec::new(), Vec::new(), CpuRefs::default());
+        let (mut blob, mut refs) = (Vec::new(), CpuRefs::default());
         let metas: Vec<SegMeta> = [&seg_a, &seg_b]
             .iter()
-            .map(|seg| {
-                encode_segment(
-                    seg, 0, &mut arena, &mut runs, true, &mut blob, &mut read, &mut refs,
-                )
-            })
+            .map(|seg| encode_segment(seg, 0, &mut arena, &mut runs, true, &mut blob, &mut refs))
             .collect();
 
         let (mut ops, mut cpu_runs) = (Vec::new(), Vec::new());
         for (meta, expect) in metas.iter().zip([&seg_a, &seg_b]) {
-            decode_segment(
-                *meta,
-                &arena,
-                &runs,
-                &mut ops,
-                &mut cpu_runs,
-                &mut read,
-                &mut refs,
-            );
+            decode_segment(*meta, &arena, &runs, &mut ops, &mut cpu_runs, &mut refs);
             assert_eq!(ops.as_slice(), expect.as_slice());
             let run_total: u64 = cpu_runs
                 .iter()
@@ -1072,33 +861,6 @@ mod tests {
                 .sum();
             assert_eq!(run_total, expect.len() as u64, "runs must tile the segment");
         }
-    }
-
-    /// A spilling arena reaps stale files left by dead processes but
-    /// never touches live-pid spills, foreign files, or its own.
-    #[test]
-    fn stale_spills_are_reaped_on_arena_construction() {
-        let dir = std::env::temp_dir().join(format!("rnuma-reap-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        // Pid far above any real pid_max, guaranteed dead.
-        let stale = dir.join("rnuma-trace-spill-999999999-0.bin");
-        // Our own pid: alive by definition, must survive.
-        let own = dir.join(format!("rnuma-trace-spill-{}-7.bin", std::process::id()));
-        // Not a spill name: never touched.
-        let foreign = dir.join("rnuma-trace-spill-notapid-0.bin");
-        for p in [&stale, &own, &foreign] {
-            std::fs::write(p, b"x").unwrap();
-        }
-        let arena = ProfileArena::new(Some(&dir));
-        assert!(
-            arena.spill_path().is_some(),
-            "arena must spill under {dir:?}"
-        );
-        assert!(!stale.exists(), "dead-pid spill must be reaped");
-        assert!(own.exists(), "live-pid spill must survive");
-        assert!(foreign.exists(), "non-spill names must survive");
-        drop(arena);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

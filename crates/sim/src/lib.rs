@@ -12,9 +12,6 @@
 //!   distribution builder used to regenerate Figure 5 of the paper.
 //! * [`rng`] — a small deterministic RNG wrapper so that every simulation
 //!   run is a pure function of its configuration.
-//! * [`fault`] — seeded, reproducible fault schedules ([`FaultPlan`]) and
-//!   the record of absorbed faults ([`FaultLog`]) backing the
-//!   capture-pressure and sweep-abort drills.
 //!
 //! The simulator built on top of this substrate is a *protocol-level*
 //! simulator in the spirit of the execution-driven simulator used in the
@@ -39,13 +36,11 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod fault;
 pub mod resource;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use fault::{FaultEvent, FaultKind, FaultLog, FaultPlan};
 pub use resource::Resource;
 pub use rng::DetRng;
 pub use stats::{Cdf, Counter, Histogram};

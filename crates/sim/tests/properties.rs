@@ -143,104 +143,3 @@ proptest! {
         }
     }
 }
-
-use rnuma_sim::fault::{FaultKind, FaultPlan};
-use std::fmt::Write as _;
-
-/// Every fault kind, in the spec grammar's vocabulary.
-const ALL_KINDS: [FaultKind; 2] = [FaultKind::CapturePressure, FaultKind::SweepAbort];
-
-/// Two plans are behaviorally equivalent iff they make the same firing
-/// decisions, in order, for every kind.
-fn assert_same_decisions(mut a: FaultPlan, mut b: FaultPlan) -> Result<(), String> {
-    for kind in ALL_KINDS {
-        for n in 0..96u64 {
-            let (fa, fb) = (a.should_fire(kind), b.should_fire(kind));
-            if fa != fb {
-                return Err(format!("decision {n} for {kind} diverged: {fa} vs {fb}"));
-            }
-        }
-    }
-    Ok(())
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// The `RNUMA_FAULTS` grammar round-trips: a plan assembled from
-    /// random `seed=`/`kind@N`/`kind~P` components, rendered
-    /// as a spec string (comma- or whitespace-separated) and parsed
-    /// back, makes exactly the same firing decisions as the same plan
-    /// built through the `FaultPlan` builder API.
-    #[test]
-    fn rendered_fault_specs_parse_back_equivalent(
-        seed in any::<u64>(),
-        events in prop::collection::vec((0usize..2, 0u64..64), 0..8),
-        rates in prop::collection::vec((0usize..2, 0u64..1001), 0..6),
-        spaces in 0usize..2,
-    ) {
-        let sep = if spaces == 1 { ' ' } else { ',' };
-        let mut built = FaultPlan::new(seed);
-        let mut spec = format!("seed={seed}");
-        for &(k, i) in &events {
-            let kind = ALL_KINDS[k];
-            built = built.at(kind, i);
-            let _ = write!(spec, "{sep}{}@{i}", kind.label());
-        }
-        for &(k, permille) in &rates {
-            let kind = ALL_KINDS[k];
-            let p = permille as f64 / 1000.0;
-            built = built.rate(kind, p);
-            let _ = write!(spec, "{sep}{}~{p}", kind.label());
-        }
-        let parsed = FaultPlan::parse(&spec);
-        prop_assert!(parsed.is_ok(), "rendered spec {:?} rejected", spec);
-        let verdict = assert_same_decisions(built, parsed.unwrap());
-        prop_assert!(
-            verdict.is_ok(),
-            "spec {:?}: {}",
-            spec,
-            verdict.unwrap_err()
-        );
-    }
-
-    /// One malformed token anywhere in an otherwise valid spec rejects
-    /// the whole plan with an error naming the token — the warn-once
-    /// path `FaultPlan::from_env` takes, never a partial plan.
-    #[test]
-    fn malformed_tokens_reject_the_whole_spec(
-        seed in any::<u64>(),
-        good in prop::collection::vec((0usize..2, 0u64..64), 0..4),
-        bad_idx in 0usize..11,
-        prepend in 0usize..2,
-    ) {
-        let bad = [
-            "banana",
-            "bogus@1",
-            "abort@x",
-            "abort@",
-            "pressure~2.0",
-            "pressure~-0.5",
-            "pressure~x",
-            "~0.5",
-            "@1",
-            "seed=abc",
-            "hang@0",
-        ][bad_idx];
-        let mut spec = format!("seed={seed}");
-        for &(k, i) in &good {
-            let _ = write!(spec, ",{}@{i}", ALL_KINDS[k].label());
-        }
-        let spec = if prepend == 1 {
-            format!("{bad},{spec}")
-        } else {
-            format!("{spec},{bad}")
-        };
-        let err = FaultPlan::parse(&spec);
-        prop_assert!(err.is_err(), "malformed spec {spec:?} parsed");
-        prop_assert!(
-            err.unwrap_err().contains(bad),
-            "the diagnostic must name the offending token"
-        );
-    }
-}

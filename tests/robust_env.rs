@@ -1,19 +1,18 @@
 //! Robustness environment plumbing: `RNUMA_FAULTS` and `RNUMA_JOURNAL`
 //! parsing — plus the CLI contracts of the figure binaries (warn-once
 //! misconfiguration on stderr for `RNUMA_JOBS` and `RNUMA_FAULTS`;
-//! one-line diagnostic and nonzero exit on emitter I/O failure;
-//! capture-pressure plans never abort a figure run).
+//! one-line diagnostic and nonzero exit on emitter I/O failure).
 //!
 //! The in-process tests mutate the environment, so they live in their
 //! own binary and one `#[test]` owns all the scenarios. The subprocess
 //! tests use `env_clear()` and are hermetic.
 
-use rnuma::{FaultKind, FaultPlan, Journal};
+use rnuma::{Journal, SweepAbort};
 use std::process::Command;
 
 fn with_var<R>(name: &str, value: Option<&str>, body: impl FnOnce() -> R) -> R {
-    // Restore (not just remove) afterwards: the CI chaos lane exports
-    // these very variables around this whole binary.
+    // Restore (not just remove) afterwards: a caller may export these
+    // very variables around this whole binary.
     let prev = std::env::var_os(name);
     match value {
         Some(v) => std::env::set_var(name, v),
@@ -36,30 +35,36 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
 /// One test owns every env-mutation scenario (shared process).
 #[test]
 fn robustness_env_plumbing() {
-    // RNUMA_FAULTS: unset and empty mean no plan; a plan string builds
-    // the described plan; a malformed string disables injection
-    // (warn-once) rather than crashing.
+    // RNUMA_FAULTS: unset and empty never fire; an abort list fires at
+    // its decisions; a malformed string disables injection (warn-once)
+    // rather than crashing.
+    let never_fires = |abort: &SweepAbort| (0..8).all(|_| !abort.should_fire());
     with_var("RNUMA_FAULTS", None, || {
-        assert!(FaultPlan::from_env().is_none())
+        assert!(never_fires(&SweepAbort::from_env()));
     });
     with_var("RNUMA_FAULTS", Some(""), || {
-        assert!(FaultPlan::from_env().is_none());
+        assert!(never_fires(&SweepAbort::from_env()));
     });
-    with_var("RNUMA_FAULTS", Some("abort@0,seed=7"), || {
-        let mut plan = FaultPlan::from_env().expect("well-formed plan");
-        assert!(!plan.is_empty());
-        assert!(
-            plan.should_fire(FaultKind::SweepAbort),
-            "pinned event at decision 0"
+    with_var("RNUMA_FAULTS", Some("abort@0 abort@2"), || {
+        let abort = SweepAbort::from_env();
+        let fired: Vec<bool> = (0..4).map(|_| abort.should_fire()).collect();
+        assert_eq!(
+            fired,
+            [true, false, true, false],
+            "pinned events at 0 and 2"
         );
     });
-    with_var("RNUMA_FAULTS", Some("pressure~0.5,seed=9"), || {
-        assert!(FaultPlan::from_env().is_some_and(|plan| !plan.is_empty()));
-    });
-    // Garbage, and the kinds of the retired worker pool, are malformed.
-    for bad in ["banana", "panic_before@0", "hang~0.5,hang_ms=25"] {
+    // Garbage, the retired seeded-rate grammar, and the kinds of the
+    // retired worker pool are malformed.
+    for bad in [
+        "banana",
+        "abort@0,seed=7",
+        "pressure~0.5,seed=9",
+        "panic_before@0",
+        "hang~0.5,hang_ms=25",
+    ] {
         with_var("RNUMA_FAULTS", Some(bad), || {
-            assert!(FaultPlan::from_env().is_none(), "{bad} built a plan");
+            assert!(never_fires(&SweepAbort::from_env()), "{bad} fired");
         });
     }
 
@@ -174,14 +179,14 @@ fn jobs_misconfiguration_warns_once_and_completes() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A malformed `RNUMA_FAULTS` spec — garbage, or a plan naming a
-/// fault kind of the retired worker pool — warns exactly once per
-/// process on stderr — even though every capture and every replay
-/// consults the plan — and the figure still regenerates successfully.
+/// A malformed `RNUMA_FAULTS` spec — garbage, a fault kind of the
+/// retired worker pool, or the retired capture-pressure plan — warns
+/// exactly once per process on stderr — even though every sweep reads
+/// the variable — and the figure still regenerates successfully.
 #[test]
 fn fault_misconfiguration_warns_once_and_completes() {
     let dir = temp_dir("faults-warn-once");
-    for spec in ["banana", "panic_before@0,seed=7"] {
+    for spec in ["banana", "panic_before@0,seed=7", "pressure~0.2,seed=42"] {
         let out = Command::new(env!("CARGO_BIN_EXE_fig5_pages"))
             .args(["--scale", "tiny"])
             .env_clear()
@@ -197,26 +202,5 @@ fn fault_misconfiguration_warns_once_and_completes() {
             "want exactly one warning for {spec:?}; stderr was: {stderr}"
         );
     }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// A figure binary under an active fault plan (capture pressure at a
-/// 20% rate) completes successfully: injected faults degrade interning
-/// instead of aborting the run.
-#[test]
-fn figure_binary_completes_under_fault_plan() {
-    let dir = temp_dir("chaos");
-    let out = Command::new(env!("CARGO_BIN_EXE_fig5_pages"))
-        .args(["--scale", "tiny"])
-        .env_clear()
-        .env("RNUMA_RESULTS_DIR", &dir)
-        .env("RNUMA_FAULTS", "pressure~0.2,seed=42")
-        .output()
-        .expect("spawn fig5_pages");
-    assert!(
-        out.status.success(),
-        "fig5_pages aborted under fault plan; stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
     let _ = std::fs::remove_dir_all(&dir);
 }

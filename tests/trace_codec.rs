@@ -3,7 +3,7 @@
 //! decode must be *exact* — bit-identical ops out for ops in — and
 //! every replay mode fed from it must agree with the live execution.
 //!
-//! Three layers of drills (see `docs/SWEEP.md`, "Trace encoding"):
+//! Two layers of drills (see `docs/SWEEP.md`, "Trace encoding"):
 //!
 //! 1. **Codec round-trips** — unit and property tests over adversarial
 //!    streams: descending walks (stride sign flips through the zigzag
@@ -14,10 +14,6 @@
 //! 2. **Three-way pinning** — encoded replay ≡ flat replay ≡ live
 //!    execution (`Metrics::replay_eq`) across the full figure grid,
 //!    plus streaming capture ≡ materialized insert.
-//! 3. **Spill drills** — a store spilling profile bytes to disk
-//!    (`RNUMA_TRACE_SPILL` / `TraceStore::spilled_to`) replays
-//!    bit-identically, removes its file on drop, and fails *loudly*
-//!    on a torn (truncated) spill file instead of decoding garbage.
 //!
 //! The footprint acceptance (encoded ≥ 4× smaller than the flat
 //! 24-byte-per-op array on sweep workloads) and the interning
@@ -344,84 +340,6 @@ fn runs_split_across_segment_boundaries_round_trip() {
     assert!(segments >= 4, "stream must span several segments to bite");
     assert_exact_decode(&store, id, &ops);
     assert!(flat_replay(config, &ops).replay_eq(&store.replay_serial(id, config).metrics));
-}
-
-/// A store spilling profile bytes to disk decodes and replays exactly
-/// like a resident store, reports its spilled footprint, and removes
-/// the spill file when dropped.
-#[test]
-fn spilled_store_replays_bit_identical_and_cleans_up() {
-    let dir = std::env::temp_dir().join(format!("rnuma-trace-codec-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let configs = figure_configs();
-    let (live, trace) = run_traced(configs[0], &mut by_name("em3d", Scale::Tiny).unwrap());
-
-    let mut resident = TraceStore::new();
-    let rid = resident.insert("em3d", configs[0], &trace);
-    assert_eq!(resident.spilled_bytes(), 0);
-    assert!(resident.spill_path().is_none());
-
-    let spill_path;
-    {
-        let mut spilled = TraceStore::spilled_to(&dir);
-        let sid = spilled.insert("em3d", configs[0], &trace);
-        spill_path = spilled
-            .spill_path()
-            .expect("spilled store has a file")
-            .to_path_buf();
-        assert!(spill_path.exists(), "spill file was never created");
-        assert!(spilled.spilled_bytes() > 0, "no profile bytes were spilled");
-        assert!(
-            spilled.resident_bytes() < spilled.encoded_bytes(),
-            "spilling must shrink the resident footprint"
-        );
-        assert_eq!(spilled.content_hash(sid), resident.content_hash(rid));
-        assert_exact_decode(&spilled, sid, &trace);
-        for &config in &configs {
-            let a = spilled.replay_serial(sid, config).metrics;
-            assert!(
-                a.replay_eq(&resident.replay_serial(rid, config).metrics),
-                "spilled vs resident replay diverged on {}",
-                config.protocol
-            );
-            if config == configs[0] {
-                assert!(
-                    live.metrics.replay_eq(&a),
-                    "spilled replay diverged from live"
-                );
-            }
-        }
-    }
-    assert!(!spill_path.exists(), "spill file must be removed on drop");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// The torn-file drill: a spill file truncated out from under the
-/// store (a crashed writer, a full disk) fails **loudly** at decode —
-/// never silently replaying garbage.
-#[test]
-#[should_panic(expected = "truncated or unreadable")]
-fn torn_spill_file_fails_loudly() {
-    let dir = std::env::temp_dir().join(format!("rnuma-trace-torn-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let config = figure_configs()[0];
-    let (_, trace) = run_traced(config, &mut by_name("em3d", Scale::Tiny).unwrap());
-    let mut store = TraceStore::spilled_to(&dir);
-    let id = store.insert("em3d", config, &trace);
-    let path = store
-        .spill_path()
-        .expect("spilled store has a file")
-        .to_path_buf();
-    let len = std::fs::metadata(&path).unwrap().len();
-    assert!(len > 0);
-    // Tear the file: keep the first half, drop the tail.
-    std::fs::OpenOptions::new()
-        .write(true)
-        .open(&path)
-        .unwrap()
-        .set_len(len / 2)
-        .unwrap();
-    let _ = store.decode(id); // must panic
 }
 
 proptest! {
