@@ -34,6 +34,13 @@ fn main() {
         "MRU fast path: {:.1}% of L1-miss translations served without a table walk",
         report.mru_hit_rate * 100.0
     );
+    println!(
+        "page-cache thrash (S-COMA, {} pages): {:.0} refs/sec, {} replacements, {:.0} ns/replacement",
+        rnuma_bench::hotpath::THRASH_PAGES,
+        report.thrash.refs_per_sec,
+        report.thrash.page_replacements,
+        report.thrash.ns_per_replacement
+    );
     let target = 2.0;
     if report.lookup_speedup() >= target {
         println!("hot-path acceptance: PASS (>= {target}x over the HashMap baseline)");

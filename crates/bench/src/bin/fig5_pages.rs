@@ -6,10 +6,9 @@
 //! misses"; radix is the flat outlier. fft is omitted (it incurs no
 //! capacity/conflict misses).
 //!
-//! Runs through the trace-once/replay-many sweep driver: each
-//! application's reference stream is captured once on the first
-//! configuration of the grid and replayed against the rest
-//! (`docs/SWEEP.md`).
+//! Runs through the sweep driver on a one-configuration grid (CC-NUMA
+//! only), so each application is one plain execution-driven `run` and
+//! no trace is built (`docs/SWEEP.md`).
 
 use rnuma::config::Protocol;
 use rnuma_bench::{apps, parse_scale, save, sweep_protocol_grid, TextTable};

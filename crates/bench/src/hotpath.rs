@@ -9,6 +9,9 @@
 //!   walk (L1 hits, local fills, block/page-cache hits, remote
 //!   fetches);
 //! * per-protocol `refs/sec` measurement of the assembled machine;
+//! * a page-cache-thrash lane: S-COMA on a stream whose remote working
+//!   set overflows every node's 80-frame page cache, so page
+//!   replacement (fault, TLB shootdown, block flush) sits on the path;
 //! * a microbenchmark of the translation structures themselves — the
 //!   open-addressed [`rnuma_mem::fxmap::FxMap64`] against the
 //!   `std::collections::HashMap` it replaced, on the same key stream —
@@ -19,6 +22,7 @@
 
 use rnuma::config::{MachineConfig, Protocol};
 use rnuma::machine::Machine;
+use rnuma::metrics::Metrics;
 use rnuma_mem::addr::{CpuId, Va};
 use rnuma_mem::fxmap::FxMap64;
 use rnuma_sim::DetRng;
@@ -65,10 +69,17 @@ pub fn synth_stream(refs: usize, pages: u64, cpus: u16) -> Vec<Ref> {
 /// Panics if the stream is empty or the configuration is invalid.
 #[must_use]
 pub fn machine_refs_per_sec(protocol: Protocol, stream: &[Ref]) -> f64 {
+    timed_replay(protocol, stream).0
+}
+
+/// Replays `stream` on fresh machines until at least ~0.2 s of work has
+/// been timed. Returns references per wall-clock second and the
+/// metrics of one replay (every replay is identical).
+fn timed_replay(protocol: Protocol, stream: &[Ref]) -> (f64, Metrics) {
     assert!(!stream.is_empty(), "empty reference stream");
     let mut total_refs = 0u64;
     let mut total_secs = 0.0f64;
-    while total_secs < 0.2 {
+    loop {
         let mut machine =
             Machine::new(MachineConfig::paper_base(protocol)).expect("valid paper config");
         let t0 = Instant::now();
@@ -77,10 +88,49 @@ pub fn machine_refs_per_sec(protocol: Protocol, stream: &[Ref]) -> f64 {
         }
         total_secs += t0.elapsed().as_secs_f64();
         total_refs += stream.len() as u64;
-        // Keep the machine's final state observable.
-        std::hint::black_box(machine.metrics().l1_hits);
+        if total_secs >= 0.2 {
+            return (total_refs as f64 / total_secs, machine.metrics());
+        }
     }
-    total_refs as f64 / total_secs
+}
+
+/// Pages in the page-cache-thrash stream: with 8 nodes, each node sees
+/// ~7/8 of them as remote — far more than its 80 frames.
+pub const THRASH_PAGES: u64 = 512;
+
+/// The page-cache-thrash lane: S-COMA throughput when page replacement
+/// is on the path.
+#[derive(Clone, Debug)]
+pub struct PageCacheThrash {
+    /// References retired per wall-clock second.
+    pub refs_per_sec: f64,
+    /// Page replacements in one replay of the stream.
+    pub page_replacements: u64,
+    /// Wall-clock nanoseconds per page replacement: a whole replay's
+    /// time, the rest of the walk included, over its replacements.
+    pub ns_per_replacement: f64,
+}
+
+/// Runs the page-cache-thrash lane on `stream` (from
+/// [`synth_stream`] over [`THRASH_PAGES`] pages).
+///
+/// # Panics
+///
+/// Panics if the stream is empty or causes no page replacement.
+#[must_use]
+pub fn page_cache_thrash(stream: &[Ref]) -> PageCacheThrash {
+    let (refs_per_sec, metrics) = timed_replay(Protocol::paper_scoma(), stream);
+    let page_replacements = metrics.os.page_replacements;
+    assert!(
+        page_replacements > 0,
+        "the stream must overflow the page cache"
+    );
+    let replay_ns = stream.len() as f64 / refs_per_sec * 1e9;
+    PageCacheThrash {
+        refs_per_sec,
+        page_replacements,
+        ns_per_replacement: replay_ns / page_replacements as f64,
+    }
 }
 
 /// MRU fast-path hit rate of one replay of `stream` (hits per L1 miss).
@@ -165,6 +215,8 @@ pub struct HotpathReport {
     pub fxmap_ns_per_lookup: f64,
     /// MRU translation fast-path hit rate per L1 miss (R-NUMA run).
     pub mru_hit_rate: f64,
+    /// The page-cache-thrash lane.
+    pub thrash: PageCacheThrash,
 }
 
 impl HotpathReport {
@@ -202,7 +254,21 @@ impl HotpathReport {
             self.fxmap_ns_per_lookup
         );
         let _ = writeln!(s, "  \"lookup_speedup\": {:.2},", self.lookup_speedup());
-        let _ = writeln!(s, "  \"mru_hit_rate\": {:.4}", self.mru_hit_rate);
+        let _ = writeln!(s, "  \"mru_hit_rate\": {:.4},", self.mru_hit_rate);
+        let _ = writeln!(s, "  \"page_cache_thrash\": {{");
+        let _ = writeln!(s, "    \"stream_pages\": {THRASH_PAGES},");
+        let _ = writeln!(s, "    \"refs_per_sec\": {:.0},", self.thrash.refs_per_sec);
+        let _ = writeln!(
+            s,
+            "    \"page_replacements\": {},",
+            self.thrash.page_replacements
+        );
+        let _ = writeln!(
+            s,
+            "    \"ns_per_replacement\": {:.1}",
+            self.thrash.ns_per_replacement
+        );
+        let _ = writeln!(s, "  }}");
         s.push('}');
         s
     }
@@ -251,6 +317,7 @@ pub fn measure(stream_refs: usize) -> HotpathReport {
         hashmap_ns_per_lookup: hashmap_ns,
         fxmap_ns_per_lookup: fxmap_ns,
         mru_hit_rate: mru_hit_rate(Protocol::paper_rnuma(), &stream),
+        thrash: page_cache_thrash(&synth_stream(stream_refs, THRASH_PAGES, 32)),
     }
 }
 
@@ -284,12 +351,25 @@ mod tests {
             hashmap_ns_per_lookup: 20.0,
             fxmap_ns_per_lookup: 5.0,
             mru_hit_rate: 0.9,
+            thrash: PageCacheThrash {
+                refs_per_sec: 2e6,
+                page_replacements: 40,
+                ns_per_replacement: 1250.0,
+            },
         };
         let json = report.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"ideal\": 1000000"));
+        assert!(json.contains("\"ns_per_replacement\": 1250.0"));
         assert!(json.contains("\"lookup_speedup\": 4.00"));
         assert!((report.lookup_speedup() - 4.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn thrash_stream_overflows_the_page_cache() {
+        let lane = page_cache_thrash(&synth_stream(40_000, THRASH_PAGES, 32));
+        assert!(lane.page_replacements > 0);
+        assert!(lane.refs_per_sec > 0.0 && lane.ns_per_replacement > 0.0);
     }
 
     #[test]

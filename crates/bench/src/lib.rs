@@ -276,6 +276,12 @@ pub fn run_grid(
 /// enforced across the whole figure grid by
 /// `tests/replay_determinism.rs`. See `docs/SWEEP.md`.
 ///
+/// A grid with one configuration has no replay cells, so nothing would
+/// read a trace: each of its cells runs as a plain [`run`] of the
+/// workload on `configs[0]`, and no trace or [`TraceStore`] is built.
+/// The capture cell's report is that same `run`, so the rows are
+/// identical either way.
+///
 /// # Example
 ///
 /// ```
@@ -356,6 +362,10 @@ pub fn sweep_grid_journaled(
         Job::Capture(a) => {
             let app = apps[a];
             let mut w = by_name(app, scale).unwrap_or_else(|| panic!("unknown app {app}"));
+            if configs.len() == 1 {
+                // No replay cell will read the stream: skip the trace.
+                return (run(configs[0], &mut w), 0);
+            }
             let mut store = TraceStore::new();
             let (id, report) = store.capture(configs[0], &mut w);
             let ops = store.ops(id);

@@ -883,6 +883,14 @@ impl Lanes<'_> {
     /// fetch is recognized as a refetch), read-only blocks are dropped
     /// silently (non-notifying), and local L1 copies are invalidated
     /// under the TLB shootdown.
+    ///
+    /// The shootdown visits only the blocks the victim's tags mark
+    /// valid, by the inclusion rule: an L1 line of an S-COMA-mapped page
+    /// always has a valid page-cache tag. L1 fills follow the tag update
+    /// in `access_scoma` (or copy a peer line that obeys the rule),
+    /// `apply_invalidation_at` snoops the L1s whenever it clears a tag,
+    /// and `relocate_page` empties the page's L1 lines before it
+    /// installs tags. Debug builds rescan the L1s to check it.
     fn flush_scoma_victim(&mut self, node_idx: usize, victim: PageVictim, now: Cycles) {
         let node_id = NodeId(node_idx as u8);
         let home = self
@@ -895,9 +903,17 @@ impl Lanes<'_> {
             if tag == AccessTag::ReadWrite {
                 self.post_writeback(now, node_id, home, block);
             }
+            for l1 in &mut self.node_mut(node_idx).l1s {
+                l1.invalidate(block);
+            }
         }
-        for l1 in &mut self.node_mut(node_idx).l1s {
-            l1.invalidate_page(victim.vpage);
+        #[cfg(debug_assertions)]
+        for l1 in &self.node(node_idx).l1s {
+            assert!(
+                l1.iter().all(|(b, _)| b.vpage() != victim.vpage),
+                "L1 line of evicted page {} had no valid page-cache tag",
+                victim.vpage
+            );
         }
         let node = self.node_mut(node_idx);
         node.pt.unmap(victim.vpage);
@@ -1629,6 +1645,56 @@ mod tests {
         let metrics = m.metrics();
         assert_eq!(metrics.os.page_replacements, 1);
         assert_eq!(metrics.os.scoma_allocations, 3);
+    }
+
+    /// Page replacement under the paper's 80-frame cache while every
+    /// victim still has lines in two L1s of the evicting node: the
+    /// tag-guided shootdown must leave no line of an evicted page behind
+    /// (debug builds also assert it inside the flush).
+    #[test]
+    fn page_replacement_shoots_down_victim_lines_in_every_l1() {
+        let rnuma = Protocol::RNuma {
+            block_cache_bytes: 128,
+            page_cache_bytes: 320 * 1024,
+            threshold: 16,
+        };
+        for protocol in [Protocol::paper_scoma(), rnuma] {
+            let mut m = machine(protocol);
+            // 100 remote pages for node 1, homed at node 0. The first
+            // page number is even, so page p's block i sits in L1 set
+            // i (even p) or 128 + i (odd p).
+            let page = |p: u64| 0x10_0000 + p * 4096;
+            for p in 0..100 {
+                m.access(CPU_N0, Va(page(p)), false);
+            }
+            for _round in 0..20 {
+                for p in 0..100 {
+                    // CPU 4 reads block 0 of every page: each read misses
+                    // its L1 and the 4-line block cache, so under R-NUMA
+                    // every round refetches every page.
+                    m.access(CPU_N1, Va(page(p)), false);
+                    // CPUs 5 and 6 keep a line of each page in L1 sets
+                    // no other page uses.
+                    let block = 1 + p / 2;
+                    m.access(CpuId(5), Va(page(p) + block * 32), false);
+                    m.access(CpuId(6), Va(page(p) + (block + 64) * 32), true);
+                }
+            }
+            let metrics = m.metrics();
+            assert!(metrics.os.page_replacements > 0, "{metrics}");
+            if matches!(protocol, Protocol::RNuma { .. }) {
+                assert!(metrics.os.relocations > 0, "{metrics}");
+            }
+            let node = &m.nodes[1];
+            for p in 0..100 {
+                let vpage = Va(page(p)).vpage();
+                if node.pt.lookup(vpage).is_none() {
+                    for l1 in &node.l1s {
+                        assert!(l1.iter().all(|(b, _)| b.vpage() != vpage));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

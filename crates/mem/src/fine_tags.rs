@@ -115,17 +115,16 @@ impl FineTags {
     /// Number of blocks present (read-only or read-write).
     #[must_use]
     pub fn count_valid(&self) -> u32 {
-        (0..BLOCKS_PER_PAGE)
-            .filter(|&i| self.get(i).readable())
-            .count() as u32
+        self.words.iter().map(|&w| valid_bits(w).count_ones()).sum()
     }
 
     /// Number of blocks with write permission (flushed as dirty).
     #[must_use]
     pub fn count_read_write(&self) -> u32 {
-        (0..BLOCKS_PER_PAGE)
-            .filter(|&i| self.get(i).writable())
-            .count() as u32
+        self.words
+            .iter()
+            .map(|&w| ((w >> 1) & LOW_BITS).count_ones())
+            .sum()
     }
 
     /// Resets every tag to `Invalid`.
@@ -133,12 +132,31 @@ impl FineTags {
         self.words = [0; WORDS];
     }
 
-    /// Iterates `(block_index, tag)` over non-invalid blocks.
+    /// Iterates `(block_index, tag)` over non-invalid blocks, in
+    /// ascending block order. Walks only the set bits, so a frame with
+    /// few valid blocks costs a few steps, not one per block.
     pub fn iter_valid(&self) -> impl Iterator<Item = (u64, AccessTag)> + '_ {
-        (0..BLOCKS_PER_PAGE)
-            .map(|i| (i, self.get(i)))
-            .filter(|(_, t)| t.readable())
+        self.words.iter().enumerate().flat_map(|(i, &word)| {
+            let mut valid = valid_bits(word);
+            std::iter::from_fn(move || {
+                if valid == 0 {
+                    return None;
+                }
+                let bit = valid.trailing_zeros();
+                valid &= valid - 1;
+                let index = (i * 64 + bit as usize) as u64 / 2;
+                Some((index, AccessTag::from_bits(word >> bit)))
+            })
+        })
     }
+}
+
+/// The low bit of every 2-bit tag cell in a word.
+const LOW_BITS: u64 = 0x5555_5555_5555_5555;
+
+/// One bit per non-invalid cell of `word`, at the cell's low bit.
+fn valid_bits(word: u64) -> u64 {
+    (word | (word >> 1)) & LOW_BITS
 }
 
 #[cfg(test)]

@@ -47,15 +47,11 @@ pub struct PageVictim {
     pub tags: FineTags,
 }
 
-/// One frame of the page cache with its fine-grain tags and stamps.
+/// One frame of the page cache with its fine-grain tags.
 #[derive(Clone, Debug)]
 struct Frame {
     vpage: Option<VPage>,
     tags: FineTags,
-    /// Monotonic stamp of the last remote miss serviced into this frame.
-    last_miss: u64,
-    /// Monotonic stamp of the frame's allocation (FIFO policy).
-    allocated: u64,
 }
 
 /// A node's S-COMA page cache.
@@ -75,6 +71,11 @@ struct Frame {
 #[derive(Clone, Debug)]
 pub struct PageCache {
     frames: Vec<Frame>,
+    /// One stamp per frame for the active policy: the last remote miss
+    /// serviced into it (LRM) or its allocation (FIFO), both from
+    /// `miss_clock`, so stamps are unique and the oldest is the victim.
+    /// Random ignores them.
+    stamps: Vec<u64>,
     by_page: FxMap<VPage, FrameId>,
     free: Vec<FrameId>,
     miss_clock: u64,
@@ -116,10 +117,9 @@ impl PageCache {
                 .map(|_| Frame {
                     vpage: None,
                     tags: FineTags::new(),
-                    last_miss: 0,
-                    allocated: 0,
                 })
                 .collect(),
+            stamps: vec![0; n as usize],
             by_page: FxMap::new(),
             free: (0..n as u32).rev().map(FrameId).collect(),
             miss_clock: 0,
@@ -191,8 +191,7 @@ impl PageCache {
         let slot = &mut self.frames[frame.0 as usize];
         slot.vpage = Some(vpage);
         slot.tags = FineTags::new();
-        slot.last_miss = self.miss_clock;
-        slot.allocated = self.miss_clock;
+        self.stamps[frame.0 as usize] = self.miss_clock;
         self.by_page.insert(vpage, frame);
         PageAlloc { frame, victim }
     }
@@ -200,9 +199,12 @@ impl PageCache {
     /// Records a remote miss serviced into `vpage`'s frame, refreshing its
     /// LRM position. No-op if the page is not resident.
     pub fn record_miss(&mut self, vpage: VPage) {
+        if self.policy != ReplacementPolicy::LeastRecentlyMissed {
+            return; // only LRM stamps misses
+        }
         if let Some(&frame) = self.by_page.get(vpage) {
             self.miss_clock += 1;
-            self.frames[frame.0 as usize].last_miss = self.miss_clock;
+            self.stamps[frame.0 as usize] = self.miss_clock;
         }
     }
 
@@ -269,36 +271,28 @@ impl PageCache {
         }
     }
 
+    /// Chooses the frame to evict. Only a full cache evicts, so every
+    /// frame is occupied: the victim is an index into all frames.
     fn select_victim(&mut self) -> FrameId {
-        match self.policy {
-            ReplacementPolicy::LeastRecentlyMissed => self.min_by(|f| f.last_miss),
-            ReplacementPolicy::Fifo => self.min_by(|f| f.allocated),
+        debug_assert!(self.free.is_empty(), "victim from a cache with free frames");
+        let idx = match self.policy {
+            ReplacementPolicy::LeastRecentlyMissed | ReplacementPolicy::Fifo => {
+                let (idx, _) = self
+                    .stamps
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|&(_, &stamp)| stamp)
+                    .expect("a page cache has at least one frame");
+                idx
+            }
             ReplacementPolicy::Random => {
                 // xorshift64*: deterministic, independent of `rand`.
                 self.rng_state ^= self.rng_state << 13;
                 self.rng_state ^= self.rng_state >> 7;
                 self.rng_state ^= self.rng_state << 17;
-                let occupied: Vec<u32> = self
-                    .frames
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, f)| f.vpage.is_some())
-                    .map(|(i, _)| i as u32)
-                    .collect();
-                assert!(!occupied.is_empty(), "victim from an empty cache");
-                FrameId(occupied[(self.rng_state % occupied.len() as u64) as usize])
+                (self.rng_state % self.frames.len() as u64) as usize
             }
-        }
-    }
-
-    fn min_by<K: Ord>(&self, key: impl Fn(&Frame) -> K) -> FrameId {
-        let (idx, _) = self
-            .frames
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| f.vpage.is_some())
-            .min_by_key(|(_, f)| key(f))
-            .expect("victim from an empty cache");
+        };
         FrameId(idx as u32)
     }
 

@@ -8,7 +8,7 @@ use rnuma_mem::fine_tags::{AccessTag, FineTags};
 use rnuma_mem::fxmap::FxMap64;
 use rnuma_mem::l1::L1Cache;
 use rnuma_mem::moesi::Moesi;
-use rnuma_mem::page_cache::PageCache;
+use rnuma_mem::page_cache::{PageCache, ReplacementPolicy};
 use rnuma_mem::paged::PagedMap;
 
 fn arb_tag() -> impl Strategy<Value = AccessTag> {
@@ -17,6 +17,87 @@ fn arb_tag() -> impl Strategy<Value = AccessTag> {
         Just(AccessTag::ReadOnly),
         Just(AccessTag::ReadWrite),
     ]
+}
+
+/// The page cache's victim rules as first written: a linear scan of
+/// the occupied frames for the oldest per-frame stamp, and Random
+/// drawing an index into the list of occupied frames. `PageCache` must
+/// choose the same victims from its dense stamp array.
+struct NaivePageCache {
+    /// Per frame: `(page, last miss, allocation)` stamps, if occupied.
+    frames: Vec<Option<(u64, u64, u64)>>,
+    free: Vec<usize>,
+    clock: u64,
+    policy: ReplacementPolicy,
+    rng: u64,
+}
+
+impl NaivePageCache {
+    fn new(frames: usize, policy: ReplacementPolicy) -> NaivePageCache {
+        NaivePageCache {
+            frames: vec![None; frames],
+            free: (0..frames).rev().collect(),
+            clock: 0,
+            policy,
+            rng: 0x9E37_79B9_7F4A_7C15,
+        }
+    }
+
+    fn frame_of(&self, page: u64) -> Option<usize> {
+        self.frames
+            .iter()
+            .position(|f| f.is_some_and(|(p, _, _)| p == page))
+    }
+
+    /// Returns `(frame, evicted page)`.
+    fn allocate(&mut self, page: u64) -> (usize, Option<u64>) {
+        self.clock += 1;
+        let (frame, victim) = match self.free.pop() {
+            Some(f) => (f, None),
+            None => {
+                let occupied: Vec<usize> = (0..self.frames.len())
+                    .filter(|&i| self.frames[i].is_some())
+                    .collect();
+                let stamp =
+                    |i: usize, pick: fn((u64, u64, u64)) -> u64| self.frames[i].map(pick).unwrap();
+                let f = match self.policy {
+                    ReplacementPolicy::LeastRecentlyMissed => *occupied
+                        .iter()
+                        .min_by_key(|&&i| stamp(i, |(_, miss, _)| miss))
+                        .unwrap(),
+                    ReplacementPolicy::Fifo => *occupied
+                        .iter()
+                        .min_by_key(|&&i| stamp(i, |(_, _, alloc)| alloc))
+                        .unwrap(),
+                    ReplacementPolicy::Random => {
+                        self.rng ^= self.rng << 13;
+                        self.rng ^= self.rng >> 7;
+                        self.rng ^= self.rng << 17;
+                        occupied[(self.rng % occupied.len() as u64) as usize]
+                    }
+                };
+                (f, self.frames[f].map(|(p, _, _)| p))
+            }
+        };
+        self.frames[frame] = Some((page, self.clock, self.clock));
+        (frame, victim)
+    }
+
+    fn record_miss(&mut self, page: u64) {
+        if let Some(f) = self.frame_of(page) {
+            self.clock += 1;
+            if let Some(slot) = self.frames[f].as_mut() {
+                slot.1 = self.clock;
+            }
+        }
+    }
+
+    fn release(&mut self, page: u64) -> Option<usize> {
+        let f = self.frame_of(page)?;
+        self.frames[f] = None;
+        self.free.push(f);
+        Some(f)
+    }
 }
 
 proptest! {
@@ -382,6 +463,77 @@ proptest! {
         prop_assert_eq!(got, expected);
         for i in 0..BLOCKS_PER_PAGE {
             prop_assert!(bc.probe(page.block(i)).is_none());
+        }
+    }
+
+    /// The word-level tag counts and bit walk equal their per-block
+    /// definitions, on arrays from sparse to dense.
+    #[test]
+    fn fine_tags_word_ops_match_per_block_definitions(
+        density in 0u8..8,
+        cells in prop::collection::vec((0u8..8, any::<bool>()), 128),
+    ) {
+        let mut tags = FineTags::new();
+        for (i, &(roll, rw)) in cells.iter().enumerate() {
+            let tag = match (roll < density, rw) {
+                (false, _) => AccessTag::Invalid,
+                (true, false) => AccessTag::ReadOnly,
+                (true, true) => AccessTag::ReadWrite,
+            };
+            tags.set(i as u64, tag);
+        }
+        let per_block: Vec<(u64, AccessTag)> = (0..BLOCKS_PER_PAGE)
+            .map(|i| (i, tags.get(i)))
+            .filter(|(_, t)| t.readable())
+            .collect();
+        let rw = per_block.iter().filter(|(_, t)| t.writable()).count() as u32;
+        prop_assert_eq!(tags.count_valid(), per_block.len() as u32);
+        prop_assert_eq!(tags.count_read_write(), rw);
+        prop_assert_eq!(tags.iter_valid().collect::<Vec<_>>(), per_block);
+    }
+
+    /// Every policy's victims equal the naive model's over random
+    /// allocate/record-miss/release sequences.
+    #[test]
+    fn page_cache_victims_match_naive_model(
+        policy in 0u8..3,
+        frames in 1usize..12,
+        ops in prop::collection::vec((0u8..4, 0u64..24), 1..400),
+    ) {
+        let policy = match policy {
+            0 => ReplacementPolicy::LeastRecentlyMissed,
+            1 => ReplacementPolicy::Fifo,
+            _ => ReplacementPolicy::Random,
+        };
+        let mut pc = PageCache::with_policy(frames as u64 * PAGE_BYTES, policy);
+        let mut model = NaivePageCache::new(frames, policy);
+        for (op, page) in ops {
+            match op {
+                // Allocate (or, when resident, miss into the page).
+                0 | 1 => {
+                    if pc.lookup(VPage(page)).is_some() {
+                        pc.record_miss(VPage(page));
+                        model.record_miss(page);
+                    } else {
+                        let alloc = pc.allocate(VPage(page));
+                        let (frame, victim) = model.allocate(page);
+                        prop_assert_eq!(alloc.frame.0 as usize, frame);
+                        prop_assert_eq!(alloc.victim.map(|v| v.vpage.0), victim);
+                    }
+                }
+                2 => {
+                    pc.record_miss(VPage(page));
+                    model.record_miss(page);
+                }
+                _ => {
+                    let freed = pc.release(VPage(page)).map(|v| v.frame.0 as usize);
+                    prop_assert_eq!(freed, model.release(page));
+                }
+            }
+            prop_assert_eq!(
+                pc.lookup(VPage(page)).map(|f| f.0 as usize),
+                model.frame_of(page)
+            );
         }
     }
 }

@@ -101,9 +101,10 @@ fn interned_and_raw_stores_replay_identically() {
     }
 }
 
-/// A one-configuration sweep (what fig5, table3 and table4 run) is
-/// just the capture cell, and still matches a plain execution-driven
-/// run bit-for-bit — on CC-NUMA and on table3's ideal machine.
+/// A one-configuration sweep (what fig5 and table3 run) is a plain
+/// execution-driven run of each cell, with no trace built, and matches
+/// `run` bit-for-bit — on fig5's CC-NUMA and on table3's ideal
+/// machine.
 #[test]
 fn single_config_sweep_equals_direct_run() {
     for protocol in [Protocol::paper_ccnuma(), Protocol::ideal()] {
