@@ -26,10 +26,7 @@
 #![warn(missing_docs)]
 
 use rnuma::config::{MachineConfig, Protocol};
-use rnuma::experiment::{
-    parallel_map, parallel_workers, run, RunReport, SweepAbort, TraceId, TraceStore,
-};
-use rnuma::journal::{cell_key, Journal};
+use rnuma::experiment::{parallel_map, parallel_workers, run, RunReport, TraceId, TraceStore};
 use rnuma_workloads::{by_name, Scale, APP_NAMES};
 use std::any::Any;
 use std::cmp::Reverse;
@@ -136,38 +133,6 @@ pub fn save(name: &str, content: &str) {
     println!("[saved {}]", path.display());
 }
 
-/// The workspace's one `RNUMA_JOURNAL` resolver: the literal value `1`
-/// means "the canonical sweep journal", `results/sweep_journal.jsonl`
-/// under [`results_dir`]; any other non-empty value is used as a path
-/// directly. Unset or empty means no journal. An unopenable journal
-/// warns once on stderr and disables checkpointing — a sweep must never
-/// fail because its crash-recovery aid did.
-#[must_use]
-pub fn sweep_journal_from_env() -> Option<Journal> {
-    let val = rnuma::experiment::env_raw("RNUMA_JOURNAL")?;
-    if val.is_empty() {
-        return None;
-    }
-    let path = if val == "1" {
-        results_dir().join("sweep_journal.jsonl")
-    } else {
-        PathBuf::from(val)
-    };
-    match Journal::open(&path) {
-        Ok(journal) => Some(journal),
-        Err(err) => {
-            static WARN: std::sync::Once = std::sync::Once::new();
-            WARN.call_once(|| {
-                eprintln!(
-                    "RNUMA_JOURNAL: cannot open {} ({err}); checkpointing disabled",
-                    path.display()
-                );
-            });
-            None
-        }
-    }
-}
-
 /// Runs one `(application, protocol)` pair at `scale`.
 ///
 /// # Panics
@@ -264,10 +229,7 @@ pub fn run_grid(
 /// a worker takes the ready replay with the longest stream, ties going
 /// to the lower `(app, config)` index. A panicking cell stops dispatch;
 /// once every worker has returned, the first panic is re-raised with
-/// its payload. `RNUMA_JOURNAL` checkpoints replay cells
-/// ([`sweep_journal_from_env`]) and `RNUMA_FAULTS` may abort the sweep
-/// after a replay cell ([`SweepAbort::from_env`]); both are handed to
-/// [`sweep_grid_journaled`], which does the work.
+/// its payload.
 ///
 /// Returns the same row shape as [`run_grid`]. The difference in
 /// *meaning*: every cell of a row simulates the **same** reference
@@ -306,48 +268,13 @@ pub fn run_grid(
 /// # Panics
 ///
 /// Panics if `configs` is empty, any `app` is not a Table-3
-/// application, or an `RNUMA_FAULTS` abort fires.
+/// application, or a replay configuration's cluster shape differs from
+/// `configs[0]`'s.
 #[must_use]
 pub fn sweep_grid(
     apps: &[&'static str],
     configs: &[MachineConfig],
     scale: Scale,
-) -> Vec<Vec<RunReport>> {
-    sweep_grid_journaled(
-        apps,
-        configs,
-        scale,
-        sweep_journal_from_env().as_ref(),
-        &SweepAbort::from_env(),
-    )
-}
-
-/// [`sweep_grid`] with its checkpoint/resume plumbing explicit instead
-/// of read from the environment.
-///
-/// Completed replay cells are appended to `journal`, keyed by
-/// [`cell_key`] (workload, stream content hash, configuration), and
-/// cells already present in the journal are restored without
-/// re-simulation — so a sweep killed mid-run resumes where it died and
-/// finishes bit-identical to a clean run (see `docs/ROBUSTNESS.md`).
-/// `abort` takes one decision after every re-simulated replay cell:
-/// the crash-injection point the fault drills in
-/// `tests/fault_recovery.rs` use.
-///
-/// Capture cells are *not* journaled: re-running the workload is what
-/// regenerates the reference stream (deterministically), and the
-/// journal's keys depend on that stream's content hash.
-///
-/// # Panics
-///
-/// As [`sweep_grid`], and when `abort` fires.
-#[must_use]
-pub fn sweep_grid_journaled(
-    apps: &[&'static str],
-    configs: &[MachineConfig],
-    scale: Scale,
-    journal: Option<&Journal>,
-    abort: &SweepAbort,
 ) -> Vec<Vec<RunReport>> {
     assert!(
         !configs.is_empty(),
@@ -378,24 +305,7 @@ pub fn sweep_grid_journaled(
         Job::Replay(a, c) => {
             // lint: allow(R01, the queue releases app a's replays only when its capture completed and set captured[a]; a miss is a queue bug, and the worker's catch_unwind re-raises it as a job panic)
             let (store, id) = captured[a].get().expect("replay released before capture");
-            let key = cell_key(store.workload(*id), store.content_hash(*id), &configs[c]);
-            let report = match journal.and_then(|j| j.lookup(key)) {
-                Some(metrics) => RunReport {
-                    workload: store.workload(*id),
-                    protocol: configs[c].protocol.label(),
-                    config: configs[c],
-                    metrics: metrics.clone(),
-                },
-                None => {
-                    let report = store.replay_serial(*id, configs[c]);
-                    if let Some(journal) = journal {
-                        journal.record(key, report.workload, report.protocol, &report.metrics);
-                    }
-                    abort.after_cell();
-                    report
-                }
-            };
-            (report, 0)
+            (store.replay_serial(*id, configs[c]), 0)
         }
     };
     let workers = parallel_workers(apps.len() * configs.len());

@@ -18,9 +18,9 @@
 //! configuration with [`TraceStore::replay_serial`]. Replay is bit-identical to a serial
 //! batched [`Machine::apply_batch`] of the same stream, and the
 //! reference stream is *fixed across cells* — the classic trace-driven
-//! methodology. The sweep driver itself, with its work queue, journal
-//! and abort point ([`SweepAbort`]), is `rnuma_bench::sweep_grid`; see
-//! `docs/SWEEP.md` for the model and its guarantees.
+//! methodology. The sweep driver itself, with its work queue, is
+//! `rnuma_bench::sweep_grid`; see `docs/SWEEP.md` for the model and its
+//! guarantees.
 //!
 //! # Worker pool
 //!
@@ -36,7 +36,7 @@ use crate::program::{Runner, Workload};
 use crate::trace::{
     decode_segment, encode_segment, CpuRefs, CpuRun, ProfileArena, SegMeta, TraceOp, SEG_OPS,
 };
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 
 /// The result of one (configuration, workload) simulation.
@@ -192,10 +192,9 @@ pub fn env_usize(name: &str, default: Option<usize>, max: usize) -> Option<usize
 /// when unset (or not valid UTF-8).
 ///
 /// This is the blessed escape hatch companion to [`env_usize`] for
-/// knobs whose values are names, paths, or switch words
-/// (`RNUMA_FAULTS`, `RNUMA_JOURNAL`, …). Call sites
-/// still own their documented warn-once misconfiguration semantics —
-/// what this helper centralizes is the *access point*: `rnuma-lint`'s
+/// knobs whose values are paths or switch words (`RNUMA_RESULTS_DIR`,
+/// `RNUMA_SWEEP_GATE`). Call sites still own their documented
+/// semantics — what this helper centralizes is the *access point*: `rnuma-lint`'s
 /// D03 lint rejects raw `std::env::var("RNUMA_…")` reads anywhere
 /// else, so the whole knob surface stays inventoried in this module
 /// (and cross-checked against README's env table by E01).
@@ -305,7 +304,6 @@ impl StoreCore {
         }
         let meta = encode_segment(
             chunk,
-            seg_hash(chunk),
             &mut self.profiles,
             &mut self.runs,
             self.interning,
@@ -597,30 +595,6 @@ impl TraceStore {
         self.flat_bytes() as f64 / encoded as f64
     }
 
-    /// A stable content hash of the stream: the fold of its segments'
-    /// hashes in replay order, seeded with the op count. Segment hashes
-    /// are computed from the raw ops at capture time (`seg_hash` over
-    /// the pre-encoding chunk), so this hash is a property of the
-    /// *operation sequence*, not the encoding. Two streams hash equal
-    /// iff their operation sequences are identical (modulo hash
-    /// collisions, which [`crate::journal::Journal`] keying tolerates: a collision only
-    /// risks a stale journal hit, and journal cells additionally carry
-    /// the configuration in their key). This is what distinguishes
-    /// `em3d@Tiny` from `em3d@Paper` in a sweep journal — same workload
-    /// name, different stream.
-    #[must_use]
-    pub fn content_hash(&self, id: TraceId) -> u64 {
-        const MIX: u64 = 0x9E37_79B9_7F4A_7C15;
-        let rec = self.rec(id);
-        let mut h = 0x6a09_e667_f3bc_c908u64 ^ rec.ops;
-        for seg in rec.seg_start..rec.seg_end {
-            h = (h ^ self.core.segs[seg as usize].hash)
-                .wrapping_mul(MIX)
-                .rotate_left(23);
-        }
-        h
-    }
-
     /// Replays the stream serially on a fresh machine built from
     /// `config`, returning its report — the per-cell entry point of the
     /// trace-once/replay-many drivers (`rnuma_bench::sweep_grid` calls
@@ -655,127 +629,6 @@ impl TraceStore {
             protocol: config.protocol.label(),
             config,
             metrics: machine.metrics(),
-        }
-    }
-}
-
-/// Deterministic content hash of one segment (FxHash-style multiply
-/// mixing; collisions are verified against the arena, never trusted).
-fn seg_hash(ops: &[TraceOp]) -> u64 {
-    const MIX: u64 = 0x9E37_79B9_7F4A_7C15;
-    let mut h = 0xcbf2_9ce4_8422_2325u64 ^ (ops.len() as u64);
-    let feed = |h: &mut u64, v: u64| *h = (*h ^ v).wrapping_mul(MIX).rotate_left(23);
-    for op in ops {
-        match *op {
-            TraceOp::Access { cpu, va, write } => {
-                feed(&mut h, 1);
-                feed(&mut h, u64::from(cpu.0));
-                feed(&mut h, va.0);
-                feed(&mut h, u64::from(write));
-            }
-            TraceOp::Think { cpu, dur } => {
-                feed(&mut h, 2);
-                feed(&mut h, u64::from(cpu.0));
-                feed(&mut h, dur.0);
-            }
-            TraceOp::Barrier => feed(&mut h, 3),
-            TraceOp::ArmFirstTouch => feed(&mut h, 4),
-        }
-    }
-    h
-}
-
-/// The sweep driver's crash-injection point: after each completed cell
-/// it takes one abort decision, and panics the driver mid-sweep when the
-/// decision's index is on its list, so the checkpoint/resume lane can
-/// prove a journal-resumed sweep is bit-identical to a clean one.
-///
-/// Decisions are counted in cell *completion* order, which under a
-/// parallel driver is nondeterministic — deliberately so: the resume
-/// contract must hold no matter where the sweep died. The default
-/// never fires.
-///
-/// # Example
-///
-/// ```
-/// use rnuma::SweepAbort;
-///
-/// let abort = SweepAbort::parse("abort@1").unwrap();
-/// assert!(!abort.should_fire()); // decision 0
-/// assert!(abort.should_fire()); // decision 1
-/// assert!(!abort.should_fire()); // decision 2
-/// ```
-#[derive(Debug, Default)]
-pub struct SweepAbort {
-    /// Decision indices that fire.
-    fire_at: Vec<u64>,
-    /// Decisions taken so far.
-    decisions: AtomicU64,
-}
-
-impl SweepAbort {
-    /// An abort point firing at each of the given decision indices
-    /// (tests); an empty list never fires.
-    #[must_use]
-    pub fn at(indices: &[u64]) -> SweepAbort {
-        SweepAbort {
-            fire_at: indices.to_vec(),
-            decisions: AtomicU64::new(0),
-        }
-    }
-
-    /// Parses an `RNUMA_FAULTS` spec: comma- or whitespace-separated
-    /// `abort@<n>` tokens, each making the `n`-th decision fire. An
-    /// empty spec never fires.
-    ///
-    /// # Errors
-    ///
-    /// Returns a one-line description naming the first malformed token;
-    /// any token other than `abort@<n>` is malformed.
-    pub fn parse(spec: &str) -> Result<SweepAbort, String> {
-        let indices = spec
-            .split(|c: char| c == ',' || c.is_whitespace())
-            .filter(|t| !t.is_empty())
-            .map(|token| {
-                token
-                    .strip_prefix("abort@")
-                    .and_then(|n| n.parse().ok())
-                    .ok_or_else(|| format!("malformed token '{token}', want abort@<n>"))
-            })
-            .collect::<Result<Vec<u64>, String>>()?;
-        Ok(SweepAbort::at(&indices))
-    }
-
-    /// The abort point configured by `RNUMA_FAULTS`. Unset or empty
-    /// never fires; a malformed spec warns on stderr once per process
-    /// and also never fires (misconfiguration must not abort a run,
-    /// matching the numeric `RNUMA_*` knobs).
-    #[must_use]
-    pub fn from_env() -> SweepAbort {
-        let spec = env_raw("RNUMA_FAULTS").unwrap_or_default();
-        SweepAbort::parse(&spec).unwrap_or_else(|msg| {
-            static WARN: std::sync::Once = std::sync::Once::new();
-            WARN.call_once(|| eprintln!("warning: ignoring RNUMA_FAULTS ({msg})"));
-            SweepAbort::default()
-        })
-    }
-
-    /// Takes one abort decision, advancing the decision counter, and
-    /// reports whether it fires.
-    pub fn should_fire(&self) -> bool {
-        let index = self.decisions.fetch_add(1, Ordering::Relaxed);
-        self.fire_at.contains(&index)
-    }
-
-    /// Takes one abort decision; panics with an "injected:" payload
-    /// when it fires. Call after each durably-completed unit of work.
-    ///
-    /// # Panics
-    ///
-    /// Panics — that is the injection — when the decision fires.
-    pub fn after_cell(&self) {
-        if self.should_fire() {
-            panic!("injected: sweep abort (checkpoint/resume drill)");
         }
     }
 }
@@ -914,53 +767,5 @@ mod tests {
         let empty: Vec<u64> = Vec::new();
         assert!(parallel_map(&empty, |&j| j).is_empty());
         assert_eq!(parallel_map(&[7u64], |&j| j + 1), [8]);
-    }
-
-    #[test]
-    fn empty_spec_is_empty_plan() {
-        assert!(SweepAbort::parse("").unwrap().fire_at.is_empty());
-        assert!(SweepAbort::parse(" , ,, ").unwrap().fire_at.is_empty());
-        let never = SweepAbort::default();
-        assert!((0..16).all(|_| !never.should_fire()));
-    }
-
-    #[test]
-    fn explicit_events_fire_at_their_index_only() {
-        let abort = SweepAbort::parse("abort@0,abort@2").unwrap();
-        let fired: Vec<bool> = (0..4).map(|_| abort.should_fire()).collect();
-        assert_eq!(fired, [true, false, true, false]);
-        assert_eq!(abort.decisions.load(Ordering::Relaxed), 4);
-    }
-
-    #[test]
-    fn parse_rejects_malformed_tokens() {
-        for bad in [
-            "bogus",
-            "abort@x",
-            "nope@3",
-            "pressure~banana",
-            "pressure~1.5",
-            "seed=pear",
-            // Tokens of the retired seeded-rate grammar.
-            "pressure~0.2",
-            "pressure@0",
-            "abort~0.5",
-            "seed=7",
-            // Kinds and knobs of the retired worker pool.
-            "panic_before@0",
-            "panic_after@1",
-            "hang~0.5",
-            "poison@0",
-            "hang_ms=10",
-        ] {
-            assert!(SweepAbort::parse(bad).is_err(), "{bad} should not parse");
-        }
-    }
-
-    #[test]
-    fn parse_full_grammar() {
-        let abort = SweepAbort::parse("abort@3 abort@1,\tabort@1").unwrap();
-        let fired: Vec<bool> = (0..5).map(|_| abort.should_fire()).collect();
-        assert_eq!(fired, [false, true, false, true, false]);
     }
 }

@@ -71,7 +71,6 @@
 
 pub mod config;
 pub mod experiment;
-pub mod journal;
 pub mod machine;
 pub mod metrics;
 pub mod model;
@@ -79,8 +78,7 @@ pub mod program;
 mod trace;
 
 pub use config::{MachineConfig, Protocol};
-pub use experiment::{parallel_map, run, run_traced, RunReport, SweepAbort, TraceId, TraceStore};
-pub use journal::{cell_key, Journal};
+pub use experiment::{parallel_map, run, run_traced, RunReport, TraceId, TraceStore};
 pub use machine::Machine;
 pub use metrics::{Metrics, PageProfile};
 pub use model::ModelParams;

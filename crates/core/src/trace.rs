@@ -465,15 +465,13 @@ impl CpuRefs {
     }
 }
 
-/// One stored segment: its byte range in the run stream, its op count,
-/// and its content hash (computed from the raw ops at encode time;
-/// folded into `TraceStore::content_hash` for journal keying).
+/// One stored segment: its byte range in the run stream and its op
+/// count.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct SegMeta {
     pub(crate) run_start: u64,
     pub(crate) run_len: u32,
     pub(crate) ops: u32,
-    pub(crate) hash: u64,
 }
 
 /// Encodes one segment of ops into the arena + run stream, returning
@@ -483,7 +481,6 @@ pub(crate) struct SegMeta {
 /// record.
 pub(crate) fn encode_segment(
     chunk: &[TraceOp],
-    hash: u64,
     arena: &mut ProfileArena,
     runs: &mut Vec<u8>,
     interning: bool,
@@ -525,7 +522,6 @@ pub(crate) fn encode_segment(
         run_start,
         run_len: u32::try_from(runs.len() as u64 - run_start).expect("segment run stream overflow"),
         ops: chunk.len() as u32,
-        hash,
     }
 }
 
@@ -845,7 +841,7 @@ mod tests {
         let (mut blob, mut refs) = (Vec::new(), CpuRefs::default());
         let metas: Vec<SegMeta> = [&seg_a, &seg_b]
             .iter()
-            .map(|seg| encode_segment(seg, 0, &mut arena, &mut runs, true, &mut blob, &mut refs))
+            .map(|seg| encode_segment(seg, &mut arena, &mut runs, true, &mut blob, &mut refs))
             .collect();
 
         let (mut ops, mut cpu_runs) = (Vec::new(), Vec::new());

@@ -208,16 +208,10 @@ impl NodeMask {
     }
 
     /// The raw 64-bit membership mask (bit *n* set means node *n* is a
-    /// member). Stable representation used by the sweep journal.
+    /// member) — a stable form for digesting a set.
     #[must_use]
     pub fn bits(self) -> u64 {
         self.0
-    }
-
-    /// Rebuilds a set from a raw mask produced by [`NodeMask::bits`].
-    #[must_use]
-    pub fn from_bits(bits: u64) -> NodeMask {
-        NodeMask(bits)
     }
 
     /// Membership test.

@@ -27,7 +27,7 @@ pub enum AccessTag {
 }
 
 impl AccessTag {
-    fn from_bits(bits: u64) -> AccessTag {
+    fn unpack(bits: u64) -> AccessTag {
         match bits & 0b11 {
             0 => AccessTag::Invalid,
             1 => AccessTag::ReadOnly,
@@ -96,7 +96,7 @@ impl FineTags {
     pub fn get(&self, index: u64) -> AccessTag {
         assert!(index < BLOCKS_PER_PAGE, "block index {index} out of page");
         let bit = (index as usize) * 2;
-        AccessTag::from_bits(self.words[bit / 64] >> (bit % 64))
+        AccessTag::unpack(self.words[bit / 64] >> (bit % 64))
     }
 
     /// Sets the tag of block `index`.
@@ -145,7 +145,7 @@ impl FineTags {
                 let bit = valid.trailing_zeros();
                 valid &= valid - 1;
                 let index = (i * 64 + bit as usize) as u64 / 2;
-                Some((index, AccessTag::from_bits(word >> bit)))
+                Some((index, AccessTag::unpack(word >> bit)))
             })
         })
     }

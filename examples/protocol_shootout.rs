@@ -5,8 +5,7 @@
 //! Uses the trace-once/replay-many sweep driver the figure binaries use
 //! (`rnuma_bench::sweep_grid`): the application executes once, on the
 //! ideal baseline, and the captured reference stream replays against
-//! the three finite machines (see `docs/SWEEP.md`). `RNUMA_JOURNAL=1`
-//! checkpoints the replay cells into `results/sweep_journal.jsonl`.
+//! the three finite machines (see `docs/SWEEP.md`).
 //!
 //! Run with:
 //! `cargo run --release -p rnuma-bench --example protocol_shootout -- [app] [tiny|small|paper]`

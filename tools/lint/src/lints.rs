@@ -2,7 +2,7 @@
 //!
 //! Each lint is a named invariant of the workspace's determinism or
 //! robustness contract (see `docs/LINTS.md` for the rationale and
-//! `docs/DETERMINISM.md` / `docs/ROBUSTNESS.md` for the contracts):
+//! `docs/DETERMINISM.md` for the contracts):
 //!
 //! | ID  | invariant |
 //! |-----|-----------|
@@ -44,14 +44,7 @@ const POOL_FILE: &str = "crates/bench/src/lib.rs";
 /// where a panic must not escape as anything but a job panic the queue
 /// catches and re-raises (R01). Closures inherit their enclosing named
 /// function.
-const POOL_DISPATCH_FNS: &[&str] = &[
-    "sweep_grid",
-    "sweep_grid_journaled",
-    "work",
-    "into_rows",
-    "next_job",
-    "complete",
-];
+const POOL_DISPATCH_FNS: &[&str] = &["sweep_grid", "work", "into_rows", "next_job", "complete"];
 
 /// Wall-clock / ambient-randomness identifiers banned in simulation
 /// crates (D02). `Instant`/`SystemTime` cover `::now()` and every
@@ -619,7 +612,7 @@ mod tests {
     fn d03_fires_on_raw_env_reads_outside_experiment() {
         let a = one(
             "crates/core/src/other.rs",
-            r#"fn f() { let v = std::env::var("RNUMA_JOBS"); let w = std::env::var_os("RNUMA_JOURNAL"); }"#,
+            r#"fn f() { let v = std::env::var("RNUMA_JOBS"); let w = std::env::var_os("RNUMA_RESULTS_DIR"); }"#,
         );
         assert_eq!(ids(&a), ["D03", "D03"]);
     }
@@ -650,7 +643,7 @@ mod tests {
         let a = one(
             "crates/bench/src/lib.rs",
             "fn work(&self) { self.x.lock().unwrap(); }\n\
-             fn sweep_grid_journaled() { let job = |a| captured[a].get().expect(\"set\"); }\n\
+             fn sweep_grid() { let job = |a| captured[a].get().expect(\"set\"); }\n\
              fn elsewhere() { foo().unwrap(); }",
         );
         assert_eq!(ids(&a), ["R01", "R01"]);
@@ -665,7 +658,7 @@ mod tests {
              fn into_rows(self) {\n\
              // lint: allow(R01, the queue completes every cell before it returns)\n\
              cell.expect(\"ran\"); }\n\
-             fn sweep_grid_journaled() {\n\
+             fn sweep_grid() {\n\
              // lint: allow(R01, the queue releases a replay only after its capture)\n\
              let job = |a| captured[a].get().expect(\"set\"); }\n\
              #[cfg(test)]\nmod tests { fn sweep_grid() { x().unwrap(); } }",
