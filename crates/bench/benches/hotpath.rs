@@ -1,12 +1,16 @@
-//! Micro-benchmark of the `Machine::access` hot path.
+//! Micro-benchmark of the `Machine::access` hot path and of batched
+//! replay.
 //!
 //! Measures end-to-end simulator throughput (references per wall-clock
 //! second) for each protocol on a synthetic mixed stream, plus the
 //! translation-table microbenchmark: the open-addressed FxHash map that
 //! now sits on the reference walk against the `std::collections`
-//! `HashMap` it replaced, probed with the same key stream. Results are
-//! recorded in `results/BENCH_hotpath.json` so subsequent PRs have a
-//! throughput trajectory to beat.
+//! `HashMap` it replaced, probed with the same key stream. The replay
+//! lane times batched replay against per-op live dispatch of the same
+//! captured streams; the bench **fails** (exit 1) when that speedup
+//! falls below `hotpath::REPLAY_GATE_FLOOR`. Results are recorded in
+//! `results/BENCH_hotpath.json` so subsequent PRs have a throughput
+//! trajectory to beat.
 //!
 //! Run with: `cargo bench -p rnuma-bench --bench hotpath`
 
@@ -48,5 +52,22 @@ fn main() {
         println!("hot-path acceptance: BELOW TARGET ({target}x) — check host load");
     }
 
+    println!(
+        "replay lane ({} ops per pass): batched {:.1} ms, per-op {:.1} ms \
+         (batched is {:.3}x faster)",
+        report.replay.replay_ops,
+        report.replay.batched_secs * 1e3,
+        report.replay.perop_secs * 1e3,
+        report.replay.speedup()
+    );
+    let gate = hotpath::replay_gate(report.replay.speedup());
+
     report.emit();
+    match gate {
+        Ok(line) => println!("{line}"),
+        Err(line) => {
+            eprintln!("{line}");
+            std::process::exit(1);
+        }
+    }
 }

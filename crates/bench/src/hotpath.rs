@@ -16,16 +16,25 @@
 //!   open-addressed [`rnuma_mem::fxmap::FxMap64`] against the
 //!   `std::collections::HashMap` it replaced, on the same key stream —
 //!   which isolates the table swap's speedup;
+//! * the replay lane: the replay cells of a small sweep (em3d and moldyn
+//!   at tiny scale, captured on the ideal machine, replayed on the three
+//!   finite protocols) replayed batched ([`TraceStore::replay_serial`])
+//!   and per-op ([`live_dispatch`]). Their speedup ratio is measured in
+//!   one process on the same streams, so it is host-independent, and
+//!   [`replay_gate`] fails the bench below [`REPLAY_GATE_FLOOR`];
 //! * [`HotpathReport::emit`], which records everything in
 //!   `results/BENCH_hotpath.json` so subsequent PRs have a perf
 //!   trajectory.
 
 use rnuma::config::{MachineConfig, Protocol};
+use rnuma::experiment::TraceStore;
 use rnuma::machine::Machine;
 use rnuma::metrics::Metrics;
+use rnuma::TraceOp;
 use rnuma_mem::addr::{CpuId, Va};
 use rnuma_mem::fxmap::FxMap64;
 use rnuma_sim::DetRng;
+use rnuma_workloads::{by_name, Scale};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -193,6 +202,139 @@ pub fn lookup_ns_comparison(keys: &[u64]) -> (f64, f64) {
     (std_ns, fx_ns)
 }
 
+/// Drives `ops` through the live per-op API (`Machine::access` and
+/// friends), one op at a time: the per-op reference leg of the replay
+/// lane and of the differential test suites, which share this one
+/// definition. It pays exactly the per-op dispatch the batched loop
+/// ([`Machine::replay_segment`]) eliminates.
+pub fn live_dispatch(machine: &mut Machine, ops: &[TraceOp]) {
+    for op in ops {
+        match *op {
+            TraceOp::Access { cpu, va, write } => {
+                machine.access(cpu, va, write);
+            }
+            TraceOp::Think { cpu, dur } => machine.advance(cpu, dur),
+            TraceOp::Barrier => machine.barrier_all(),
+            TraceOp::ArmFirstTouch => machine.arm_first_touch(),
+        }
+    }
+}
+
+/// The lowest batched-vs-per-op replay speedup the replay gate accepts:
+/// 0.9 × the 1.030× recorded when the gate was armed. It sits below
+/// parity, so it trips when batched replay becomes more than ~7% slower
+/// than per-op dispatch, not when it merely loses its advantage.
+pub const REPLAY_GATE_FLOOR: f64 = 0.927;
+
+/// The replay gate's verdict on a measured batched-vs-per-op speedup:
+/// `Ok` at or above [`REPLAY_GATE_FLOOR`], `Err` below it. Either way
+/// the string is the line to print.
+///
+/// # Errors
+///
+/// Returns `Err` when `speedup` is below the floor.
+pub fn replay_gate(speedup: f64) -> Result<String, String> {
+    if speedup >= REPLAY_GATE_FLOOR {
+        Ok(format!(
+            "replay gate: PASS ({speedup:.3}x >= floor {REPLAY_GATE_FLOOR}x)"
+        ))
+    } else {
+        Err(format!(
+            "replay gate: FAIL — batched-vs-per-op speedup {speedup:.3}x \
+             is below the floor {REPLAY_GATE_FLOOR}x"
+        ))
+    }
+}
+
+/// The replay lane: batched against per-op replay of the same cells.
+#[derive(Clone, Debug)]
+pub struct ReplayLane {
+    /// Ops replayed per pass (every replay cell).
+    pub replay_ops: u64,
+    /// Seconds per pass through batched [`TraceStore::replay_serial`].
+    pub batched_secs: f64,
+    /// Seconds per pass through per-op [`live_dispatch`].
+    pub perop_secs: f64,
+}
+
+impl ReplayLane {
+    /// Batched-vs-per-op replay speedup: the number the gate checks.
+    #[must_use]
+    pub fn speedup(&self) -> f64 {
+        self.perop_secs / self.batched_secs
+    }
+}
+
+/// Applications of the replay lane: em3d (refetch-heavy) and moldyn
+/// (compute-heavy).
+const REPLAY_APPS: [&str; 2] = ["em3d", "moldyn"];
+
+/// Wall-clock seconds one call of `pass` takes.
+fn secs_of(pass: impl FnOnce()) -> f64 {
+    let t0 = Instant::now();
+    pass();
+    t0.elapsed().as_secs_f64()
+}
+
+/// Runs the replay lane: captures [`REPLAY_APPS`] at tiny scale on the
+/// ideal machine outside the timers, then times replaying every stream
+/// on the three finite paper protocols, batched and per-op.
+///
+/// # Panics
+///
+/// Panics if a configuration is invalid.
+fn replay_lane() -> ReplayLane {
+    let configs = [
+        Protocol::paper_ccnuma(),
+        Protocol::paper_scoma(),
+        Protocol::paper_rnuma(),
+    ]
+    .map(MachineConfig::paper_base);
+    let mut store = TraceStore::new();
+    let ids: Vec<_> = REPLAY_APPS
+        .iter()
+        .map(|&app| {
+            let mut w = by_name(app, Scale::Tiny).expect("replay lane apps are registered");
+            let capture = MachineConfig::paper_base(Protocol::ideal());
+            store.capture(capture, &mut w).0
+        })
+        .collect();
+    let batched_pass = || {
+        let mut sink = 0u64;
+        for &id in &ids {
+            for &config in &configs {
+                sink ^= store.replay_serial(id, config).cycles();
+            }
+        }
+        std::hint::black_box(sink);
+    };
+    let perop_pass = || {
+        let mut sink = 0u64;
+        for &id in &ids {
+            for &config in &configs {
+                let mut machine = Machine::new(config).expect("valid config");
+                store.for_each_batch(id, |ops, _| live_dispatch(&mut machine, ops));
+                sink ^= machine.metrics().exec_cycles.0;
+            }
+        }
+        std::hint::black_box(sink);
+    };
+    // The gate reads the ratio of the two legs, so their passes
+    // alternate (a drift in host speed hits both alike) until ~1.2 s
+    // of work has been timed.
+    let (mut batched_secs, mut perop_secs, mut passes) = (0.0f64, 0.0f64, 0u32);
+    while batched_secs + perop_secs < 1.2 {
+        batched_secs += secs_of(batched_pass);
+        perop_secs += secs_of(perop_pass);
+        passes += 1;
+    }
+    ReplayLane {
+        replay_ops: store.captured_ops() * configs.len() as u64,
+        batched_secs: batched_secs / f64::from(passes),
+        perop_secs: perop_secs / f64::from(passes),
+    }
+}
+
 /// One protocol's measured simulator throughput.
 #[derive(Clone, Debug)]
 pub struct ProtocolThroughput {
@@ -217,6 +359,8 @@ pub struct HotpathReport {
     pub mru_hit_rate: f64,
     /// The page-cache-thrash lane.
     pub thrash: PageCacheThrash,
+    /// The replay lane.
+    pub replay: ReplayLane,
 }
 
 impl HotpathReport {
@@ -268,6 +412,19 @@ impl HotpathReport {
             "    \"ns_per_replacement\": {:.1}",
             self.thrash.ns_per_replacement
         );
+        let _ = writeln!(s, "  }},");
+        let _ = writeln!(s, "  \"replay\": {{");
+        let apps: Vec<String> = REPLAY_APPS.iter().map(|a| format!("\"{a}\"")).collect();
+        let _ = writeln!(s, "    \"apps\": [{}],", apps.join(", "));
+        let _ = writeln!(s, "    \"replay_ops\": {},", self.replay.replay_ops);
+        let _ = writeln!(s, "    \"batched_secs\": {:.4},", self.replay.batched_secs);
+        let _ = writeln!(s, "    \"perop_secs\": {:.4},", self.replay.perop_secs);
+        let _ = writeln!(
+            s,
+            "    \"batched_speedup_vs_perop\": {:.3},",
+            self.replay.speedup()
+        );
+        let _ = writeln!(s, "    \"gate_floor\": {REPLAY_GATE_FLOOR}");
         let _ = writeln!(s, "  }}");
         s.push('}');
         s
@@ -318,6 +475,7 @@ pub fn measure(stream_refs: usize) -> HotpathReport {
         fxmap_ns_per_lookup: fxmap_ns,
         mru_hit_rate: mru_hit_rate(Protocol::paper_rnuma(), &stream),
         thrash: page_cache_thrash(&synth_stream(stream_refs, THRASH_PAGES, 32)),
+        replay: replay_lane(),
     }
 }
 
@@ -356,13 +514,27 @@ mod tests {
                 page_replacements: 40,
                 ns_per_replacement: 1250.0,
             },
+            replay: ReplayLane {
+                replay_ops: 3000,
+                batched_secs: 0.5,
+                perop_secs: 0.55,
+            },
         };
         let json = report.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"ideal\": 1000000"));
         assert!(json.contains("\"ns_per_replacement\": 1250.0"));
         assert!(json.contains("\"lookup_speedup\": 4.00"));
+        assert!(json.contains("\"batched_speedup_vs_perop\": 1.100"));
+        assert!(json.contains("\"gate_floor\": 0.927"));
         assert!((report.lookup_speedup() - 4.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn replay_gate_fails_only_below_the_floor() {
+        assert!(replay_gate(0.92).is_err());
+        assert!(replay_gate(0.93).is_ok());
+        assert!(replay_gate(1.0).is_ok());
     }
 
     #[test]

@@ -37,7 +37,6 @@ use std::path::{Path, PathBuf};
 use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 pub mod hotpath;
-pub mod sweep;
 
 /// Parses `--scale` from argv; defaults to the paper's inputs.
 ///
@@ -83,7 +82,7 @@ fn workspace_root_of(exe: &Path, fallback: &Path) -> PathBuf {
 /// Anchoring to the workspace root rather than the working directory
 /// matters: bench lanes and figure binaries are launched from both the
 /// root and the crate directory, and a CWD-relative `results/` used to
-/// scatter drifting copies of `BENCH_hotpath.json`/`BENCH_sweep.json`
+/// scatter drifting copies of `BENCH_hotpath.json`
 /// under `crates/bench/results/`. The root is resolved at run time from
 /// the running binary's location, so a copied checkout that reuses the
 /// original's `target/` still writes into its own tree; the

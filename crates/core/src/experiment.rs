@@ -15,8 +15,8 @@
 //! stream is captured **once** — into a [`TraceStore`], a columnar,
 //! delta-encoded, profile-interned store with streaming
 //! (bounded-memory) capture — and replayed against every other
-//! configuration with [`TraceStore::replay_serial`]. Replay is bit-identical to a serial
-//! batched [`Machine::apply_batch`] of the same stream, and the
+//! configuration with [`TraceStore::replay_serial`]. Replay is bit-identical to
+//! driving the same stream through the live [`Machine`] API, and the
 //! reference stream is *fixed across cells* — the classic trace-driven
 //! methodology. The sweep driver itself, with its work queue, is
 //! `rnuma_bench::sweep_grid`; see `docs/SWEEP.md` for the model and its
@@ -37,7 +37,7 @@ use crate::trace::{
     decode_segment, encode_segment, CpuRefs, CpuRun, ProfileArena, SegMeta, TraceOp, SEG_OPS,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 
 /// The result of one (configuration, workload) simulation.
 #[derive(Clone, Debug)]
@@ -84,7 +84,9 @@ pub fn run<W: Workload + ?Sized>(config: MachineConfig, workload: &mut W) -> Run
 }
 
 /// Runs `workload` like [`run`] while recording the machine-level
-/// operation trace, returning both the report and the trace.
+/// operation trace, returning both the report and the trace. The
+/// machine's streaming capture hands its chunks to a plain `Vec`;
+/// nothing is encoded.
 ///
 /// Replaying the trace on a fresh machine of the same configuration
 /// reproduces the report's metrics bit-for-bit.
@@ -96,20 +98,53 @@ pub fn run_traced<W: Workload + ?Sized>(
     config: MachineConfig,
     workload: &mut W,
 ) -> (RunReport, Vec<TraceOp>) {
+    run_streaming(config, workload, Vec::new(), |trace, ops| {
+        trace.extend_from_slice(ops);
+    })
+}
+
+/// Runs `workload` on `config` like [`run`] while the machine streams
+/// its operations into `state`, one `SEG_OPS`-op chunk per `push` call:
+/// the one recorder behind [`run_traced`] and [`TraceStore::capture`].
+/// Returns the report and `state`.
+fn run_streaming<W: Workload + ?Sized, T: Send + 'static>(
+    config: MachineConfig,
+    workload: &mut W,
+    state: T,
+    push: fn(&mut T, &[TraceOp]),
+) -> (RunReport, T) {
+    // The machine's trace sink must own the state: it moves behind a
+    // shared handle for the duration of the run and is taken back once
+    // the machine (and with it the sink closure) is dropped.
+    let shared = Arc::new(Mutex::new(state));
+    let sink = Arc::clone(&shared);
     let mut machine = Machine::new(config).expect("experiment configs must be valid");
-    machine.start_tracing();
+    machine.start_streaming_trace(
+        SEG_OPS,
+        Box::new(move |ops| {
+            push(
+                &mut sink.lock().unwrap_or_else(PoisonError::into_inner),
+                ops,
+            )
+        }),
+    );
     {
         let mut runner = Runner::new(&mut machine);
         workload.run(&mut runner);
     }
-    let trace = machine.take_trace();
+    machine.finish_streaming_trace();
     let report = RunReport {
         workload: workload.name(),
         protocol: config.protocol.label(),
         config,
         metrics: machine.metrics(),
     };
-    (report, trace)
+    drop(machine);
+    let state = Arc::try_unwrap(shared)
+        .unwrap_or_else(|_| panic!("trace sink outlived its machine"))
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner);
+    (report, state)
 }
 
 /// Applies `f` to every job, fanned out over the host's cores, and
@@ -192,8 +227,7 @@ pub fn env_usize(name: &str, default: Option<usize>, max: usize) -> Option<usize
 /// when unset (or not valid UTF-8).
 ///
 /// This is the blessed escape hatch companion to [`env_usize`] for
-/// knobs whose values are paths or switch words (`RNUMA_RESULTS_DIR`,
-/// `RNUMA_SWEEP_GATE`). Call sites still own their documented
+/// knobs whose values are paths (`RNUMA_RESULTS_DIR`). Call sites still own their documented
 /// semantics — what this helper centralizes is the *access point*: `rnuma-lint`'s
 /// D03 lint rejects raw `std::env::var("RNUMA_…")` reads anywhere
 /// else, so the whole knob surface stays inventoried in this module
@@ -258,39 +292,21 @@ struct TraceRec {
 }
 
 /// The encodable innards of a [`TraceStore`]: the profile arena, run
-/// and segment tables, and the capture-time state (interning flag,
-/// encode scratch). Split out so a streaming capture can move it behind
+/// and segment tables, and the capture-time encode scratch. Split out so a streaming capture can move it behind
 /// an `Arc<Mutex<_>>` shared with the machine's trace sink and take it
 /// back afterwards.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct StoreCore {
     profiles: ProfileArena,
     /// The varint-coded run streams of every segment, concatenated
     /// (each [`SegMeta`] owns a byte range).
     runs: Vec<u8>,
     segs: Vec<SegMeta>,
-    interning: bool,
     captured_ops: u64,
     /// Reusable encode scratch (one run's blob).
     blob_scratch: Vec<u8>,
     /// Reusable per-CPU base references for encoding.
     refs_scratch: CpuRefs,
-}
-
-impl Default for StoreCore {
-    /// An empty, interning store core (also the placeholder
-    /// `std::mem::take` leaves behind during streaming capture).
-    fn default() -> StoreCore {
-        StoreCore {
-            profiles: ProfileArena::default(),
-            runs: Vec::new(),
-            segs: Vec::new(),
-            interning: true,
-            captured_ops: 0,
-            blob_scratch: Vec::new(),
-            refs_scratch: CpuRefs::default(),
-        }
-    }
 }
 
 impl StoreCore {
@@ -306,7 +322,6 @@ impl StoreCore {
             chunk,
             &mut self.profiles,
             &mut self.runs,
-            self.interning,
             &mut self.blob_scratch,
             &mut self.refs_scratch,
         );
@@ -378,20 +393,10 @@ pub struct TraceStore {
 }
 
 impl TraceStore {
-    /// An empty store with profile interning enabled.
+    /// An empty store.
     #[must_use]
     pub fn new() -> TraceStore {
         TraceStore::default()
-    }
-
-    /// An empty store that stores every run's profile verbatim (no
-    /// interning). Replay results are identical either way; this exists
-    /// for benchmarking the interning itself and for debugging.
-    #[must_use]
-    pub fn raw() -> TraceStore {
-        let mut store = TraceStore::new();
-        store.core.interning = false;
-        store
     }
 
     /// Runs `workload` on `config` — exactly like [`run`] — while
@@ -411,37 +416,13 @@ impl TraceStore {
     ) -> (TraceId, RunReport) {
         let seg_start = u32::try_from(self.core.segs.len()).expect("segment count overflow");
         let captured_before = self.core.captured_ops;
-        // The machine's trace sink must own its half of the store: the
-        // encodable core moves behind a shared handle for the duration
-        // of the run and is taken back once the machine (and with it
-        // the sink closure) is dropped.
-        let shared = Arc::new(Mutex::new(std::mem::take(&mut self.core)));
-        let sink = Arc::clone(&shared);
-        let mut machine = Machine::new(config).expect("experiment configs must be valid");
-        machine.start_streaming_trace(
-            SEG_OPS,
-            Box::new(move |ops| {
-                sink.lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .push_segment(ops);
-            }),
-        );
-        {
-            let mut runner = Runner::new(&mut machine);
-            workload.run(&mut runner);
-        }
-        machine.finish_streaming_trace();
-        let report = RunReport {
-            workload: workload.name(),
-            protocol: config.protocol.label(),
+        let (report, core) = run_streaming(
             config,
-            metrics: machine.metrics(),
-        };
-        drop(machine);
-        self.core = Arc::try_unwrap(shared)
-            .expect("capture sink outlived its machine")
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+            workload,
+            std::mem::take(&mut self.core),
+            StoreCore::push_segment,
+        );
+        self.core = core;
         let captured = self.core.captured_ops - captured_before;
         let id = self.push_trace(report.workload, config, seg_start, captured);
         (id, report)
@@ -585,7 +566,7 @@ impl TraceStore {
     }
 
     /// Flat over encoded bytes — the compression the columnar encoding
-    /// buys (≥ 4× on the sweep bench workloads; see `RESULTS.md`).
+    /// buys (≥ 4× on em3d and moldyn at tiny scale; see `RESULTS.md`).
     #[must_use]
     pub fn footprint_ratio(&self) -> f64 {
         let encoded = self.encoded_bytes();
@@ -711,24 +692,19 @@ mod tests {
         };
         let ops = vec![op; 3 * 4096];
         let config = MachineConfig::paper_base(Protocol::paper_ccnuma());
-        let mut interned = TraceStore::new();
-        let a = interned.insert("synthetic", config, &ops);
-        assert_eq!(interned.captured_ops(), 3 * 4096);
+        let mut store = TraceStore::new();
+        let id = store.insert("synthetic", config, &ops);
+        assert_eq!(store.captured_ops(), 3 * 4096);
+        assert_eq!(store.ops(id), 3 * 4096);
         assert!(
-            interned.interning_ratio() < 1.0,
+            store.interning_ratio() < 1.0,
             "identical profiles must dedup (ratio {})",
-            interned.interning_ratio()
+            store.interning_ratio()
         );
-        assert_eq!(interned.ops(a), 3 * 4096);
-        // A raw store pays for every profile; both replay identically.
-        let mut raw = TraceStore::raw();
-        let b = raw.insert("synthetic", config, &ops);
-        assert!((raw.interning_ratio() - 1.0).abs() < f64::EPSILON);
-        assert!(raw.encoded_bytes() > interned.encoded_bytes());
-        let ra = interned.replay_serial(a, config);
-        let rb = raw.replay_serial(b, config);
-        assert!(ra.metrics.replay_eq(&rb.metrics));
-        assert_eq!(ra.metrics.references(), 3 * 4096);
+        assert_eq!(
+            store.replay_serial(id, config).metrics.references(),
+            3 * 4096
+        );
     }
 
     #[test]

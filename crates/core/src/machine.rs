@@ -24,20 +24,18 @@
 //! The end-to-end uncontended costs reproduce Table 2 — see the
 //! calibration tests at the bottom of this file.
 //!
-//! # The walk engine
+//! # The walk
 //!
-//! The reference walk itself lives in the crate-private `Lanes` engine:
-//! a borrowed view of the whole machine's nodes, CPU clocks, MRU slots,
-//! network, page homes and metrics. [`Machine::access`] drives it one
-//! reference at a time; the batched replay entry points
-//! ([`Machine::apply_batch`], [`Machine::replay_segment`]) drive it one
+//! The reference walk is a set of private methods on [`Machine`] itself.
+//! [`Machine::access`] drives it one reference at a time; the batched
+//! replay entry point ([`Machine::replay_segment`]) drives it one
 //! same-CPU run at a time. Both execute the *same* walk code over the
 //! same state, which is what makes batched replay bit-identical to the
 //! live API (see `docs/DETERMINISM.md`).
 
 use crate::config::{MachineConfig, Protocol};
 use crate::metrics::Metrics;
-use crate::trace::{scan_runs, CpuRun, TraceOp};
+use crate::trace::{CpuRun, TraceOp};
 use rnuma_mem::addr::{CpuId, NodeId, VBlock, VPage, Va};
 use rnuma_mem::block_cache::{BlockCache, BlockEviction, BlockState};
 use rnuma_mem::fine_tags::AccessTag;
@@ -131,42 +129,30 @@ pub struct Machine {
     /// Reusable eviction buffer for page flushes (no per-flush allocs).
     flush_scratch: Vec<BlockEviction>,
     metrics: Metrics,
-    /// When recording, every machine-level operation goes here so the
-    /// run can be replayed on a fresh machine.
-    tracing: Tracing,
+    /// While a streaming capture is active, every machine-level
+    /// operation goes here so the run can be replayed on a fresh machine.
+    tracing: Option<TraceStream>,
 }
 
 /// A streaming-capture consumer: receives each flushed chunk of traced
 /// ops (see [`Machine::start_streaming_trace`]).
 pub type TraceSink = Box<dyn FnMut(&[TraceOp]) + Send>;
 
-/// How the machine records its operation stream, if at all.
-enum Tracing {
-    /// Not recording — the default, and the only hot-path mode.
-    Off,
-    /// Recording into an in-memory op vector ([`Machine::start_tracing`]).
-    Record(Vec<TraceOp>),
-    /// Streaming: ops accumulate in a bounded chunk buffer handed to
-    /// the sink every `cap` ops ([`Machine::start_streaming_trace`]),
-    /// so capture memory never scales with run length.
-    Stream {
-        buf: Vec<TraceOp>,
-        cap: usize,
-        sink: TraceSink,
-    },
+/// An active streaming capture: ops accumulate in a bounded chunk
+/// buffer handed to the sink every `cap` ops, so capture memory never
+/// scales with run length.
+struct TraceStream {
+    buf: Vec<TraceOp>,
+    cap: usize,
+    sink: TraceSink,
 }
 
-impl std::fmt::Debug for Tracing {
+impl std::fmt::Debug for TraceStream {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Tracing::Off => f.write_str("Off"),
-            Tracing::Record(ops) => f.debug_tuple("Record").field(&ops.len()).finish(),
-            Tracing::Stream { buf, cap, .. } => f
-                .debug_struct("Stream")
-                .field("buffered", &buf.len())
-                .field("cap", cap)
-                .finish_non_exhaustive(),
-        }
+        f.debug_struct("TraceStream")
+            .field("buffered", &self.buf.len())
+            .field("cap", &self.cap)
+            .finish_non_exhaustive()
     }
 }
 
@@ -227,7 +213,7 @@ impl Machine {
             mru: vec![MruTranslation::INVALID; cfg.total_cpus() as usize],
             flush_scratch: Vec::new(),
             metrics: Metrics::default(),
-            tracing: Tracing::Off,
+            tracing: None,
             nodes,
             cfg,
         })
@@ -249,29 +235,11 @@ impl Machine {
         self.clocks[cpu.0 as usize]
     }
 
-    /// Starts recording every subsequent machine-level operation
-    /// (accesses, think time, barriers, first-touch arming) for replay.
-    ///
-    /// Take the recording with [`Machine::take_trace`].
-    pub fn start_tracing(&mut self) {
-        self.tracing = Tracing::Record(Vec::new());
-    }
-
-    /// Stops recording and returns the operations recorded since
-    /// [`Machine::start_tracing`] (empty if tracing was never started).
-    #[must_use]
-    pub fn take_trace(&mut self) -> Vec<TraceOp> {
-        match std::mem::replace(&mut self.tracing, Tracing::Off) {
-            Tracing::Record(ops) => ops,
-            _ => Vec::new(),
-        }
-    }
-
     /// Starts *streaming* capture: every subsequent machine-level
-    /// operation is buffered and handed to `sink` in chunks of
-    /// `chunk_ops` ops, so capture memory stays bounded by one chunk
-    /// regardless of run length (the flat op array is never built).
-    /// End the capture — flushing the final partial chunk — with
+    /// operation (accesses, think time, barriers, first-touch arming) is
+    /// buffered and handed to `sink` in chunks of `chunk_ops` ops, so
+    /// capture memory stays bounded by one chunk regardless of run
+    /// length. End the capture — flushing the final partial chunk — with
     /// [`Machine::finish_streaming_trace`].
     ///
     /// # Panics
@@ -282,38 +250,32 @@ impl Machine {
             chunk_ops > 0,
             "streaming trace chunks must hold at least one op"
         );
-        self.tracing = Tracing::Stream {
+        self.tracing = Some(TraceStream {
             buf: Vec::with_capacity(chunk_ops),
             cap: chunk_ops,
             sink,
-        };
+        });
     }
 
     /// Ends a streaming capture, flushing the final partial chunk to
     /// the sink and dropping it. No-op when not streaming.
     pub fn finish_streaming_trace(&mut self) {
-        if let Tracing::Stream { buf, mut sink, .. } =
-            std::mem::replace(&mut self.tracing, Tracing::Off)
-        {
+        if let Some(TraceStream { buf, mut sink, .. }) = self.tracing.take() {
             if !buf.is_empty() {
                 sink(&buf);
             }
         }
     }
 
-    /// Appends one op to the active trace, flushing a full streaming
-    /// chunk to its sink. No-op when not tracing.
+    /// Appends one op to the active trace, flushing a full chunk to its
+    /// sink. No-op when not tracing.
     #[inline]
     fn trace_push(&mut self, op: TraceOp) {
-        match &mut self.tracing {
-            Tracing::Off => {}
-            Tracing::Record(ops) => ops.push(op),
-            Tracing::Stream { buf, cap, sink } => {
-                buf.push(op);
-                if buf.len() >= *cap {
-                    sink(buf);
-                    buf.clear();
-                }
+        if let Some(TraceStream { buf, cap, sink }) = &mut self.tracing {
+            buf.push(op);
+            if buf.len() >= *cap {
+                sink(buf);
+                buf.clear();
             }
         }
     }
@@ -332,7 +294,7 @@ impl Machine {
     /// latest arrival plus the configured barrier cost.
     pub fn barrier_all(&mut self) {
         self.trace_push(TraceOp::Barrier);
-        self.lanes().barrier_all();
+        self.sync_barrier();
     }
 
     /// Arms first-touch page placement (start of the parallel phase).
@@ -350,69 +312,41 @@ impl Machine {
     /// Panics if `cpu` is out of range.
     pub fn access(&mut self, cpu: CpuId, va: Va, write: bool) -> Cycles {
         self.trace_push(TraceOp::Access { cpu, va, write });
-        self.lanes().access(cpu, va, write)
+        self.walk_access(cpu, va, write)
     }
 
-    /// The tracing fallback of the batched entry points: per-op live
-    /// dispatch, which owns trace appends. Everything else replays
-    /// through [`Machine::apply_batch`] / [`Machine::replay_segment`]
-    /// (lint P01 rejects a per-op replay entry point).
-    fn replay_per_op(&mut self, ops: &[TraceOp]) {
-        for op in ops {
-            match *op {
-                TraceOp::Access { cpu, va, write } => {
-                    self.access(cpu, va, write);
-                }
-                TraceOp::Think { cpu, dur } => self.advance(cpu, dur),
-                TraceOp::Barrier => self.barrier_all(),
-                TraceOp::ArmFirstTouch => self.arm_first_touch(),
-            }
-        }
-    }
-
-    /// Replays `ops` through the batched execution loop — the *only*
-    /// replay engine: one construction of the crate-private `Lanes`
-    /// walk engine for the whole batch, with contiguous same-CPU runs
-    /// streamed through per-run hoisted state instead of per-op
-    /// dispatch. Bit-identical to driving the live API
-    /// ([`Machine::access`] and friends) one op at a time — the
+    /// Replays one trace segment through the batched loop — the *only*
+    /// replay entry point. It consumes a pre-split run table (see
+    /// [`split_cpu_runs`](crate::split_cpu_runs) and
+    /// [`TraceStore::for_each_batch`](crate::TraceStore::for_each_batch)),
+    /// streaming each contiguous same-CPU run through per-run hoisted
+    /// state instead of per-op dispatch. Bit-identical to driving the
+    /// live API ([`Machine::access`] and friends) one op at a time — the
     /// contract `tests/batched_replay.rs` enforces.
     ///
-    /// When the machine is recording a trace, the batch falls back to
-    /// per-op live dispatch (which owns trace appends).
-    ///
-    /// # Panics
-    ///
-    /// Panics if an op references a CPU outside the machine.
-    pub fn apply_batch(&mut self, ops: &[TraceOp]) {
-        if !matches!(self.tracing, Tracing::Off) {
-            self.replay_per_op(ops);
-            return;
-        }
-        self.lanes().run_ops(ops);
-    }
-
-    /// Replays one trace segment through the batched loop, consuming a
-    /// pre-split run table (see
-    /// [`split_cpu_runs`](crate::split_cpu_runs) and
-    /// [`TraceStore::for_each_batch`](crate::TraceStore::for_each_batch))
-    /// instead of re-scanning the ops for
-    /// same-CPU runs. Bit-identical to [`Machine::apply_batch`] of
-    /// `ops`.
-    ///
-    /// When the machine is recording a trace, the segment falls back
-    /// to per-op live dispatch (which owns trace appends).
+    /// Replay never records: replayed ops do not reach an active
+    /// streaming capture.
     ///
     /// # Panics
     ///
     /// Panics if an op references a CPU outside the machine, or if
     /// `runs` does not tile `ops` exactly.
     pub fn replay_segment(&mut self, ops: &[TraceOp], runs: &[CpuRun]) {
-        if !matches!(self.tracing, Tracing::Off) {
-            self.replay_per_op(ops);
-            return;
+        let mut at = 0usize;
+        for run in runs {
+            match *run {
+                CpuRun::Cpu { cpu, len } => {
+                    let end = at + len as usize;
+                    self.access_run(cpu, &ops[at..end]);
+                    at = end;
+                }
+                CpuRun::Global => {
+                    self.run_global(&ops[at]);
+                    at += 1;
+                }
+            }
         }
-        self.lanes().run_segment(ops, runs);
+        assert_eq!(at, ops.len(), "run table does not tile its segment");
     }
 
     /// A snapshot of the run metrics so far (execution time fields are
@@ -436,37 +370,13 @@ impl Machine {
         m.ni_wait = self.net.total_ni_wait();
         m
     }
-
-    /// The walk engine over the whole machine.
-    fn lanes(&mut self) -> Lanes<'_> {
-        Lanes {
-            cfg: &self.cfg,
-            nodes: &mut self.nodes,
-            clocks: &mut self.clocks,
-            mru: &mut self.mru,
-            net: &mut self.net,
-            pages: &mut self.pages,
-            metrics: &mut self.metrics,
-            flush_scratch: &mut self.flush_scratch,
-        }
-    }
 }
 
-/// The reference-walk engine: a borrowed view of every piece of
-/// simulation state the walk touches — everything in the machine but
-/// the trace recorder, which only the live API's entry points use.
-struct Lanes<'a> {
-    cfg: &'a MachineConfig,
-    nodes: &'a mut [Node],
-    clocks: &'a mut [Cycles],
-    mru: &'a mut [MruTranslation],
-    net: &'a mut Network,
-    pages: &'a mut PageManager,
-    metrics: &'a mut Metrics,
-    flush_scratch: &'a mut Vec<BlockEviction>,
-}
-
-impl Lanes<'_> {
+// ----------------------------------------------------------------------
+// The reference walk: everything below is shared by the live API and
+// batched replay, and never records.
+// ----------------------------------------------------------------------
+impl Machine {
     fn node(&self, idx: usize) -> &Node {
         &self.nodes[idx]
     }
@@ -479,10 +389,8 @@ impl Lanes<'_> {
         (cpu.0 / self.cfg.cpus_per_node) as usize
     }
 
-    /// Performs one memory reference for `cpu` at its current clock,
-    /// advancing the clock by the reference's latency, which is
-    /// returned.
-    fn access(&mut self, cpu: CpuId, va: Va, write: bool) -> Cycles {
+    /// The untraced body of [`Machine::access`].
+    fn walk_access(&mut self, cpu: CpuId, va: Va, write: bool) -> Cycles {
         let cpu_idx = cpu.0 as usize;
         let node_idx = self.node_of(cpu);
         let l1_idx = (cpu.0 % self.cfg.cpus_per_node) as usize;
@@ -495,53 +403,18 @@ impl Lanes<'_> {
 
     /// Synchronizes all CPUs at a barrier — the one implementation both
     /// [`Machine::barrier_all`] and the batched replay loop run.
-    fn barrier_all(&mut self) {
+    fn sync_barrier(&mut self) {
         let max = self.clocks.iter().copied().fold(Cycles::ZERO, Cycles::max);
         let after = max + self.cfg.barrier_cost;
-        for c in &mut *self.clocks {
+        for c in &mut self.clocks {
             *c = after;
         }
-    }
-
-    /// Streams a batch of ops through the walk, grouping contiguous
-    /// same-CPU runs on the fly ([`scan_runs`], the same rule the
-    /// pre-split tables are built with). The equivalent of
-    /// [`Lanes::run_segment`] when no run table exists.
-    fn run_ops(&mut self, ops: &[TraceOp]) {
-        scan_runs(ops, |issuer, range| match issuer {
-            Some(cpu) => self.access_run(cpu, &ops[range]),
-            None => self.run_global(&ops[range.start]),
-        });
-    }
-
-    /// Streams one segment through the walk, consuming its pre-split
-    /// run table (computed once at capture time by `TraceStore`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `runs` does not tile `ops` exactly.
-    fn run_segment(&mut self, ops: &[TraceOp], runs: &[CpuRun]) {
-        let mut at = 0usize;
-        for run in runs {
-            match *run {
-                CpuRun::Cpu { cpu, len } => {
-                    let end = at + len as usize;
-                    self.access_run(cpu, &ops[at..end]);
-                    at = end;
-                }
-                CpuRun::Global => {
-                    self.run_global(&ops[at]);
-                    at += 1;
-                }
-            }
-        }
-        assert_eq!(at, ops.len(), "run table does not tile its segment");
     }
 
     /// Executes one global op (batched-loop dispatch).
     fn run_global(&mut self, op: &TraceOp) {
         match op {
-            TraceOp::Barrier => self.barrier_all(),
+            TraceOp::Barrier => self.sync_barrier(),
             TraceOp::ArmFirstTouch => self.pages.arm_first_touch(),
             TraceOp::Access { .. } | TraceOp::Think { .. } => {
                 unreachable!("per-CPU op dispatched as global")
@@ -610,8 +483,8 @@ impl Lanes<'_> {
 
     /// The full reference walk, with the issuing CPU's derived indices
     /// (clock slot, node, L1 slot) already resolved — callers hoist them
-    /// once per op ([`Lanes::access`]) or once per same-CPU run
-    /// ([`Lanes::access_run`]). Callers also own the page-profile touch
+    /// once per op ([`Machine::walk_access`]) or once per same-CPU run
+    /// ([`Machine::access_run`]). Callers also own the page-profile touch
     /// ([`Metrics::touch_page`]), which must precede the walk; the
     /// batched loop coalesces it across same-page spans.
     fn walk(
@@ -1399,7 +1272,7 @@ impl Lanes<'_> {
                 tags.set(idx, tag);
             }
         };
-        let mut flushed = std::mem::take(self.flush_scratch);
+        let mut flushed = std::mem::take(&mut self.flush_scratch);
         flushed.clear();
         self.node_mut(node_idx)
             .block_cache
@@ -1414,7 +1287,7 @@ impl Lanes<'_> {
             };
             merge(&mut moved_tags, ev.block.index_in_page(), tag);
         }
-        *self.flush_scratch = flushed;
+        self.flush_scratch = flushed;
         // L1 copies (read-only blocks may exist without a block-cache
         // line) are also replicated; dirty ones keep write permission.
         for l1 in &mut self.node_mut(node_idx).l1s {
@@ -1790,33 +1663,52 @@ mod tests {
         assert!(m.metrics().net_messages > 4);
     }
 
-    #[test]
-    fn traced_machine_records_every_op_kind() {
+    /// Streams a short run through a sink with `chunk_ops`-op chunks,
+    /// returning the chunks in flush order.
+    fn traced_chunks(chunk_ops: usize) -> Vec<Vec<TraceOp>> {
+        use std::sync::{Arc, Mutex};
+        let chunks = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&chunks);
         let mut m = machine(Protocol::paper_rnuma());
-        m.start_tracing();
+        m.start_streaming_trace(
+            chunk_ops,
+            Box::new(move |ops| sink.lock().unwrap().push(ops.to_vec())),
+        );
         m.arm_first_touch();
         m.access(CpuId(0), Va(0x1000), true);
         m.advance(CpuId(0), Cycles(10));
         m.barrier_all();
-        let trace = m.take_trace();
-        assert_eq!(
-            trace,
-            vec![
-                TraceOp::ArmFirstTouch,
-                TraceOp::Access {
-                    cpu: CpuId(0),
-                    va: Va(0x1000),
-                    write: true
-                },
-                TraceOp::Think {
-                    cpu: CpuId(0),
-                    dur: Cycles(10)
-                },
-                TraceOp::Barrier,
-            ]
-        );
-        // Tracing is off after take_trace.
+        m.finish_streaming_trace();
+        // Tracing is off after the finish: nothing more reaches the sink.
         m.access(CpuId(0), Va(0x1000), false);
-        assert!(m.take_trace().is_empty());
+        drop(m);
+        Arc::try_unwrap(chunks).unwrap().into_inner().unwrap()
+    }
+
+    #[test]
+    fn traced_machine_records_every_op_kind() {
+        let expected = vec![
+            TraceOp::ArmFirstTouch,
+            TraceOp::Access {
+                cpu: CpuId(0),
+                va: Va(0x1000),
+                write: true,
+            },
+            TraceOp::Think {
+                cpu: CpuId(0),
+                dur: Cycles(10),
+            },
+            TraceOp::Barrier,
+        ];
+        // One op per chunk: every push flushes, and the finish has no
+        // partial chunk left to flush.
+        let unit = traced_chunks(1);
+        assert_eq!(
+            unit,
+            expected.iter().map(|&op| vec![op]).collect::<Vec<_>>()
+        );
+        // A chunk larger than the trace: nothing flushes until the
+        // finish hands over the one partial chunk.
+        assert_eq!(traced_chunks(expected.len() + 3), vec![expected]);
     }
 }

@@ -290,12 +290,6 @@ impl<'m> Runner<'m> {
             .map(|c| (c..n).step_by(cpus as usize).collect())
             .collect()
     }
-
-    /// Access to the underlying machine (diagnostics and custom flows).
-    #[must_use]
-    pub fn machine(&mut self) -> &mut Machine {
-        self.machine
-    }
 }
 
 /// A runnable application kernel.

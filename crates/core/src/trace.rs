@@ -126,8 +126,8 @@ fn push_cpu_run(runs: &mut Vec<CpuRun>, cpu: CpuId, mut len: usize) {
 /// Walks `ops` as its maximal runs, calling `f` once per run with the
 /// run's issuer (`None` for a single global op) and its index range.
 /// The one place the grouping rule lives: [`split_cpu_runs`] records
-/// the runs as a table, the batched replay loop
-/// (`Machine::apply_batch`) streams them directly.
+/// the runs as a table, and the store's encoder
+/// (`encode_segment`) streams them directly.
 pub(crate) fn scan_runs(ops: &[TraceOp], mut f: impl FnMut(Option<CpuId>, Range<usize>)) {
     let mut i = 0usize;
     while i < ops.len() {
@@ -374,14 +374,9 @@ pub(crate) struct ProfileArena {
 }
 
 impl ProfileArena {
-    /// Interns `blob`, returning its profile id. With `interning` off
-    /// every call stores a fresh copy (verbatim storage, as
-    /// `TraceStore::raw` uses); replay results are identical either way.
-    pub(crate) fn intern(&mut self, blob: &[u8], interning: bool) -> u32 {
+    /// Interns `blob`, returning its profile id.
+    pub(crate) fn intern(&mut self, blob: &[u8]) -> u32 {
         self.referenced_bytes += blob.len() as u64;
-        if !interning {
-            return self.push(blob);
-        }
         let hash = blob_hash(blob);
         // First-wins on hash collisions: a mismatching occupant just
         // costs this blob its dedup, never its correctness.
@@ -483,7 +478,6 @@ pub(crate) fn encode_segment(
     chunk: &[TraceOp],
     arena: &mut ProfileArena,
     runs: &mut Vec<u8>,
-    interning: bool,
     blob_scratch: &mut Vec<u8>,
     refs: &mut CpuRefs,
 ) -> SegMeta {
@@ -503,7 +497,7 @@ pub(crate) fn encode_segment(
                     0
                 }
             };
-            let profile = arena.intern(blob_scratch, interning);
+            let profile = arena.intern(blob_scratch);
             put_varint(runs, TAG_CPU_BASE + u64::from(cpu.0));
             put_varint(runs, range.len() as u64);
             put_varint(runs, delta);
@@ -803,15 +797,15 @@ mod tests {
         let a: Vec<TraceOp> = (0..64).map(|i| access(0, 0x1000 + i * 8, false)).collect();
         let b: Vec<TraceOp> = (0..64).map(|i| access(0, 0x9000 + i * 8, false)).collect();
         encode_run(&a, &mut blob).unwrap();
-        let pa = arena.intern(&blob, true);
+        let pa = arena.intern(&blob);
         encode_run(&b, &mut blob).unwrap();
-        let pb = arena.intern(&blob, true);
+        let pb = arena.intern(&blob);
         assert_eq!(pa, pb, "same relative pattern must intern to one blob");
         assert!(arena.stored_bytes() < arena.referenced_bytes());
         // A different stride is a different profile.
         let c: Vec<TraceOp> = (0..64).map(|i| access(0, 0x1000 + i * 16, false)).collect();
         encode_run(&c, &mut blob).unwrap();
-        assert_ne!(arena.intern(&blob, true), pa);
+        assert_ne!(arena.intern(&blob), pa);
     }
 
     #[test]
@@ -841,7 +835,7 @@ mod tests {
         let (mut blob, mut refs) = (Vec::new(), CpuRefs::default());
         let metas: Vec<SegMeta> = [&seg_a, &seg_b]
             .iter()
-            .map(|seg| encode_segment(seg, &mut arena, &mut runs, true, &mut blob, &mut refs))
+            .map(|seg| encode_segment(seg, &mut arena, &mut runs, &mut blob, &mut refs))
             .collect();
 
         let (mut ops, mut cpu_runs) = (Vec::new(), Vec::new());

@@ -59,12 +59,6 @@ impl Va {
     pub fn offset_in_block(self) -> u64 {
         self.0 % BLOCK_BYTES
     }
-
-    /// Byte offset within the containing page.
-    #[must_use]
-    pub fn offset_in_page(self) -> u64 {
-        self.0 % PAGE_BYTES
-    }
 }
 
 impl VPage {
@@ -121,17 +115,6 @@ impl CpuId {
     pub fn node(self, cpus_per_node: u16) -> NodeId {
         assert!(cpus_per_node > 0, "cpus_per_node must be positive");
         NodeId((self.0 / cpus_per_node) as u8)
-    }
-
-    /// CPU index within its node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cpus_per_node` is zero.
-    #[must_use]
-    pub fn local_index(self, cpus_per_node: u16) -> u16 {
-        assert!(cpus_per_node > 0, "cpus_per_node must be positive");
-        self.0 % cpus_per_node
     }
 }
 
@@ -302,7 +285,6 @@ mod tests {
         assert_eq!(va.vpage(), VPage(2));
         assert_eq!(va.vblock(), VBlock(2 * BLOCKS_PER_PAGE + 5));
         assert_eq!(va.offset_in_block(), 7);
-        assert_eq!(va.offset_in_page(), 5 * BLOCK_BYTES + 7);
     }
 
     #[test]
@@ -338,7 +320,6 @@ mod tests {
         assert_eq!(CpuId(3).node(4), NodeId(0));
         assert_eq!(CpuId(4).node(4), NodeId(1));
         assert_eq!(CpuId(31).node(4), NodeId(7));
-        assert_eq!(CpuId(31).local_index(4), 3);
     }
 
     #[test]

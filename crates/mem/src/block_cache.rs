@@ -101,12 +101,6 @@ impl BlockCache {
         }
     }
 
-    /// `true` for the infinite variant.
-    #[must_use]
-    pub fn is_infinite(&self) -> bool {
-        matches!(self.store, Store::Infinite(_))
-    }
-
     /// Line count for the finite variant; `None` when infinite.
     #[must_use]
     pub fn num_lines(&self) -> Option<usize> {
@@ -242,7 +236,6 @@ mod tests {
         assert_eq!(BlockCache::direct_mapped(1024).num_lines(), Some(32));
         assert_eq!(BlockCache::direct_mapped(32 * 1024).num_lines(), Some(1024));
         assert_eq!(BlockCache::infinite().num_lines(), None);
-        assert!(BlockCache::infinite().is_infinite());
     }
 
     #[test]

@@ -86,14 +86,6 @@ impl Moesi {
             other => other,
         }
     }
-
-    /// State after observing another cache's write/upgrade snoop: always
-    /// invalid.
-    #[must_use]
-    pub fn after_snoop_write(self) -> Moesi {
-        let _ = self;
-        Moesi::Invalid
-    }
 }
 
 impl fmt::Display for Moesi {
@@ -153,13 +145,6 @@ mod tests {
         assert_eq!(Moesi::Owned.after_snoop_read(), Moesi::Owned);
         assert_eq!(Moesi::Shared.after_snoop_read(), Moesi::Shared);
         assert_eq!(Moesi::Invalid.after_snoop_read(), Moesi::Invalid);
-    }
-
-    #[test]
-    fn snoop_write_invalidates_everything() {
-        for s in ALL {
-            assert_eq!(s.after_snoop_write(), Moesi::Invalid);
-        }
     }
 
     #[test]

@@ -153,16 +153,6 @@ impl PageCache {
         self.by_page.get(vpage).copied()
     }
 
-    /// The page held by `frame`, if any (LPA → GPA direction).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `frame` is out of range.
-    #[must_use]
-    pub fn page_of(&self, frame: FrameId) -> Option<VPage> {
-        self.frames[frame.0 as usize].vpage
-    }
-
     /// Allocates a frame for `vpage`, evicting the least-recently-missed
     /// resident page if the cache is full.
     ///
@@ -392,15 +382,6 @@ mod tests {
         assert!(pc.release(VPage(1)).is_none());
         // Frame is reusable without eviction.
         assert!(pc.allocate(VPage(2)).victim.is_none());
-    }
-
-    #[test]
-    fn page_of_round_trips() {
-        let mut pc = PageCache::new(2 * PAGE_BYTES);
-        let f = pc.allocate(VPage(8)).frame;
-        assert_eq!(pc.page_of(f), Some(VPage(8)));
-        let (p, f2) = pc.iter().next().unwrap();
-        assert_eq!((p, f2), (VPage(8), f));
     }
 
     #[test]

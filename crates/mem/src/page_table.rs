@@ -29,14 +29,6 @@ pub enum Mapping {
     SComa(FrameId),
 }
 
-impl Mapping {
-    /// `true` for the S-COMA mode.
-    #[must_use]
-    pub fn is_scoma(self) -> bool {
-        matches!(self, Mapping::SComa(_))
-    }
-}
-
 /// One node's page table over the shared virtual address space.
 ///
 /// # Example
@@ -108,20 +100,6 @@ impl NodePageTable {
     pub fn iter(&self) -> impl Iterator<Item = (VPage, Mapping)> + '_ {
         self.entries.iter().map(|(p, &m)| (p, m))
     }
-
-    /// Counts pages in each mode: `(local, ccnuma, scoma)`.
-    #[must_use]
-    pub fn mode_census(&self) -> (usize, usize, usize) {
-        let mut census = (0, 0, 0);
-        for m in self.entries.values() {
-            match m {
-                Mapping::Local => census.0 += 1,
-                Mapping::CcNuma => census.1 += 1,
-                Mapping::SComa(_) => census.2 += 1,
-            }
-        }
-        census
-    }
 }
 
 #[cfg(test)]
@@ -143,7 +121,7 @@ mod tests {
         // The R-NUMA relocation transition.
         let prev = pt.map(VPage(1), Mapping::SComa(FrameId(3)));
         assert_eq!(prev, Some(Mapping::CcNuma));
-        assert!(pt.lookup(VPage(1)).unwrap().is_scoma());
+        assert_eq!(pt.lookup(VPage(1)), Some(Mapping::SComa(FrameId(3))));
         assert_eq!(pt.unmap(VPage(1)), Some(Mapping::SComa(FrameId(3))));
         assert_eq!(pt.lookup(VPage(1)), None);
     }
@@ -161,17 +139,6 @@ mod tests {
         let v2 = pt.version();
         let _ = pt.lookup(VPage(1));
         assert_eq!(pt.version(), v2);
-    }
-
-    #[test]
-    fn census_counts_modes() {
-        let mut pt = NodePageTable::new();
-        pt.map(VPage(1), Mapping::Local);
-        pt.map(VPage(2), Mapping::Local);
-        pt.map(VPage(3), Mapping::CcNuma);
-        pt.map(VPage(4), Mapping::SComa(FrameId(0)));
-        assert_eq!(pt.mode_census(), (2, 1, 1));
-        assert_eq!(pt.len(), 4);
     }
 
     #[test]

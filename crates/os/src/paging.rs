@@ -22,7 +22,6 @@ pub struct PageManager {
     homes: FxMap<VPage, NodeId>,
     /// Pages whose home was fixed by first touch (vs. static allocation).
     first_touched: u64,
-    next_rr: u8,
 }
 
 impl PageManager {
@@ -39,7 +38,6 @@ impl PageManager {
             first_touch_armed: false,
             homes: FxMap::new(),
             first_touched: 0,
-            next_rr: 0,
         }
     }
 
@@ -60,15 +58,6 @@ impl PageManager {
     pub fn assign(&mut self, page: VPage, home: NodeId) {
         assert!(home.0 < self.nodes, "home {home} out of range");
         self.homes.insert(page, home);
-    }
-
-    /// Statically assigns `page` round-robin across nodes, returning the
-    /// chosen home (the default placement for untouched allocations).
-    pub fn assign_round_robin(&mut self, page: VPage) -> NodeId {
-        let home = NodeId(self.next_rr);
-        self.next_rr = (self.next_rr + 1) % self.nodes;
-        self.homes.insert(page, home);
-        home
     }
 
     /// The home of `page` as seen by `toucher`'s reference, fixing it by
@@ -135,17 +124,6 @@ mod tests {
         pm.arm_first_touch();
         assert_eq!(pm.home_on_touch(VPage(2), NodeId(0)), NodeId(7));
         assert_eq!(pm.first_touched(), 0);
-    }
-
-    #[test]
-    fn round_robin_covers_all_nodes() {
-        let mut pm = PageManager::new(4);
-        let homes: Vec<NodeId> = (0..8).map(|p| pm.assign_round_robin(VPage(p))).collect();
-        assert_eq!(
-            homes.iter().map(|n| n.0).collect::<Vec<_>>(),
-            vec![0, 1, 2, 3, 0, 1, 2, 3]
-        );
-        assert_eq!(pm.census(), vec![2, 2, 2, 2]);
     }
 
     #[test]

@@ -201,16 +201,6 @@ impl Directory {
         }
     }
 
-    /// Forgets that `node` holds any block of `page` read-only *without*
-    /// marking refetch state. Used when invalidations are performed for
-    /// reasons the refetch counter must not see.
-    pub fn drop_sharer(&mut self, block: VBlock, node: NodeId) {
-        if let Some(e) = self.entries.get_mut(block) {
-            e.sharers.remove(node);
-            e.was_owner.remove(node);
-        }
-    }
-
     /// Total reads served.
     #[must_use]
     pub fn reads(&self) -> u64 {
@@ -227,12 +217,6 @@ impl Directory {
     #[must_use]
     pub fn refetches(&self) -> u64 {
         self.refetches
-    }
-
-    /// Number of blocks with directory state.
-    #[must_use]
-    pub fn tracked_blocks(&self) -> usize {
-        self.entries.len()
     }
 
     /// Iterates over the entries of one page (diagnostics), in ascending
@@ -363,15 +347,6 @@ mod tests {
     }
 
     #[test]
-    fn drop_sharer_suppresses_refetch_tracking() {
-        let mut d = dir();
-        d.read(B, N1);
-        d.drop_sharer(B, N1);
-        let out = d.read(B, N1);
-        assert!(!out.refetch);
-    }
-
-    #[test]
     fn counters_accumulate() {
         let mut d = dir();
         d.read(B, N1);
@@ -380,7 +355,6 @@ mod tests {
         assert_eq!(d.reads(), 2);
         assert_eq!(d.writes(), 1);
         assert_eq!(d.refetches(), 1);
-        assert_eq!(d.tracked_blocks(), 1);
     }
 
     #[test]

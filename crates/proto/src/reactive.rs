@@ -95,12 +95,6 @@ impl RefetchCounters {
     pub fn total_refetches(&self) -> u64 {
         self.total_refetches
     }
-
-    /// Number of pages with a live (nonzero) counter.
-    #[must_use]
-    pub fn live_pages(&self) -> usize {
-        self.counts.len()
-    }
 }
 
 #[cfg(test)]
@@ -118,7 +112,6 @@ mod tests {
         assert_eq!(c.count(VPage(2)), 1);
         assert_eq!(c.count(VPage(3)), 0);
         assert_eq!(c.total_refetches(), 11);
-        assert_eq!(c.live_pages(), 2);
     }
 
     #[test]

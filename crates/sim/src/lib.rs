@@ -8,8 +8,8 @@
 //! * [`resource`] — first-come-first-served occupancy servers used to model
 //!   contention at shared hardware resources (memory buses, network
 //!   interfaces, protocol controllers).
-//! * [`stats`] — counters, log-scale histograms, and the cumulative
-//!   distribution builder used to regenerate Figure 5 of the paper.
+//! * [`stats`] — the cumulative distribution builder used to regenerate
+//!   Figure 5 of the paper.
 //! * [`rng`] — a small deterministic RNG wrapper so that every simulation
 //!   run is a pure function of its configuration.
 //!
@@ -43,5 +43,5 @@ pub mod time;
 
 pub use resource::Resource;
 pub use rng::DetRng;
-pub use stats::{Cdf, Counter, Histogram};
+pub use stats::Cdf;
 pub use time::Cycles;

@@ -108,27 +108,6 @@ impl Resource {
     pub fn busy(&self) -> Cycles {
         self.busy
     }
-
-    /// Busy fraction over a horizon, for utilization reports.
-    ///
-    /// Returns 0.0 for an empty horizon.
-    #[must_use]
-    pub fn utilization(&self, horizon: Cycles) -> f64 {
-        if horizon.is_zero() {
-            0.0
-        } else {
-            self.busy.0 as f64 / horizon.0 as f64
-        }
-    }
-
-    /// Forgets all accumulated history, returning the resource to idle.
-    pub fn reset(&mut self) {
-        self.next_free = Cycles::ZERO;
-        self.busy = Cycles::ZERO;
-        self.grants = 0;
-        self.queued = 0;
-        self.total_wait = Cycles::ZERO;
-    }
 }
 
 impl fmt::Display for Resource {
@@ -171,8 +150,6 @@ mod tests {
         let g = r.acquire(Cycles(100), Cycles(4));
         assert_eq!(g, Cycles(100));
         assert_eq!(r.busy(), Cycles(8));
-        // Utilization over 200 cycles: 8/200.
-        assert!((r.utilization(Cycles(200)) - 0.04).abs() < 1e-12);
     }
 
     #[test]
@@ -182,23 +159,6 @@ mod tests {
         let g1 = r.acquire(Cycles(5), Cycles(2));
         assert_eq!(g0, Cycles(5));
         assert_eq!(g1, Cycles(5));
-    }
-
-    #[test]
-    fn utilization_of_empty_horizon_is_zero() {
-        let r = Resource::new("x");
-        assert_eq!(r.utilization(Cycles::ZERO), 0.0);
-    }
-
-    #[test]
-    fn reset_restores_idle_state() {
-        let mut r = Resource::new("bus");
-        r.acquire(Cycles(0), Cycles(100));
-        r.acquire(Cycles(0), Cycles(100));
-        r.reset();
-        assert_eq!(r.next_free(), Cycles::ZERO);
-        assert_eq!(r.grants(), 0);
-        assert_eq!(r.acquire(Cycles(1), Cycles(1)), Cycles(1));
     }
 
     #[test]

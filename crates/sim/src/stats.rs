@@ -1,209 +1,8 @@
-//! Measurement primitives: counters, histograms, and CDFs.
-//!
-//! The experiment harness reports three kinds of quantities:
-//!
-//! * event counts (refetches, replacements, relocations) — [`Counter`];
-//! * latency distributions — [`Histogram`] with power-of-two buckets;
-//! * "what fraction of pages causes what fraction of refetches"
-//!   (Figure 5 of the paper) — [`Cdf`].
+//! Measurement primitives: the cumulative distribution behind "what
+//! fraction of pages causes what fraction of refetches" (Figure 5 of
+//! the paper) — [`Cdf`].
 
 use std::fmt;
-
-/// A saturating event counter.
-///
-/// # Example
-///
-/// ```
-/// use rnuma_sim::Counter;
-///
-/// let mut refetches = Counter::new("refetches");
-/// refetches.add(3);
-/// refetches.incr();
-/// assert_eq!(refetches.get(), 4);
-/// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Counter {
-    name: &'static str,
-    value: u64,
-}
-
-impl Counter {
-    /// Creates a zeroed counter labeled `name`.
-    #[must_use]
-    pub fn new(name: &'static str) -> Counter {
-        Counter { name, value: 0 }
-    }
-
-    /// Adds `n`, saturating at `u64::MAX`.
-    pub fn add(&mut self, n: u64) {
-        self.value = self.value.saturating_add(n);
-    }
-
-    /// Adds one.
-    pub fn incr(&mut self) {
-        self.add(1);
-    }
-
-    /// Current value.
-    #[must_use]
-    pub fn get(&self) -> u64 {
-        self.value
-    }
-
-    /// Label given at construction.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Resets to zero.
-    pub fn reset(&mut self) {
-        self.value = 0;
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} = {}", self.name, self.value)
-    }
-}
-
-/// A histogram with power-of-two buckets, for latency distributions.
-///
-/// Bucket `i` holds samples in `[2^i, 2^(i+1))`; bucket 0 additionally
-/// holds zero. 64 buckets cover the entire `u64` range.
-///
-/// # Example
-///
-/// ```
-/// use rnuma_sim::Histogram;
-///
-/// let mut h = Histogram::new("miss-latency");
-/// for v in [1u64, 2, 3, 69, 376] { h.record(v); }
-/// assert_eq!(h.count(), 5);
-/// assert_eq!(h.max(), 376);
-/// assert!((h.mean() - 90.2).abs() < 1e-9);
-/// ```
-#[derive(Clone, Debug)]
-pub struct Histogram {
-    name: &'static str,
-    buckets: [u64; 64],
-    count: u64,
-    sum: u128,
-    min: u64,
-    max: u64,
-}
-
-impl Histogram {
-    /// Creates an empty histogram labeled `name`.
-    #[must_use]
-    pub fn new(name: &'static str) -> Histogram {
-        Histogram {
-            name,
-            buckets: [0; 64],
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, value: u64) {
-        let idx = if value == 0 {
-            0
-        } else {
-            63 - value.leading_zeros() as usize
-        };
-        self.buckets[idx] += 1;
-        self.count += 1;
-        self.sum += u128::from(value);
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    /// Number of samples recorded.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of all samples; 0.0 when empty.
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Smallest sample; 0 when empty.
-    #[must_use]
-    pub fn min(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest sample; 0 when empty.
-    #[must_use]
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Label given at construction.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// An approximate quantile from the bucket boundaries.
-    ///
-    /// Returns the lower bound of the bucket containing the `q`-quantile
-    /// sample. `q` is clamped to `[0, 1]`. Returns 0 when empty.
-    #[must_use]
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let target = (q * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, &b) in self.buckets.iter().enumerate() {
-            seen += b;
-            if seen >= target {
-                return if i == 0 { 0 } else { 1u64 << i };
-            }
-        }
-        self.max
-    }
-
-    /// Iterates over `(bucket_lower_bound, count)` for non-empty buckets.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (if i == 0 { 0 } else { 1u64 << i }, c))
-    }
-}
-
-impl fmt::Display for Histogram {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}: n={} mean={:.1} min={} max={}",
-            self.name,
-            self.count,
-            self.mean(),
-            self.min(),
-            self.max()
-        )
-    }
-}
 
 /// Builds the cumulative distribution used in Figure 5 of the paper:
 /// sort contributors descending by weight and report what cumulative
@@ -316,74 +115,6 @@ impl fmt::Display for Cdf {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_basics() {
-        let mut c = Counter::new("x");
-        assert_eq!(c.get(), 0);
-        c.incr();
-        c.add(10);
-        assert_eq!(c.get(), 11);
-        c.reset();
-        assert_eq!(c.get(), 0);
-        assert_eq!(c.name(), "x");
-    }
-
-    #[test]
-    fn counter_saturates() {
-        let mut c = Counter::new("x");
-        c.add(u64::MAX);
-        c.incr();
-        assert_eq!(c.get(), u64::MAX);
-    }
-
-    #[test]
-    fn histogram_moments() {
-        let mut h = Histogram::new("lat");
-        for v in [8u64, 56, 69, 376, 376] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.min(), 8);
-        assert_eq!(h.max(), 376);
-        assert!((h.mean() - 177.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn histogram_zero_and_one() {
-        let mut h = Histogram::new("lat");
-        h.record(0);
-        h.record(1);
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.min(), 0);
-        assert_eq!(h.max(), 1);
-        // Both land in bucket 0.
-        let buckets: Vec<_> = h.iter().collect();
-        assert_eq!(buckets, vec![(0, 2)]);
-    }
-
-    #[test]
-    fn histogram_quantiles_are_monotone() {
-        let mut h = Histogram::new("lat");
-        for v in 1..=1000u64 {
-            h.record(v);
-        }
-        let q50 = h.quantile(0.5);
-        let q90 = h.quantile(0.9);
-        let q100 = h.quantile(1.0);
-        assert!(q50 <= q90 && q90 <= q100);
-        assert!((256..=512).contains(&q50), "median bucket, got {q50}");
-    }
-
-    #[test]
-    fn empty_histogram_is_well_behaved() {
-        let h = Histogram::new("lat");
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.mean(), 0.0);
-        assert_eq!(h.min(), 0);
-        assert_eq!(h.max(), 0);
-        assert_eq!(h.quantile(0.5), 0);
-    }
 
     #[test]
     fn cdf_matches_paper_shape_description() {

@@ -58,12 +58,6 @@ impl Cycles {
         Cycles((micros * CPU_MHZ as f64).round() as u64)
     }
 
-    /// The wall-clock equivalent of this duration in microseconds at 400 MHz.
-    #[must_use]
-    pub fn as_micros_400mhz(self) -> f64 {
-        self.0 as f64 / CPU_MHZ as f64
-    }
-
     /// Converts whole bus cycles (100 MHz) into CPU cycles.
     ///
     /// ```
@@ -91,12 +85,6 @@ impl Cycles {
     #[must_use]
     pub fn min(self, rhs: Cycles) -> Cycles {
         Cycles(self.0.min(rhs.0))
-    }
-
-    /// `true` when the duration is zero.
-    #[must_use]
-    pub fn is_zero(self) -> bool {
-        self.0 == 0
     }
 }
 
@@ -178,13 +166,6 @@ mod tests {
         assert_eq!(Cycles::from_micros_400mhz(5.0), Cycles(2000));
         assert_eq!(Cycles::from_micros_400mhz(0.5), Cycles(200));
         assert_eq!(Cycles::from_micros_400mhz(10.0), Cycles(4000));
-    }
-
-    #[test]
-    fn round_trips_micros() {
-        let c = Cycles(376);
-        let us = c.as_micros_400mhz();
-        assert_eq!(Cycles::from_micros_400mhz(us), c);
     }
 
     #[test]

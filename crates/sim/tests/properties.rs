@@ -1,7 +1,7 @@
 //! Property-based tests for the simulation substrate.
 
 use proptest::prelude::*;
-use rnuma_sim::{Cdf, Cycles, DetRng, Histogram, Resource};
+use rnuma_sim::{Cdf, Cycles, DetRng, Resource};
 
 proptest! {
     /// A resource never grants before the request time and never
@@ -80,20 +80,6 @@ proptest! {
         }
         prop_assert_eq!(r.busy(), Cycles(total));
         prop_assert_eq!(r.grants(), occs.len() as u64);
-    }
-
-    /// Histogram count/min/max/mean agree with a direct computation.
-    #[test]
-    fn histogram_matches_reference(samples in prop::collection::vec(0u64..1_000_000, 1..500)) {
-        let mut h = Histogram::new("prop");
-        for &s in &samples {
-            h.record(s);
-        }
-        prop_assert_eq!(h.count(), samples.len() as u64);
-        prop_assert_eq!(h.min(), *samples.iter().min().unwrap());
-        prop_assert_eq!(h.max(), *samples.iter().max().unwrap());
-        let mean = samples.iter().sum::<u64>() as f64 / samples.len() as f64;
-        prop_assert!((h.mean() - mean).abs() < 1e-6 * mean.max(1.0));
     }
 
     /// CDF y-values are within [0,1], monotone, and end at 1 for nonzero

@@ -52,13 +52,6 @@ impl Em3d {
             seed: 0xE3D_0001,
         }
     }
-
-    /// Overrides the remote-edge fraction (paper: 0.15).
-    #[must_use]
-    pub fn with_remote_fraction(mut self, fraction: f64) -> Em3d {
-        self.remote_fraction = fraction.clamp(0.0, 1.0);
-        self
-    }
 }
 
 impl Workload for Em3d {

@@ -4,17 +4,14 @@
 //! > **batched replay ≡ live execution**, bit-identical
 //! > (`Metrics::replay_eq`).
 //!
-//! "Batched" is `Machine::apply_batch` / `Machine::replay_segment` —
-//! the *only* replay engine (one `Lanes` construction per batch,
-//! contiguous same-CPU runs streamed without per-op dispatch,
-//! including the pre-split run tables a `TraceStore` computes at
-//! capture time). "Live" is the execution-driven run the trace was
-//! captured from, and `per_op_replay` below drives the same live API
-//! one op at a time — the thin wrapper standing in for the per-op
-//! replay path this contract licensed retiring (`Machine::apply_op`/
-//! `Machine::replay` are gone from the public API; the wrapper keeps
-//! the suite's per-op leg as a differential reference). See
-//! `docs/SWEEP.md`.
+//! "Batched" is `Machine::replay_segment` — the *only* replay entry
+//! point (contiguous same-CPU runs streamed without per-op dispatch,
+//! from a run table: `split_cpu_runs` of a flat trace, or the pre-split
+//! tables a `TraceStore` computes at capture time). "Live" is the
+//! execution-driven run the trace was captured from, and
+//! `per_op_replay` below drives the same live API one op at a time
+//! (`hotpath::live_dispatch`), the suite's per-op differential
+//! reference. See `docs/SWEEP.md`.
 //!
 //! The splitter's edge cases (empty traces, single-op segments,
 //! CPU-alternating streams, same-CPU runs split across interned
@@ -25,7 +22,7 @@ use proptest::prelude::*;
 use rnuma::config::MachineConfig;
 use rnuma::experiment::{run_traced, TraceStore};
 use rnuma::metrics::Metrics;
-use rnuma::{Machine, TraceOp};
+use rnuma::{split_cpu_runs, Machine, TraceOp};
 use rnuma_mem::addr::{CpuId, Va};
 use rnuma_sim::Cycles;
 use rnuma_workloads::{by_name, Scale, APP_NAMES};
@@ -36,13 +33,13 @@ use support::figure_configs;
 
 fn per_op_replay(config: MachineConfig, ops: &[TraceOp]) -> Metrics {
     let mut m = Machine::new(config).expect("valid config");
-    rnuma_bench::sweep::live_dispatch(&mut m, ops);
+    rnuma_bench::hotpath::live_dispatch(&mut m, ops);
     m.metrics()
 }
 
 fn batched_replay(config: MachineConfig, ops: &[TraceOp]) -> Metrics {
     let mut m = Machine::new(config).expect("valid config");
-    m.apply_batch(ops);
+    m.replay_segment(ops, &split_cpu_runs(ops));
     m.metrics()
 }
 
@@ -221,7 +218,7 @@ fn sharded_replay_over_batched_segments_stays_deterministic() {
                 let len = trace.len().div_ceil(shards).max(1);
                 let mut m = Machine::new(config).expect("valid config");
                 for shard in trace.chunks(len) {
-                    m.apply_batch(shard);
+                    m.replay_segment(shard, &split_cpu_runs(shard));
                 }
                 let sharded = m.metrics();
                 assert!(

@@ -75,32 +75,6 @@ fn replayed_cells_shard_deterministically_on_the_pool() {
     }
 }
 
-/// Interning is invisible to replay: an interned store and a raw store
-/// holding the same stream replay bit-identically on every
-/// configuration.
-#[test]
-fn interned_and_raw_stores_replay_identically() {
-    let configs = figure_configs();
-    let mut w = by_name("radix", Scale::Tiny).expect("known app");
-    let (_, trace) = rnuma::experiment::run_traced(configs[0], &mut w);
-    let mut interned = TraceStore::new();
-    let mut raw = TraceStore::raw();
-    let a = interned.insert("radix", configs[0], &trace);
-    let b = raw.insert("radix", configs[0], &trace);
-    assert_eq!(interned.ops(a), raw.ops(b));
-    assert!(interned.encoded_bytes() <= raw.encoded_bytes());
-    assert!(interned.interning_ratio() <= raw.interning_ratio());
-    for &config in &configs {
-        let ra = interned.replay_serial(a, config);
-        let rb = raw.replay_serial(b, config);
-        assert!(
-            ra.metrics.replay_eq(&rb.metrics),
-            "interned vs raw replay diverged on {}",
-            config.protocol
-        );
-    }
-}
-
 /// A one-configuration sweep (what fig5 and table3 run) is a plain
 /// execution-driven run of each cell, with no trace built, and matches
 /// `run` bit-for-bit — on fig5's CC-NUMA and on table3's ideal

@@ -78,7 +78,7 @@ fn rnuma_jobs_routing() {
     let (_, trace) = run_traced(configs[0], &mut by_name("em3d", Scale::Tiny).unwrap());
     for (r, &config) in reference[0].iter().zip(&configs) {
         let mut per_op = rnuma::Machine::new(config).unwrap();
-        rnuma_bench::sweep::live_dispatch(&mut per_op, &trace);
+        rnuma_bench::hotpath::live_dispatch(&mut per_op, &trace);
         assert!(
             r.metrics.replay_eq(&per_op.metrics()),
             "sweep cell diverged from per-op replay on {}",

@@ -24,7 +24,7 @@ use proptest::prelude::*;
 use rnuma::config::MachineConfig;
 use rnuma::experiment::{run_traced, TraceStore};
 use rnuma::metrics::Metrics;
-use rnuma::{CpuRun, Machine, TraceOp};
+use rnuma::{split_cpu_runs, CpuRun, Machine, TraceOp};
 use rnuma_mem::addr::{CpuId, Va};
 use rnuma_sim::Cycles;
 use rnuma_workloads::{by_name, Scale, APP_NAMES};
@@ -36,7 +36,7 @@ use support::figure_configs;
 /// Replays `ops` through the flat batched engine (no store involved).
 fn flat_replay(config: MachineConfig, ops: &[TraceOp]) -> Metrics {
     let mut m = Machine::new(config).expect("valid config");
-    m.apply_batch(ops);
+    m.replay_segment(ops, &split_cpu_runs(ops));
     m.metrics()
 }
 
@@ -136,8 +136,8 @@ fn streaming_capture_matches_materialized_insert() {
     }
 }
 
-/// The footprint acceptance: across the sweep bench workloads the
-/// encoded store is at least 4× smaller than the flat 24-byte op
+/// The footprint acceptance: across every application at tiny scale
+/// the encoded store is at least 4× smaller than the flat 24-byte op
 /// array it replaced.
 #[test]
 fn figure_grid_capture_compresses_at_least_4x() {

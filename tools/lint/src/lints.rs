@@ -356,7 +356,7 @@ fn lint_r01(fs: &FileScan, findings: &mut Vec<Finding>) {
 }
 
 /// P01: the per-op replay path stays retired. Replay goes through
-/// `Machine::apply_batch`/`replay_segment`; in `machine.rs` no
+/// `Machine::replay_segment`; in `machine.rs` no
 /// `apply_op` may be defined and `replay`/`replay_segments` may not be
 /// public again, and no other file may name `apply_op` at all.
 fn lint_p01(fs: &FileScan, findings: &mut Vec<Finding>) {
@@ -390,7 +390,7 @@ fn lint_p01(fs: &FileScan, findings: &mut Vec<Finding>) {
                 line: t[at].line,
                 msg: format!(
                     "retired per-op replay entry point `{}` is back; replay goes \
-                     through Machine::apply_batch/replay_segment",
+                     through Machine::replay_segment",
                     t[at].text
                 ),
             });
@@ -695,8 +695,8 @@ mod tests {
         let a = analyze(
             &[(
                 "crates/core/src/machine.rs".into(),
-                "impl Machine { fn replay_per_op(&mut self, ops: &[TraceOp]) {} \
-                 pub fn apply_batch(&mut self) {} pub fn replay_segment(&mut self) {} }"
+                "impl Machine { fn access_run(&mut self, ops: &[TraceOp]) {} \
+                 pub fn replay_segment(&mut self) {} }"
                     .into(),
             )],
             None,

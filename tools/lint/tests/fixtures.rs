@@ -132,7 +132,7 @@ fn clean_tree_with_reasoned_escape_exits_zero_and_prints_the_inventory() {
     put(
         &root,
         "crates/core/src/machine.rs",
-        "impl Machine { pub fn apply_batch(&mut self, ops: &[TraceOp]) {} }\n",
+        "impl Machine { pub fn replay_segment(&mut self, ops: &[TraceOp]) {} }\n",
     );
     // …a justified invariant in the pool's dispatch loop for R01…
     put(
