@@ -202,7 +202,7 @@ pub fn lookup_ns_comparison(keys: &[u64]) -> (f64, f64) {
     (std_ns, fx_ns)
 }
 
-/// Drives `ops` through the live per-op API (`Machine::access` and
+/// Drives `ops` through the per-op API (`Machine::access` and
 /// friends), one op at a time: the per-op reference leg of the replay
 /// lane and of the differential test suites, which share this one
 /// definition. It pays exactly the per-op dispatch the batched loop

@@ -32,12 +32,12 @@
 use crate::config::MachineConfig;
 use crate::machine::Machine;
 use crate::metrics::Metrics;
-use crate::program::{Runner, Workload};
+use crate::program::{Runner, Sink, Workload};
 use crate::trace::{
     decode_segment, encode_segment, CpuRefs, CpuRun, ProfileArena, SegMeta, TraceOp, SEG_OPS,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, PoisonError};
+use std::sync::mpsc;
 
 /// The result of one (configuration, workload) simulation.
 #[derive(Clone, Debug)]
@@ -70,23 +70,13 @@ impl RunReport {
 /// Panics if `config` fails validation — experiment configurations are
 /// produced by code, not user input, so this is a programming error.
 pub fn run<W: Workload + ?Sized>(config: MachineConfig, workload: &mut W) -> RunReport {
-    let mut machine = Machine::new(config).expect("experiment configs must be valid");
-    {
-        let mut runner = Runner::new(&mut machine);
-        workload.run(&mut runner);
-    }
-    RunReport {
-        workload: workload.name(),
-        protocol: config.protocol.label(),
-        config,
-        metrics: machine.metrics(),
-    }
+    run_recorded(config, workload, None)
 }
 
 /// Runs `workload` like [`run`] while recording the machine-level
 /// operation trace, returning both the report and the trace. The
-/// machine's streaming capture hands its chunks to a plain `Vec`;
-/// nothing is encoded.
+/// runner's recorder appends its chunks to a plain `Vec`; nothing is
+/// encoded.
 ///
 /// Replaying the trace on a fresh machine of the same configuration
 /// reproduces the report's metrics bit-for-bit.
@@ -98,53 +88,37 @@ pub fn run_traced<W: Workload + ?Sized>(
     config: MachineConfig,
     workload: &mut W,
 ) -> (RunReport, Vec<TraceOp>) {
-    run_streaming(config, workload, Vec::new(), |trace, ops| {
-        trace.extend_from_slice(ops);
-    })
+    let mut trace = Vec::new();
+    let report = run_recorded(
+        config,
+        workload,
+        Some(&mut |ops: &[TraceOp]| trace.extend_from_slice(ops)),
+    );
+    (report, trace)
 }
 
-/// Runs `workload` on `config` like [`run`] while the machine streams
-/// its operations into `state`, one `SEG_OPS`-op chunk per `push` call:
-/// the one recorder behind [`run_traced`] and [`TraceStore::capture`].
-/// Returns the report and `state`.
-fn run_streaming<W: Workload + ?Sized, T: Send + 'static>(
+/// Runs `workload` on a fresh machine built from `config`; with a
+/// `sink`, the runner records the run's ops into it in `SEG_OPS`-op
+/// chunks. The one driver behind [`run`], [`run_traced`] and
+/// [`TraceStore::capture`].
+fn run_recorded<W: Workload + ?Sized>(
     config: MachineConfig,
     workload: &mut W,
-    state: T,
-    push: fn(&mut T, &[TraceOp]),
-) -> (RunReport, T) {
-    // The machine's trace sink must own the state: it moves behind a
-    // shared handle for the duration of the run and is taken back once
-    // the machine (and with it the sink closure) is dropped.
-    let shared = Arc::new(Mutex::new(state));
-    let sink = Arc::clone(&shared);
+    sink: Option<Sink<'_>>,
+) -> RunReport {
     let mut machine = Machine::new(config).expect("experiment configs must be valid");
-    machine.start_streaming_trace(
-        SEG_OPS,
-        Box::new(move |ops| {
-            push(
-                &mut sink.lock().unwrap_or_else(PoisonError::into_inner),
-                ops,
-            )
-        }),
-    );
-    {
-        let mut runner = Runner::new(&mut machine);
-        workload.run(&mut runner);
-    }
-    machine.finish_streaming_trace();
-    let report = RunReport {
+    let mut runner = match sink {
+        Some(sink) => Runner::recording(&mut machine, SEG_OPS, sink),
+        None => Runner::new(&mut machine),
+    };
+    workload.run(&mut runner);
+    runner.finish();
+    RunReport {
         workload: workload.name(),
         protocol: config.protocol.label(),
         config,
         metrics: machine.metrics(),
-    };
-    drop(machine);
-    let state = Arc::try_unwrap(shared)
-        .unwrap_or_else(|_| panic!("trace sink outlived its machine"))
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner);
-    (report, state)
+    }
 }
 
 /// Applies `f` to every job, fanned out over the host's cores, and
@@ -291,54 +265,6 @@ struct TraceRec {
     ops: u64,
 }
 
-/// The encodable innards of a [`TraceStore`]: the profile arena, run
-/// and segment tables, and the capture-time encode scratch. Split out so a streaming capture can move it behind
-/// an `Arc<Mutex<_>>` shared with the machine's trace sink and take it
-/// back afterwards.
-#[derive(Debug, Default)]
-struct StoreCore {
-    profiles: ProfileArena,
-    /// The varint-coded run streams of every segment, concatenated
-    /// (each [`SegMeta`] owns a byte range).
-    runs: Vec<u8>,
-    segs: Vec<SegMeta>,
-    captured_ops: u64,
-    /// Reusable encode scratch (one run's blob).
-    blob_scratch: Vec<u8>,
-    /// Reusable per-CPU base references for encoding.
-    refs_scratch: CpuRefs,
-}
-
-impl StoreCore {
-    /// Encodes one segment of captured ops into the store. This is the
-    /// streaming-capture sink: it holds no reference to the chunk after
-    /// returning, so capture memory stays bounded by one chunk plus the
-    /// encoded tables.
-    fn push_segment(&mut self, chunk: &[TraceOp]) {
-        if chunk.is_empty() {
-            return;
-        }
-        let meta = encode_segment(
-            chunk,
-            &mut self.profiles,
-            &mut self.runs,
-            &mut self.blob_scratch,
-            &mut self.refs_scratch,
-        );
-        self.segs.push(meta);
-        self.captured_ops += chunk.len() as u64;
-    }
-
-    /// Encoded size of the store: profile bytes plus the run streams
-    /// and the segment/span tables.
-    fn encoded_bytes(&self) -> u64 {
-        self.profiles.stored_bytes()
-            + self.profiles.table_bytes()
-            + self.runs.len() as u64
-            + (self.segs.len() * std::mem::size_of::<SegMeta>()) as u64
-    }
-}
-
 /// A columnar, delta-encoded store of captured [`TraceOp`] streams —
 /// the "capture once" half of trace-once/replay-many sweeps.
 ///
@@ -355,7 +281,7 @@ impl StoreCore {
 /// flat op array. Replay decodes segment by segment into a
 /// bounded scratch ([`TraceStore::for_each_batch`]) feeding
 /// [`Machine::replay_segment`];
-/// `tests/trace_codec.rs` pins the encoded replay bit-identical to
+/// `tests/batched_replay.rs` pins the encoded replay bit-identical to
 /// both the flat replay and the live execution.
 ///
 /// # Example
@@ -388,8 +314,17 @@ impl StoreCore {
 /// ```
 #[derive(Debug, Default)]
 pub struct TraceStore {
-    core: StoreCore,
     traces: Vec<TraceRec>,
+    profiles: ProfileArena,
+    /// The varint-coded run streams of every segment, concatenated
+    /// (each [`SegMeta`] owns a byte range).
+    runs: Vec<u8>,
+    segs: Vec<SegMeta>,
+    captured_ops: u64,
+    /// Reusable encode scratch (one run's blob).
+    blob_scratch: Vec<u8>,
+    /// Reusable per-CPU base references for encoding.
+    refs_scratch: CpuRefs,
 }
 
 impl TraceStore {
@@ -401,7 +336,7 @@ impl TraceStore {
 
     /// Runs `workload` on `config` — exactly like [`run`] — while
     /// *streaming* its operation stream into the store: ops are encoded
-    /// in segment-sized (`SEG_OPS`) chunks as the machine produces them, so
+    /// in segment-sized (`SEG_OPS`) chunks as the runner records them, so
     /// capture memory is bounded by one chunk plus the encoded tables —
     /// the flat op array is never materialized. Returns the stream's id
     /// and the capture run's report.
@@ -414,16 +349,10 @@ impl TraceStore {
         config: MachineConfig,
         workload: &mut W,
     ) -> (TraceId, RunReport) {
-        let seg_start = u32::try_from(self.core.segs.len()).expect("segment count overflow");
-        let captured_before = self.core.captured_ops;
-        let (report, core) = run_streaming(
-            config,
-            workload,
-            std::mem::take(&mut self.core),
-            StoreCore::push_segment,
-        );
-        self.core = core;
-        let captured = self.core.captured_ops - captured_before;
+        let seg_start = u32::try_from(self.segs.len()).expect("segment count overflow");
+        let captured_before = self.captured_ops;
+        let report = run_recorded(config, workload, Some(&mut |ops| self.push_segment(ops)));
+        let captured = self.captured_ops - captured_before;
         let id = self.push_trace(report.workload, config, seg_start, captured);
         (id, report)
     }
@@ -436,11 +365,30 @@ impl TraceStore {
         config: MachineConfig,
         ops: &[TraceOp],
     ) -> TraceId {
-        let seg_start = u32::try_from(self.core.segs.len()).expect("segment count overflow");
+        let seg_start = u32::try_from(self.segs.len()).expect("segment count overflow");
         for chunk in ops.chunks(SEG_OPS) {
-            self.core.push_segment(chunk);
+            self.push_segment(chunk);
         }
         self.push_trace(workload, config, seg_start, ops.len() as u64)
+    }
+
+    /// Encodes one segment of ops into the store. This is the capture
+    /// sink: it holds no reference to the chunk after returning, so
+    /// capture memory stays bounded by one chunk plus the encoded
+    /// tables.
+    fn push_segment(&mut self, chunk: &[TraceOp]) {
+        if chunk.is_empty() {
+            return;
+        }
+        let meta = encode_segment(
+            chunk,
+            &mut self.profiles,
+            &mut self.runs,
+            &mut self.blob_scratch,
+            &mut self.refs_scratch,
+        );
+        self.segs.push(meta);
+        self.captured_ops += chunk.len() as u64;
     }
 
     fn push_trace(
@@ -450,7 +398,7 @@ impl TraceStore {
         seg_start: u32,
         ops: u64,
     ) -> TraceId {
-        let seg_end = u32::try_from(self.core.segs.len()).expect("segment count overflow");
+        let seg_end = u32::try_from(self.segs.len()).expect("segment count overflow");
         let id = TraceId(u32::try_from(self.traces.len()).expect("trace count overflow"));
         self.traces.push(TraceRec {
             workload,
@@ -479,9 +427,9 @@ impl TraceStore {
         let mut refs = CpuRefs::default();
         for seg in rec.seg_start..rec.seg_end {
             decode_segment(
-                self.core.segs[seg as usize],
-                &self.core.profiles,
-                &self.core.runs,
+                self.segs[seg as usize],
+                &self.profiles,
+                &self.runs,
                 &mut ops,
                 &mut runs,
                 &mut refs,
@@ -526,21 +474,24 @@ impl TraceStore {
     /// Total ops captured across all streams.
     #[must_use]
     pub fn captured_ops(&self) -> u64 {
-        self.core.captured_ops
+        self.captured_ops
     }
 
     /// Bytes the captured streams would occupy as flat `TraceOp` arrays
     /// — the storage format this store's encoding replaces.
     #[must_use]
     pub fn flat_bytes(&self) -> u64 {
-        self.core.captured_ops * std::mem::size_of::<TraceOp>() as u64
+        self.captured_ops * std::mem::size_of::<TraceOp>() as u64
     }
 
     /// Bytes the encoded store occupies: profile bytes plus the run,
     /// segment, and profile-span tables.
     #[must_use]
     pub fn encoded_bytes(&self) -> u64 {
-        self.core.encoded_bytes()
+        self.profiles.stored_bytes()
+            + self.profiles.table_bytes()
+            + self.runs.len() as u64
+            + (self.segs.len() * std::mem::size_of::<SegMeta>()) as u64
     }
 
     /// Encoded bytes resident in memory. The whole store is resident,
@@ -549,7 +500,7 @@ impl TraceStore {
     /// [`encoded_bytes`]: TraceStore::encoded_bytes
     #[must_use]
     pub fn resident_bytes(&self) -> u64 {
-        self.core.encoded_bytes()
+        self.encoded_bytes()
     }
 
     /// Stored over referenced profile bytes: 1.0 when every run's
@@ -558,11 +509,11 @@ impl TraceStore {
     /// pattern references one stored profile.
     #[must_use]
     pub fn interning_ratio(&self) -> f64 {
-        let referenced = self.core.profiles.referenced_bytes();
+        let referenced = self.profiles.referenced_bytes();
         if referenced == 0 {
             return 1.0;
         }
-        self.core.profiles.stored_bytes() as f64 / referenced as f64
+        self.profiles.stored_bytes() as f64 / referenced as f64
     }
 
     /// Flat over encoded bytes — the compression the columnar encoding

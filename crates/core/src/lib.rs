@@ -83,4 +83,4 @@ pub use machine::Machine;
 pub use metrics::{Metrics, PageProfile};
 pub use model::ModelParams;
 pub use program::{Ctx, Region, Runner, Workload};
-pub use trace::{split_cpu_runs, CpuRun, TraceOp, MAX_RUN_LEN};
+pub use trace::{split_cpu_runs, CpuRun, TraceOp};

@@ -28,10 +28,12 @@
 //!
 //! The reference walk is a set of private methods on [`Machine`] itself.
 //! [`Machine::access`] drives it one reference at a time; the batched
-//! replay entry point ([`Machine::replay_segment`]) drives it one
-//! same-CPU run at a time. Both execute the *same* walk code over the
-//! same state, which is what makes batched replay bit-identical to the
-//! live API (see `docs/DETERMINISM.md`).
+//! kernel drives it one same-CPU run at a time, for each workload item
+//! a [`Runner`](crate::program::Runner) executes and for each run
+//! [`Machine::replay_segment`] replays. Both execute the *same* walk
+//! code over the same state, which is what makes the batched kernel
+//! bit-identical to the per-op API (see `docs/DETERMINISM.md`). The
+//! machine only simulates: recording a run is the `Runner`'s job.
 
 use crate::config::{MachineConfig, Protocol};
 use crate::metrics::Metrics;
@@ -129,31 +131,6 @@ pub struct Machine {
     /// Reusable eviction buffer for page flushes (no per-flush allocs).
     flush_scratch: Vec<BlockEviction>,
     metrics: Metrics,
-    /// While a streaming capture is active, every machine-level
-    /// operation goes here so the run can be replayed on a fresh machine.
-    tracing: Option<TraceStream>,
-}
-
-/// A streaming-capture consumer: receives each flushed chunk of traced
-/// ops (see [`Machine::start_streaming_trace`]).
-pub type TraceSink = Box<dyn FnMut(&[TraceOp]) + Send>;
-
-/// An active streaming capture: ops accumulate in a bounded chunk
-/// buffer handed to the sink every `cap` ops, so capture memory never
-/// scales with run length.
-struct TraceStream {
-    buf: Vec<TraceOp>,
-    cap: usize,
-    sink: TraceSink,
-}
-
-impl std::fmt::Debug for TraceStream {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TraceStream")
-            .field("buffered", &self.buf.len())
-            .field("cap", &self.cap)
-            .finish_non_exhaustive()
-    }
 }
 
 impl Machine {
@@ -213,7 +190,6 @@ impl Machine {
             mru: vec![MruTranslation::INVALID; cfg.total_cpus() as usize],
             flush_scratch: Vec::new(),
             metrics: Metrics::default(),
-            tracing: None,
             nodes,
             cfg,
         })
@@ -235,71 +211,27 @@ impl Machine {
         self.clocks[cpu.0 as usize]
     }
 
-    /// Starts *streaming* capture: every subsequent machine-level
-    /// operation (accesses, think time, barriers, first-touch arming) is
-    /// buffered and handed to `sink` in chunks of `chunk_ops` ops, so
-    /// capture memory stays bounded by one chunk regardless of run
-    /// length. End the capture — flushing the final partial chunk — with
-    /// [`Machine::finish_streaming_trace`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_ops` is zero.
-    pub fn start_streaming_trace(&mut self, chunk_ops: usize, sink: TraceSink) {
-        assert!(
-            chunk_ops > 0,
-            "streaming trace chunks must hold at least one op"
-        );
-        self.tracing = Some(TraceStream {
-            buf: Vec::with_capacity(chunk_ops),
-            cap: chunk_ops,
-            sink,
-        });
-    }
-
-    /// Ends a streaming capture, flushing the final partial chunk to
-    /// the sink and dropping it. No-op when not streaming.
-    pub fn finish_streaming_trace(&mut self) {
-        if let Some(TraceStream { buf, mut sink, .. }) = self.tracing.take() {
-            if !buf.is_empty() {
-                sink(&buf);
-            }
-        }
-    }
-
-    /// Appends one op to the active trace, flushing a full chunk to its
-    /// sink. No-op when not tracing.
-    #[inline]
-    fn trace_push(&mut self, op: TraceOp) {
-        if let Some(TraceStream { buf, cap, sink }) = &mut self.tracing {
-            buf.push(op);
-            if buf.len() >= *cap {
-                sink(buf);
-                buf.clear();
-            }
-        }
-    }
-
     /// Advances `cpu`'s clock by `dur` (compute/think time).
     ///
     /// # Panics
     ///
     /// Panics if `cpu` is out of range.
     pub fn advance(&mut self, cpu: CpuId, dur: Cycles) {
-        self.trace_push(TraceOp::Think { cpu, dur });
         self.clocks[cpu.0 as usize] += dur;
     }
 
     /// Synchronizes all CPUs at a barrier: every clock jumps to the
     /// latest arrival plus the configured barrier cost.
     pub fn barrier_all(&mut self) {
-        self.trace_push(TraceOp::Barrier);
-        self.sync_barrier();
+        let max = self.clocks.iter().copied().fold(Cycles::ZERO, Cycles::max);
+        let after = max + self.cfg.barrier_cost;
+        for c in &mut self.clocks {
+            *c = after;
+        }
     }
 
     /// Arms first-touch page placement (start of the parallel phase).
     pub fn arm_first_touch(&mut self) {
-        self.trace_push(TraceOp::ArmFirstTouch);
         self.pages.arm_first_touch();
     }
 
@@ -307,12 +239,22 @@ impl Machine {
     /// advancing the clock by the reference's latency, which is
     /// returned.
     ///
+    /// This is the per-op reference path: workloads run through the
+    /// batched kernel instead (see [`Runner`](crate::program::Runner)),
+    /// and the differential suites check that kernel against this.
+    ///
     /// # Panics
     ///
     /// Panics if `cpu` is out of range.
     pub fn access(&mut self, cpu: CpuId, va: Va, write: bool) -> Cycles {
-        self.trace_push(TraceOp::Access { cpu, va, write });
-        self.walk_access(cpu, va, write)
+        let cpu_idx = cpu.0 as usize;
+        let node_idx = self.node_of(cpu);
+        let l1_idx = (cpu.0 % self.cfg.cpus_per_node) as usize;
+        self.metrics
+            .touch_page(va.vpage(), NodeId(node_idx as u8), write);
+        let latency = self.walk(cpu_idx, node_idx, l1_idx, va, write);
+        self.clocks[cpu_idx] += latency;
+        latency
     }
 
     /// Replays one trace segment through the batched loop — the *only*
@@ -321,11 +263,8 @@ impl Machine {
     /// [`TraceStore::for_each_batch`](crate::TraceStore::for_each_batch)),
     /// streaming each contiguous same-CPU run through per-run hoisted
     /// state instead of per-op dispatch. Bit-identical to driving the
-    /// live API ([`Machine::access`] and friends) one op at a time — the
-    /// contract `tests/batched_replay.rs` enforces.
-    ///
-    /// Replay never records: replayed ops do not reach an active
-    /// streaming capture.
+    /// per-op API ([`Machine::access`] and friends) one op at a time —
+    /// the contract `tests/batched_replay.rs` enforces.
     ///
     /// # Panics
     ///
@@ -336,7 +275,7 @@ impl Machine {
         for run in runs {
             match *run {
                 CpuRun::Cpu { cpu, len } => {
-                    let end = at + len as usize;
+                    let end = at + len;
                     self.access_run(cpu, &ops[at..end]);
                     at = end;
                 }
@@ -373,8 +312,8 @@ impl Machine {
 }
 
 // ----------------------------------------------------------------------
-// The reference walk: everything below is shared by the live API and
-// batched replay, and never records.
+// The reference walk: everything below is shared by the per-op API and
+// the batched kernel.
 // ----------------------------------------------------------------------
 impl Machine {
     fn node(&self, idx: usize) -> &Node {
@@ -389,32 +328,10 @@ impl Machine {
         (cpu.0 / self.cfg.cpus_per_node) as usize
     }
 
-    /// The untraced body of [`Machine::access`].
-    fn walk_access(&mut self, cpu: CpuId, va: Va, write: bool) -> Cycles {
-        let cpu_idx = cpu.0 as usize;
-        let node_idx = self.node_of(cpu);
-        let l1_idx = (cpu.0 % self.cfg.cpus_per_node) as usize;
-        self.metrics
-            .touch_page(va.vpage(), NodeId(node_idx as u8), write);
-        let latency = self.walk(cpu_idx, node_idx, l1_idx, va, write);
-        self.clocks[cpu_idx] += latency;
-        latency
-    }
-
-    /// Synchronizes all CPUs at a barrier — the one implementation both
-    /// [`Machine::barrier_all`] and the batched replay loop run.
-    fn sync_barrier(&mut self) {
-        let max = self.clocks.iter().copied().fold(Cycles::ZERO, Cycles::max);
-        let after = max + self.cfg.barrier_cost;
-        for c in &mut self.clocks {
-            *c = after;
-        }
-    }
-
     /// Executes one global op (batched-loop dispatch).
     fn run_global(&mut self, op: &TraceOp) {
         match op {
-            TraceOp::Barrier => self.sync_barrier(),
+            TraceOp::Barrier => self.barrier_all(),
             TraceOp::ArmFirstTouch => self.pages.arm_first_touch(),
             TraceOp::Access { .. } | TraceOp::Think { .. } => {
                 unreachable!("per-CPU op dispatched as global")
@@ -424,7 +341,8 @@ impl Machine {
 
     /// Executes one contiguous same-CPU run of `Access`/`Think` ops with
     /// the CPU-derived indices (clock slot, node, L1) hoisted out of the
-    /// per-op loop — the batched replay loop's inner kernel.
+    /// per-op loop — the batched kernel every workload item and every
+    /// replayed run executes through.
     ///
     /// Within the run, the per-reference page-profile touch is
     /// coalesced: [`Metrics::touch_page`] is idempotent per
@@ -433,7 +351,7 @@ impl Machine {
     /// first reference (creating the profile at the same point in
     /// execution order as the per-op path) plus once for its first
     /// write — never once per op.
-    fn access_run(&mut self, cpu: CpuId, ops: &[TraceOp]) {
+    pub(crate) fn access_run(&mut self, cpu: CpuId, ops: &[TraceOp]) {
         let cpu_idx = cpu.0 as usize;
         let node_idx = self.node_of(cpu);
         let node_id = NodeId(node_idx as u8);
@@ -483,7 +401,7 @@ impl Machine {
 
     /// The full reference walk, with the issuing CPU's derived indices
     /// (clock slot, node, L1 slot) already resolved — callers hoist them
-    /// once per op ([`Machine::walk_access`]) or once per same-CPU run
+    /// once per op ([`Machine::access`]) or once per same-CPU run
     /// ([`Machine::access_run`]). Callers also own the page-profile touch
     /// ([`Metrics::touch_page`]), which must precede the walk; the
     /// batched loop coalesces it across same-page spans.
@@ -1661,54 +1579,5 @@ mod tests {
         assert_eq!(m.metrics().refetches, 0);
         // The write-invalidate messages were actually sent.
         assert!(m.metrics().net_messages > 4);
-    }
-
-    /// Streams a short run through a sink with `chunk_ops`-op chunks,
-    /// returning the chunks in flush order.
-    fn traced_chunks(chunk_ops: usize) -> Vec<Vec<TraceOp>> {
-        use std::sync::{Arc, Mutex};
-        let chunks = Arc::new(Mutex::new(Vec::new()));
-        let sink = Arc::clone(&chunks);
-        let mut m = machine(Protocol::paper_rnuma());
-        m.start_streaming_trace(
-            chunk_ops,
-            Box::new(move |ops| sink.lock().unwrap().push(ops.to_vec())),
-        );
-        m.arm_first_touch();
-        m.access(CpuId(0), Va(0x1000), true);
-        m.advance(CpuId(0), Cycles(10));
-        m.barrier_all();
-        m.finish_streaming_trace();
-        // Tracing is off after the finish: nothing more reaches the sink.
-        m.access(CpuId(0), Va(0x1000), false);
-        drop(m);
-        Arc::try_unwrap(chunks).unwrap().into_inner().unwrap()
-    }
-
-    #[test]
-    fn traced_machine_records_every_op_kind() {
-        let expected = vec![
-            TraceOp::ArmFirstTouch,
-            TraceOp::Access {
-                cpu: CpuId(0),
-                va: Va(0x1000),
-                write: true,
-            },
-            TraceOp::Think {
-                cpu: CpuId(0),
-                dur: Cycles(10),
-            },
-            TraceOp::Barrier,
-        ];
-        // One op per chunk: every push flushes, and the finish has no
-        // partial chunk left to flush.
-        let unit = traced_chunks(1);
-        assert_eq!(
-            unit,
-            expected.iter().map(|&op| vec![op]).collect::<Vec<_>>()
-        );
-        // A chunk larger than the trace: nothing flushes until the
-        // finish hands over the one partial chunk.
-        assert_eq!(traced_chunks(expected.len() + 3), vec![expected]);
     }
 }

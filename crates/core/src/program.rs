@@ -21,8 +21,16 @@
 //! (a particle, a matrix block operation, a graph node update) are small
 //! enough that protocol interactions across CPUs happen in close to
 //! true time order.
+//!
+//! Nothing inside an item can observe the machine: a [`Ctx`] only
+//! buffers the item's ops. When the item ends, the [`Runner`] runs the
+//! buffer through the machine's batched same-CPU kernel, which is
+//! bit-identical to issuing the ops one at a time. The `Runner` is also
+//! the one recorder of a run's op stream (`TraceStore::capture` and
+//! `run_traced` use it).
 
 use crate::machine::Machine;
+use crate::trace::TraceOp;
 use rnuma_mem::addr::{CpuId, Va, PAGE_BYTES};
 use rnuma_sim::Cycles;
 
@@ -97,10 +105,11 @@ impl Region {
 
 /// Per-item execution context handed to workload bodies.
 ///
-/// All references execute at the owning CPU's clock and advance it.
+/// It buffers the item's ops; the [`Runner`] executes them on the
+/// owning CPU when the item ends.
 #[derive(Debug)]
-pub struct Ctx<'m> {
-    machine: &'m mut Machine,
+pub struct Ctx<'a> {
+    ops: &'a mut Vec<TraceOp>,
     cpu: CpuId,
 }
 
@@ -113,12 +122,20 @@ impl Ctx<'_> {
 
     /// Issues a load.
     pub fn read(&mut self, va: Va) {
-        self.machine.access(self.cpu, va, false);
+        self.access(va, false);
     }
 
     /// Issues a store.
     pub fn write(&mut self, va: Va) {
-        self.machine.access(self.cpu, va, true);
+        self.access(va, true);
+    }
+
+    fn access(&mut self, va: Va, write: bool) {
+        self.ops.push(TraceOp::Access {
+            cpu: self.cpu,
+            va,
+            write,
+        });
     }
 
     /// Issues a load followed by a store to the same word
@@ -145,22 +162,36 @@ impl Ctx<'_> {
     /// Charges `instructions` of compute at the paper's dual-issue rate
     /// (two instructions per cycle).
     pub fn think(&mut self, instructions: u64) {
-        self.machine.advance(self.cpu, Cycles(instructions / 2));
-    }
-
-    /// The CPU's current clock (diagnostics).
-    #[must_use]
-    pub fn now(&self) -> Cycles {
-        self.machine.clock(self.cpu)
+        self.ops.push(TraceOp::Think {
+            cpu: self.cpu,
+            dur: Cycles(instructions / 2),
+        });
     }
 }
 
+/// A recording [`Runner`]'s consumer of recorded op chunks.
+pub(crate) type Sink<'a> = &'a mut dyn FnMut(&[TraceOp]);
+
 /// Drives a [`Workload`] on a [`Machine`].
-#[derive(Debug)]
 pub struct Runner<'m> {
     machine: &'m mut Machine,
+    /// The running item's ops and, while recording, the ops recorded
+    /// since the last full chunk (they precede the item's).
+    ops: Vec<TraceOp>,
+    /// A recording runner's consumer, fed chunks of `chunk_ops` ops.
+    sink: Option<Sink<'m>>,
+    chunk_ops: usize,
     next_va: u64,
     total_cpus: u16,
+}
+
+impl std::fmt::Debug for Runner<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Runner")
+            .field("next_va", &self.next_va)
+            .field("recording", &self.sink.is_some())
+            .finish_non_exhaustive()
+    }
 }
 
 impl<'m> Runner<'m> {
@@ -170,10 +201,73 @@ impl<'m> Runner<'m> {
         let total_cpus = machine.config().total_cpus();
         Runner {
             machine,
+            ops: Vec::new(),
+            sink: None,
+            chunk_ops: 0,
             // Leave page 0 unused so Va(0) never aliases real data.
             next_va: PAGE_BYTES,
             total_cpus,
         }
+    }
+
+    /// A runner that also records every op it executes — each item's
+    /// ops and each global op, in issue order — handing them to `sink`
+    /// in chunks of exactly `chunk_ops` ops. [`Runner::finish`] flushes
+    /// the last, partial chunk.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `chunk_ops` is zero.
+    pub(crate) fn recording(
+        machine: &'m mut Machine,
+        chunk_ops: usize,
+        sink: Sink<'m>,
+    ) -> Runner<'m> {
+        assert!(chunk_ops > 0, "recorded chunks must hold at least one op");
+        Runner {
+            sink: Some(sink),
+            chunk_ops,
+            ..Runner::new(machine)
+        }
+    }
+
+    /// Ends a run, handing a recording runner's last partial chunk to
+    /// its sink.
+    pub(crate) fn finish(mut self) {
+        self.flush(true);
+    }
+
+    /// Hands the buffered ops to the sink in `chunk_ops`-op chunks (a
+    /// partial last chunk only at the end of the run), or drops them
+    /// when not recording.
+    fn flush(&mut self, end: bool) {
+        let Some(sink) = &mut self.sink else {
+            return self.ops.clear();
+        };
+        let n = self.ops.len();
+        let n = if end { n } else { n - n % self.chunk_ops };
+        for chunk in self.ops[..n].chunks(self.chunk_ops) {
+            sink(chunk);
+        }
+        self.ops.drain(..n);
+    }
+
+    /// Runs `body` as one item on `cpu`: buffers its ops, then executes
+    /// them through the machine's batched same-CPU kernel.
+    fn run_item(&mut self, cpu: CpuId, body: impl FnOnce(&mut Ctx<'_>)) {
+        let start = self.ops.len();
+        body(&mut Ctx {
+            ops: &mut self.ops,
+            cpu,
+        });
+        self.machine.access_run(cpu, &self.ops[start..]);
+        self.flush(false);
+    }
+
+    /// Records one global op, already executed.
+    fn global(&mut self, op: TraceOp) {
+        self.ops.push(op);
+        self.flush(false);
     }
 
     /// Number of CPUs in the machine.
@@ -202,11 +296,13 @@ impl<'m> Runner<'m> {
     /// parallel phase (the paper's user-invoked directive).
     pub fn arm_first_touch(&mut self) {
         self.machine.arm_first_touch();
+        self.global(TraceOp::ArmFirstTouch);
     }
 
     /// Synchronizes all CPUs (SPLASH-2 `BARRIER`).
     pub fn barrier(&mut self) {
         self.machine.barrier_all();
+        self.global(TraceOp::Barrier);
     }
 
     /// Runs one parallel phase.
@@ -246,11 +342,7 @@ impl<'m> Runner<'m> {
             let item = items[idx][cursors[idx]];
             cursors[idx] += 1;
             let cpu = CpuId(idx as u16);
-            let mut ctx = Ctx {
-                machine: self.machine,
-                cpu,
-            };
-            body(&mut ctx, cpu, item);
+            self.run_item(cpu, |ctx| body(ctx, cpu, item));
         }
     }
 
@@ -260,11 +352,7 @@ impl<'m> Runner<'m> {
     where
         F: FnOnce(&mut Ctx<'_>),
     {
-        let mut ctx = Ctx {
-            machine: self.machine,
-            cpu,
-        };
-        body(&mut ctx);
+        self.run_item(cpu, body);
     }
 
     /// Splits `n` items into per-CPU contiguous chunks (block
@@ -394,12 +482,9 @@ mod tests {
     #[test]
     fn think_advances_at_dual_issue_rate() {
         let mut m = machine();
-        let mut r = Runner::new(&mut m);
-        r.serial(CpuId(3), |ctx| {
-            let before = ctx.now();
-            ctx.think(1000);
-            assert_eq!(ctx.now(), before + Cycles(500));
-        });
+        let before = m.clock(CpuId(3));
+        Runner::new(&mut m).serial(CpuId(3), |ctx| ctx.think(1000));
+        assert_eq!(m.clock(CpuId(3)), before + Cycles(500));
     }
 
     #[test]
@@ -431,6 +516,58 @@ mod tests {
         let metrics = m.metrics();
         assert_eq!(metrics.reads, 10);
         assert_eq!(metrics.writes, 5);
+    }
+
+    /// Records a short run with `chunk_ops`-op chunks, returning the
+    /// chunks in the order the sink received them.
+    fn recorded_chunks(chunk_ops: usize) -> Vec<Vec<TraceOp>> {
+        let mut chunks = Vec::new();
+        let mut sink = |ops: &[TraceOp]| chunks.push(ops.to_vec());
+        let mut m = Machine::new(MachineConfig::paper_base(Protocol::paper_rnuma())).unwrap();
+        let mut r = Runner::recording(&mut m, chunk_ops, &mut sink);
+        let region = r.alloc(PAGE_BYTES);
+        r.arm_first_touch();
+        r.serial(CpuId(0), |ctx| {
+            ctx.write(region.word(0));
+            ctx.think(20);
+            ctx.read(region.word(1));
+        });
+        r.barrier();
+        let items: Vec<Vec<u64>> = (0..32)
+            .map(|c| if c == 5 { vec![2] } else { vec![] })
+            .collect();
+        r.parallel(&items, |ctx, _, i| ctx.update(region.word(i)));
+        r.finish();
+        chunks
+    }
+
+    #[test]
+    fn runner_records_every_op_kind_in_exact_chunks() {
+        let access = |cpu: u16, word: u64, write: bool| TraceOp::Access {
+            cpu: CpuId(cpu),
+            va: Va(PAGE_BYTES + 8 * word),
+            write,
+        };
+        // Each item's ops arrive in issue order, between the global ops.
+        let expected = [
+            TraceOp::ArmFirstTouch,
+            access(0, 0, true),
+            TraceOp::Think {
+                cpu: CpuId(0),
+                dur: Cycles(10),
+            },
+            access(0, 1, false),
+            TraceOp::Barrier,
+            access(5, 2, false),
+            access(5, 2, true),
+        ];
+        // Chunk size 1 flushes every op; the sizes in between cut chunks
+        // inside items and leave a partial last chunk for `finish`; a
+        // chunk larger than the trace arrives whole at `finish`.
+        for chunk_ops in 1..=expected.len() + 3 {
+            let want: Vec<Vec<TraceOp>> = expected.chunks(chunk_ops).map(<[_]>::to_vec).collect();
+            assert_eq!(recorded_chunks(chunk_ops), want, "chunk size {chunk_ops}");
+        }
     }
 
     #[test]

@@ -93,34 +93,10 @@ pub enum CpuRun {
         /// The run's issuing CPU.
         cpu: CpuId,
         /// Number of consecutive ops in the run (always at least 1).
-        /// A maximal same-CPU run longer than [`MAX_RUN_LEN`] ops is
-        /// emitted as several consecutive entries, so gigabyte-class
-        /// traces never overflow the field.
-        len: u32,
+        len: usize,
     },
     /// One global op (`Barrier` or `ArmFirstTouch`).
     Global,
-}
-
-/// Largest op count one [`CpuRun::Cpu`] entry can carry. Longer runs
-/// split into several consecutive entries — the batched kernel executes
-/// each entry separately, and the metric page-touch coalescing is
-/// idempotent, so the split is invisible to results.
-pub const MAX_RUN_LEN: usize = u32::MAX as usize;
-
-/// Appends one same-CPU run of `len` ops to `runs`, splitting it into
-/// [`MAX_RUN_LEN`]-sized entries instead of overflowing (the
-/// `--scale paper` regime holds multi-gigabyte traces; a panic here
-/// would cap trace length by accident).
-fn push_cpu_run(runs: &mut Vec<CpuRun>, cpu: CpuId, mut len: usize) {
-    while len > 0 {
-        let chunk = len.min(MAX_RUN_LEN);
-        runs.push(CpuRun::Cpu {
-            cpu,
-            len: chunk as u32,
-        });
-        len -= chunk;
-    }
 }
 
 /// Walks `ops` as its maximal runs, calling `f` once per run with the
@@ -155,7 +131,10 @@ pub(crate) fn scan_runs(ops: &[TraceOp], mut f: impl FnMut(Option<CpuId>, Range<
 pub fn split_cpu_runs(ops: &[TraceOp]) -> Vec<CpuRun> {
     let mut runs = Vec::new();
     scan_runs(ops, |issuer, range| match issuer {
-        Some(cpu) => push_cpu_run(&mut runs, cpu, range.len()),
+        Some(cpu) => runs.push(CpuRun::Cpu {
+            cpu,
+            len: range.len(),
+        }),
         None => runs.push(CpuRun::Global),
     });
     runs
@@ -291,12 +270,11 @@ fn encode_think_run(ops: &[TraceOp], blob: &mut Vec<u8>) {
 /// loudly rather than replay garbage.
 pub(crate) fn decode_run(
     cpu: CpuId,
-    len: u32,
+    len: usize,
     base: Va,
     blob: &[u8],
     out: &mut Vec<TraceOp>,
 ) -> Option<Va> {
-    let len = len as usize;
     let kind_bytes = len.div_ceil(4);
     let mut pos = kind_bytes;
     let mut prev = base;
@@ -558,7 +536,7 @@ pub(crate) fn decode_segment(
                     .map(CpuId)
                     .unwrap_or_else(|_| corrupt("cpu id overflow"));
                 let len = get_varint(bytes, &mut pos)
-                    .and_then(|v| u32::try_from(v).ok())
+                    .and_then(|v| usize::try_from(v).ok())
                     .unwrap_or_else(|| corrupt("run length short"));
                 let delta =
                     get_varint(bytes, &mut pos).unwrap_or_else(|| corrupt("base delta short"));
@@ -609,7 +587,7 @@ mod tests {
             }
         };
         let mut out = Vec::new();
-        decode_run(cpu, ops.len() as u32, base, &blob, &mut out);
+        decode_run(cpu, ops.len(), base, &blob, &mut out);
         out
     }
 
@@ -682,44 +660,6 @@ mod tests {
     }
 
     #[test]
-    fn oversized_runs_chunk_instead_of_overflowing() {
-        // Synthetic lengths only — a real 2^32-op slice would need
-        // ~100 GB. The splitter's chunker is a pure function of the
-        // run length, so this covers the gigabyte-trace regime the
-        // paper-scale sweeps hit.
-        let mut runs = Vec::new();
-        push_cpu_run(&mut runs, CpuId(7), MAX_RUN_LEN + 5);
-        assert_eq!(
-            runs,
-            vec![
-                CpuRun::Cpu {
-                    cpu: CpuId(7),
-                    len: u32::MAX
-                },
-                CpuRun::Cpu {
-                    cpu: CpuId(7),
-                    len: 5
-                },
-            ]
-        );
-        runs.clear();
-        push_cpu_run(&mut runs, CpuId(1), 3 * MAX_RUN_LEN);
-        assert_eq!(runs.len(), 3);
-        let total: u64 = runs
-            .iter()
-            .map(|r| match r {
-                CpuRun::Cpu { len, .. } => u64::from(*len),
-                CpuRun::Global => 1,
-            })
-            .sum();
-        assert_eq!(total, 3 * MAX_RUN_LEN as u64);
-        // Zero-length runs are never emitted.
-        runs.clear();
-        push_cpu_run(&mut runs, CpuId(0), 0);
-        assert!(runs.is_empty());
-    }
-
-    #[test]
     fn split_cpu_runs_tables_tile_their_input() {
         // Interleaved CPUs, long same-CPU spans and global ops.
         let mut ops = vec![TraceOp::ArmFirstTouch];
@@ -734,14 +674,14 @@ mod tests {
             }
         }
         let runs = split_cpu_runs(&ops);
-        let total: u64 = runs
+        let total: usize = runs
             .iter()
             .map(|r| match r {
-                CpuRun::Cpu { len, .. } => u64::from(*len),
+                CpuRun::Cpu { len, .. } => *len,
                 CpuRun::Global => 1,
             })
             .sum();
-        assert_eq!(total, ops.len() as u64);
+        assert_eq!(total, ops.len());
     }
 
     #[test]
@@ -842,14 +782,14 @@ mod tests {
         for (meta, expect) in metas.iter().zip([&seg_a, &seg_b]) {
             decode_segment(*meta, &arena, &runs, &mut ops, &mut cpu_runs, &mut refs);
             assert_eq!(ops.as_slice(), expect.as_slice());
-            let run_total: u64 = cpu_runs
+            let run_total: usize = cpu_runs
                 .iter()
                 .map(|r| match r {
-                    CpuRun::Cpu { len, .. } => u64::from(*len),
+                    CpuRun::Cpu { len, .. } => *len,
                     CpuRun::Global => 1,
                 })
                 .sum();
-            assert_eq!(run_total, expect.len() as u64, "runs must tile the segment");
+            assert_eq!(run_total, expect.len(), "runs must tile the segment");
         }
     }
 

@@ -8,10 +8,12 @@
 //! point (contiguous same-CPU runs streamed without per-op dispatch,
 //! from a run table: `split_cpu_runs` of a flat trace, or the pre-split
 //! tables a `TraceStore` computes at capture time). "Live" is the
-//! execution-driven run the trace was captured from, and
-//! `per_op_replay` below drives the same live API one op at a time
-//! (`hotpath::live_dispatch`), the suite's per-op differential
-//! reference. See `docs/SWEEP.md`.
+//! execution-driven run the trace was captured from, whose `Runner`
+//! runs each workload item through the same batched kernel.
+//! `per_op_replay` below drives the per-op API one op at a time
+//! (`hotpath::live_dispatch`), the suite's independent differential
+//! reference. Every store replay also checks that the store decodes
+//! its stream exactly. See `docs/SWEEP.md`.
 //!
 //! The splitter's edge cases (empty traces, single-op segments,
 //! CPU-alternating streams, same-CPU runs split across interned
@@ -22,6 +24,7 @@ use proptest::prelude::*;
 use rnuma::config::MachineConfig;
 use rnuma::experiment::{run_traced, TraceStore};
 use rnuma::metrics::Metrics;
+use rnuma::program::{Runner, Workload};
 use rnuma::{split_cpu_runs, Machine, TraceOp};
 use rnuma_mem::addr::{CpuId, Va};
 use rnuma_sim::Cycles;
@@ -29,7 +32,7 @@ use rnuma_workloads::{by_name, Scale, APP_NAMES};
 
 #[path = "support.rs"]
 mod support;
-use support::figure_configs;
+use support::{assert_exact_decode, figure_configs};
 
 fn per_op_replay(config: MachineConfig, ops: &[TraceOp]) -> Metrics {
     let mut m = Machine::new(config).expect("valid config");
@@ -48,10 +51,12 @@ fn store_replay(config: MachineConfig, ops: &[TraceOp]) -> Metrics {
     // from the pre-split run tables.
     let mut store = TraceStore::new();
     let id = store.insert("synthetic", config, ops);
+    assert_exact_decode(&store, id, ops);
     store.replay_serial(id, config).metrics
 }
 
-/// Asserts the three replay modes agree with the live execution.
+/// Asserts the three replay modes agree with the live execution, and
+/// that the store decodes `ops` exactly.
 fn assert_three_way(live: &Metrics, config: MachineConfig, ops: &[TraceOp], label: &str) {
     let per_op = per_op_replay(config, ops);
     assert!(
@@ -72,7 +77,7 @@ fn assert_three_way(live: &Metrics, config: MachineConfig, ops: &[TraceOp], labe
 
 /// Every figure-grid cell: live execution on the cell's configuration,
 /// its trace replayed per-op, batched, and through the interned store —
-/// all four bit-identical.
+/// all four bit-identical, with the store's decode exact.
 #[test]
 fn live_per_op_and_batched_agree_across_the_figure_grid() {
     for &app in &APP_NAMES {
@@ -87,6 +92,48 @@ fn live_per_op_and_batched_agree_across_the_figure_grid() {
             );
         }
     }
+}
+
+/// One `serial` item larger than a store segment: the runner's recorder
+/// cuts it into exact segment-sized chunks, and the run it executed as
+/// one batch matches a per-op dispatch of the recorded stream.
+#[test]
+fn a_serial_item_longer_than_a_segment_records_exact_chunks() {
+    /// The store's segment size, which is the capture chunk size.
+    const SEG_OPS: usize = 4096;
+    struct LongItem;
+    impl Workload for LongItem {
+        fn name(&self) -> &'static str {
+            "long-item"
+        }
+        fn run(&mut self, r: &mut Runner<'_>) {
+            let data = r.alloc(64 * 4096);
+            r.arm_first_touch();
+            r.serial(CpuId(9), |ctx| {
+                for i in 0..10_000u64 {
+                    ctx.update(data.word((i * 37) % data.len(8)));
+                    ctx.think(i % 5);
+                }
+            });
+            r.barrier();
+        }
+    }
+    let config = figure_configs()[3];
+    let mut store = TraceStore::new();
+    let (id, report) = store.capture(config, &mut LongItem);
+    let (_, trace) = run_traced(config, &mut LongItem);
+    assert_eq!(trace.len(), 2 + 3 * 10_000);
+    assert_exact_decode(&store, id, &trace);
+    let mut sizes = Vec::new();
+    store.for_each_batch(id, |ops, _| sizes.push(ops.len()));
+    let exact: Vec<usize> = trace.chunks(SEG_OPS).map(<[_]>::len).collect();
+    assert_eq!(sizes, exact, "segments must be exact SEG_OPS-op chunks");
+    let per_op = per_op_replay(config, &trace);
+    assert!(
+        report.metrics.replay_eq(&per_op),
+        "batched item diverged from per-op dispatch\nlive:   {}\nper-op: {per_op}",
+        report.metrics
+    );
 }
 
 /// The sweep direction of the contract: one stream captured on the
@@ -249,7 +296,7 @@ proptest! {
     /// Random streams — random CPUs, small shared page pool, think
     /// time, barriers — executed live and replayed per-op, batched,
     /// and through the interned store: all bit-identical, on every
-    /// figure protocol.
+    /// figure protocol, with the store's decode exact.
     #[test]
     fn random_streams_agree_live_per_op_batched(
         config_idx in 0usize..4,

@@ -5,6 +5,8 @@
 //! its own subset.
 
 use rnuma::config::{MachineConfig, Protocol};
+use rnuma::experiment::{TraceId, TraceStore};
+use rnuma::{CpuRun, TraceOp};
 
 /// The figure-grid protocol axis: the ideal (infinite block cache)
 /// baseline every figure normalizes to, then the paper's three finite
@@ -26,4 +28,32 @@ pub fn figure_protocols() -> [Protocol; 4] {
 #[allow(dead_code)]
 pub fn figure_configs() -> [MachineConfig; 4] {
     figure_protocols().map(MachineConfig::paper_base)
+}
+
+/// Asserts `store`'s decoded form of `id` is exactly `ops`, and that
+/// each decoded batch's run table tiles its op chunk.
+#[allow(dead_code)]
+pub fn assert_exact_decode(store: &TraceStore, id: TraceId, ops: &[TraceOp]) {
+    assert_eq!(
+        store.decode(id).as_slice(),
+        ops,
+        "decoded stream is not bit-identical to the captured ops"
+    );
+    let mut rebuilt: Vec<TraceOp> = Vec::with_capacity(ops.len());
+    store.for_each_batch(id, |chunk, runs| {
+        let tiled: usize = runs
+            .iter()
+            .map(|r| match *r {
+                CpuRun::Cpu { len, .. } => len,
+                CpuRun::Global => 1,
+            })
+            .sum();
+        assert_eq!(tiled, chunk.len(), "run table does not tile its segment");
+        rebuilt.extend_from_slice(chunk);
+    });
+    assert_eq!(
+        rebuilt.as_slice(),
+        ops,
+        "batch chunks do not concatenate to the stream"
+    );
 }
