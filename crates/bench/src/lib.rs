@@ -270,6 +270,7 @@ pub fn run_grid(
 /// application, or a replay configuration's cluster shape differs from
 /// `configs[0]`'s.
 #[must_use]
+#[deny(clippy::unwrap_used, clippy::expect_used)]
 pub fn sweep_grid(
     apps: &[&'static str],
     configs: &[MachineConfig],
@@ -302,7 +303,10 @@ pub fn sweep_grid(
             (report, ops)
         }
         Job::Replay(a, c) => {
-            // lint: allow(R01, the queue releases app a's replays only when its capture completed and set captured[a]; a miss is a queue bug, and the worker's catch_unwind re-raises it as a job panic)
+            #[expect(
+                clippy::expect_used,
+                reason = "the queue releases app a's replays only when its capture completed and set captured[a]; a miss is a queue bug, and the worker's catch_unwind re-raises it as a job panic"
+            )]
             let (store, id) = captured[a].get().expect("replay released before capture");
             (store.replay_serial(*id, configs[c]), 0)
         }
@@ -370,6 +374,7 @@ impl SweepQueue {
     /// One worker's loop: take jobs until the grid is done or a job
     /// has panicked. `run` returns the cell's report and the length of
     /// the stream a capture recorded (0 for a replay).
+    #[deny(clippy::unwrap_used, clippy::expect_used)]
     fn work(&self, run: &(impl Fn(Job) -> (RunReport, u64) + Sync)) {
         loop {
             let job = {
@@ -408,6 +413,7 @@ impl SweepQueue {
 
     /// The rows, once every worker has returned; re-raises the first
     /// job panic instead if there was one.
+    #[deny(clippy::unwrap_used, clippy::expect_used)]
     fn into_rows(self) -> Vec<Vec<RunReport>> {
         let st = self
             .state
@@ -416,10 +422,13 @@ impl SweepQueue {
         if let Some(payload) = st.panic {
             resume_unwind(payload);
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "without a job panic the workers return only once nothing is ready or running, and every capture releases its row's replays, so every cell is filled"
+        )]
         let mut cells = st
             .cells
             .into_iter()
-            // lint: allow(R01, without a job panic the workers return only once nothing is ready or running, and every capture releases its row's replays, so every cell is filled)
             .map(|cell| cell.expect("the queue ran every cell"));
         (0..st.apps)
             .map(|_| cells.by_ref().take(st.configs).collect())
@@ -428,6 +437,7 @@ impl SweepQueue {
 }
 
 impl QueueState {
+    #[deny(clippy::unwrap_used, clippy::expect_used)]
     fn next_job(&mut self) -> Option<Job> {
         if self.next_capture < self.apps {
             self.next_capture += 1;
@@ -437,6 +447,7 @@ impl QueueState {
         Some(Job::Replay(a, c))
     }
 
+    #[deny(clippy::unwrap_used, clippy::expect_used)]
     fn complete(&mut self, job: Job, report: RunReport, ops: u64) {
         let (a, c) = match job {
             Job::Capture(a) => {

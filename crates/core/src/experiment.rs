@@ -184,6 +184,10 @@ where
 ///   subprocess stderr), and `default` applies. Misconfiguration never
 ///   aborts a run and never silently coerces.
 #[must_use]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the blessed numeric env-knob reader; every other env read is banned"
+)]
 pub fn env_usize(name: &str, default: Option<usize>, max: usize) -> Option<usize> {
     let Ok(raw) = std::env::var(name) else {
         return default;
@@ -202,11 +206,15 @@ pub fn env_usize(name: &str, default: Option<usize>, max: usize) -> Option<usize
 ///
 /// This is the blessed escape hatch companion to [`env_usize`] for
 /// knobs whose values are paths (`RNUMA_RESULTS_DIR`). Call sites still own their documented
-/// semantics — what this helper centralizes is the *access point*: `rnuma-lint`'s
-/// D03 lint rejects raw `std::env::var("RNUMA_…")` reads anywhere
-/// else, so the whole knob surface stays inventoried in this module
-/// (and cross-checked against README's env table by E01).
+/// semantics — what this helper centralizes is the *access point*:
+/// `crates/clippy.toml` bans `std::env::var`/`var_os` everywhere else,
+/// so the whole knob surface stays inventoried in this module (and
+/// `tests/robust_env.rs` cross-checks it against README's env table).
 #[must_use]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the blessed raw env-knob reader; every other env read is banned"
+)]
 pub fn env_raw(name: &str) -> Option<String> {
     std::env::var(name).ok()
 }

@@ -497,19 +497,10 @@ impl Machine {
         // 5. Dispatch on the page's mapping mode.
         let done = match mapping {
             Mapping::Local => self.access_local(node_idx, block, write, snoop.peer_had_copy, t),
-            Mapping::CcNuma => self.access_ccnuma(
-                node_idx,
-                l1_idx,
-                page,
-                block,
-                write,
-                probe,
-                snoop.peer_had_copy,
-                t,
-            ),
-            Mapping::SComa(_) => {
-                self.access_scoma(node_idx, l1_idx, page, block, write, snoop.peer_had_copy, t)
+            Mapping::CcNuma => {
+                self.access_ccnuma(node_idx, l1_idx, page, block, write, snoop.peer_had_copy, t)
             }
+            Mapping::SComa(_) => self.access_scoma(node_idx, page, block, write, t),
         };
 
         // 6. Fill the issuing L1 for the non-CC-NUMA paths (the CC-NUMA
@@ -759,7 +750,10 @@ impl Machine {
     }
 
     /// Access to a CC-NUMA-mapped remote page via the block cache.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the block-cache path fills the L1 slot itself, so it takes the slot and snoop result of the access it completes"
+    )]
     fn access_ccnuma(
         &mut self,
         node_idx: usize,
@@ -767,7 +761,6 @@ impl Machine {
         page: VPage,
         block: VBlock,
         write: bool,
-        probe: L1Probe,
         peer_had_copy: bool,
         mut t: Cycles,
     ) -> Cycles {
@@ -823,7 +816,6 @@ impl Machine {
             }
             // Miss: fetch from the home node.
             (_, None) => {
-                let _ = probe;
                 let (done, refetch) = self.fetch_remote(node_idx, page, block, write, false, t);
                 t = done + BUS_DATA;
                 // Install in the block cache, handling the victim.
@@ -868,15 +860,12 @@ impl Machine {
     }
 
     /// Access to an S-COMA-mapped remote page via the page cache.
-    #[allow(clippy::too_many_arguments)]
     fn access_scoma(
         &mut self,
         node_idx: usize,
-        _l1_idx: usize,
         page: VPage,
         block: VBlock,
         write: bool,
-        _peer_had_copy: bool,
         mut t: Cycles,
     ) -> Cycles {
         let sram = self.cfg.costs.sram_access;

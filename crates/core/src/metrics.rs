@@ -256,17 +256,26 @@ mod tests {
     use super::*;
 
     #[test]
-    #[allow(clippy::field_reassign_with_default)]
     fn page_profile_classification() {
-        let mut p = PageProfile::default();
-        p.accessors.insert(NodeId(0));
-        assert!(!p.is_shared());
-        assert!(!p.is_read_write_shared());
-        p.accessors.insert(NodeId(1));
-        assert!(p.is_shared());
-        assert!(!p.is_read_write_shared(), "read-only sharing");
-        p.writers.insert(NodeId(1));
-        assert!(p.is_read_write_shared());
+        let private = PageProfile {
+            accessors: NodeMask::single(NodeId(0)),
+            ..PageProfile::default()
+        };
+        assert!(!private.is_shared());
+        assert!(!private.is_read_write_shared());
+        let mut both = private.accessors;
+        both.insert(NodeId(1));
+        let read_shared = PageProfile {
+            accessors: both,
+            ..private
+        };
+        assert!(read_shared.is_shared());
+        assert!(!read_shared.is_read_write_shared(), "read-only sharing");
+        let rw_shared = PageProfile {
+            writers: NodeMask::single(NodeId(1)),
+            ..read_shared
+        };
+        assert!(rw_shared.is_read_write_shared());
     }
 
     #[test]
@@ -319,14 +328,15 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::field_reassign_with_default)]
     fn hit_rate_and_imbalance() {
-        let mut m = Metrics::default();
-        m.reads = 80;
-        m.writes = 20;
-        m.l1_hits = 90;
+        let m = Metrics {
+            reads: 80,
+            writes: 20,
+            l1_hits: 90,
+            per_cpu_cycles: vec![Cycles(100), Cycles(100), Cycles(200)],
+            ..Metrics::default()
+        };
         assert!((m.l1_hit_rate() - 0.9).abs() < 1e-12);
-        m.per_cpu_cycles = vec![Cycles(100), Cycles(100), Cycles(200)];
         let imb = m.imbalance();
         assert!((imb - 1.5).abs() < 1e-12);
     }

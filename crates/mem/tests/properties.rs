@@ -221,7 +221,7 @@ proptest! {
         ops in prop::collection::vec((0u64..64, any::<bool>()), 1..300)
     ) {
         let mut l1 = L1Cache::new(128); // 4 lines, lots of conflicts
-        let mut wrote = std::collections::HashSet::new();
+        let mut wrote = std::collections::BTreeSet::new();
         for (b, is_write) in ops {
             let block = VBlock(b);
             let ev = if is_write {
@@ -256,16 +256,16 @@ proptest! {
         prop_assert_eq!(from_mask, from_model);
     }
 
-    /// The open-addressed FxMap agrees with a `std` HashMap reference
-    /// model under arbitrary insert/remove/lookup sequences — the
+    /// The open-addressed FxMap agrees with a `std` map (`BTreeMap`)
+    /// reference model under arbitrary insert/remove/lookup sequences — the
     /// correctness contract behind swapping it onto the hot path.
     #[test]
     fn fxmap_matches_hashmap_model(
         ops in prop::collection::vec((0u8..3, 0u64..64, 0u32..1000), 1..600)
     ) {
         let mut map: FxMap64<u32> = FxMap64::new();
-        let mut model: std::collections::HashMap<u64, u32> =
-            std::collections::HashMap::new();
+        let mut model: std::collections::BTreeMap<u64, u32> =
+            std::collections::BTreeMap::new();
         for (op, key, value) in ops {
             match op {
                 0 => prop_assert_eq!(map.insert(key, value), model.insert(key, value)),
@@ -293,7 +293,7 @@ proptest! {
         keys in prop::collection::vec(0u64..10_000, 1..800)
     ) {
         let mut map: FxMap64<u64> = FxMap64::new();
-        let mut model = std::collections::HashMap::new();
+        let mut model = std::collections::BTreeMap::new();
         for (i, &k) in keys.iter().enumerate() {
             // Consecutive-ish keys cluster probe chains on purpose.
             let key = k / 3;
@@ -446,7 +446,7 @@ proptest! {
     ) {
         let mut bc = BlockCache::infinite();
         let page = VPage(5);
-        let mut expected = std::collections::HashSet::new();
+        let mut expected = std::collections::BTreeSet::new();
         for i in &page_blocks {
             bc.fill(page.block(*i), BlockState::read_only());
             expected.insert(page.block(*i));
@@ -458,7 +458,7 @@ proptest! {
             }
         }
         let flushed = bc.flush_page(page);
-        let got: std::collections::HashSet<_> =
+        let got: std::collections::BTreeSet<_> =
             flushed.iter().map(|e| e.block).collect();
         prop_assert_eq!(got, expected);
         for i in 0..BLOCKS_PER_PAGE {

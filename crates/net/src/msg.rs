@@ -146,7 +146,7 @@ mod tests {
 
     #[test]
     fn displays_are_unique_and_nonempty() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for &k in MsgKind::all() {
             let s = k.to_string();
             assert!(!s.is_empty());

@@ -11,7 +11,7 @@ proptest! {
     fn first_touch_home_is_stable(touches in prop::collection::vec((0u64..100, 0u8..8), 1..300)) {
         let mut pm = PageManager::new(8);
         pm.arm_first_touch();
-        let mut fixed: std::collections::HashMap<u64, NodeId> = Default::default();
+        let mut fixed: std::collections::BTreeMap<u64, NodeId> = Default::default();
         for (page, node) in touches {
             let home = pm.home_on_touch(VPage(page), NodeId(node));
             let expect = *fixed.entry(page).or_insert(home);

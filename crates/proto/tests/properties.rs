@@ -53,7 +53,7 @@ proptest! {
     fn refetch_flags_only_rerequests(nodes in prop::collection::vec(1u8..8, 1..40)) {
         let mut dir = Directory::new(NodeId(0));
         let block = VBlock(7);
-        let mut granted: std::collections::HashSet<u8> = Default::default();
+        let mut granted: std::collections::BTreeSet<u8> = Default::default();
         for n in nodes {
             let out = dir.read(block, NodeId(n));
             prop_assert_eq!(out.refetch, granted.contains(&n),

@@ -170,7 +170,7 @@ mod tests {
     /// here rather than by the compiler.)
     #[test]
     fn registry_tables_are_exhaustive_and_distinct() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for name in APP_NAMES {
             assert!(seen.insert(name), "APP_NAMES entry {name:?} duplicated");
             let w = by_name(name, Scale::Tiny)

@@ -220,7 +220,7 @@ mod tests {
 
     #[test]
     fn owner_scatter_covers_all_cpus() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for i in 0..8 {
             for j in 0..8 {
                 seen.insert(Lu::owner(i, j, 8, 4));

@@ -11,7 +11,7 @@ use rnuma::{CpuRun, TraceOp};
 /// The figure-grid protocol axis: the ideal (infinite block cache)
 /// baseline every figure normalizes to, then the paper's three finite
 /// protocols.
-#[allow(dead_code)]
+#[allow(dead_code, reason = "each including test binary uses its own subset")]
 pub fn figure_protocols() -> [Protocol; 4] {
     [
         Protocol::ideal(),
@@ -25,14 +25,14 @@ pub fn figure_protocols() -> [Protocol; 4] {
 /// paper's base machine): capture on the ideal baseline, replay on the
 /// three finite protocols. One fixture shared by every determinism
 /// suite so the grids cannot drift apart.
-#[allow(dead_code)]
+#[allow(dead_code, reason = "each including test binary uses its own subset")]
 pub fn figure_configs() -> [MachineConfig; 4] {
     figure_protocols().map(MachineConfig::paper_base)
 }
 
 /// Asserts `store`'s decoded form of `id` is exactly `ops`, and that
 /// each decoded batch's run table tiles its op chunk.
-#[allow(dead_code)]
+#[allow(dead_code, reason = "each including test binary uses its own subset")]
 pub fn assert_exact_decode(store: &TraceStore, id: TraceId, ops: &[TraceOp]) {
     assert_eq!(
         store.decode(id).as_slice(),
