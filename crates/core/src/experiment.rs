@@ -12,10 +12,10 @@
 //! configuration in a grid. Re-executing the workload per cell re-pays
 //! its generation cost (item scheduling, address arithmetic, setup
 //! RNG) once per configuration; instead the workload's [`TraceOp`]
-//! stream is captured **once** — into a [`TraceStore`], a columnar,
-//! delta-encoded, profile-interned store with streaming
-//! (bounded-memory) capture — and replayed against every other
-//! configuration with [`TraceStore::replay_serial`]. Replay is bit-identical to
+//! stream is captured **once** — into a [`TraceStore`], a
+//! delta-encoded byte stream with streaming (bounded-memory) capture —
+//! and replayed against every other configuration with
+//! [`TraceStore::replay_serial`]. Replay is bit-identical to
 //! driving the same stream through the live [`Machine`] API, and the
 //! reference stream is *fixed across cells* — the classic trace-driven
 //! methodology. The sweep driver itself, with its work queue, is
@@ -33,9 +33,7 @@ use crate::config::MachineConfig;
 use crate::machine::Machine;
 use crate::metrics::Metrics;
 use crate::program::{Runner, Sink, Workload};
-use crate::trace::{
-    decode_segment, encode_segment, CpuRefs, CpuRun, ProfileArena, SegMeta, TraceOp, SEG_OPS,
-};
+use crate::trace::{decode_segment, encode_segment, CpuRefs, CpuRun, SegMeta, TraceOp, SEG_OPS};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
@@ -273,20 +271,19 @@ struct TraceRec {
     ops: u64,
 }
 
-/// A columnar, delta-encoded store of captured [`TraceOp`] streams —
-/// the "capture once" half of trace-once/replay-many sweeps.
+/// A delta-encoded store of captured [`TraceOp`] streams — the
+/// "capture once" half of trace-once/replay-many sweeps.
 ///
 /// Streams are stored as per-CPU *runs* (the same maximal same-CPU
-/// spans the batched replay kernels consume), each reduced to a small
-/// run record plus an interned *profile*: packed 2-bit op kinds and
-/// varint payload deltas (see the `trace` module). Interning works at
-/// profile granularity — two runs with the same kinds and relative
-/// address pattern share one blob regardless of base address — so
-/// every CPU walking its partition with a common stride dedups, and
-/// [`TraceStore::interning_ratio`] drops well below 1.0 on real
-/// workloads. Capture is *streaming*: the workload's ops are encoded
-/// in fixed-size chunks as they are produced, never materializing the
-/// flat op array. Replay decodes segment by segment into a
+/// spans the batched replay kernels consume), written inline into one
+/// varint byte stream per `SEG_OPS`-op segment: each run's CPU tag and
+/// length, its packed 2-bit op kinds, and its varint payloads, with
+/// addresses as deltas from the CPU's previous access (see the `trace`
+/// module). The store is that stream plus a 16-byte record per
+/// segment; it keeps no index or shared data beside them, so
+/// [`TraceStore::encoded_bytes`] is its whole encoded size. Capture is
+/// *streaming*: the workload's ops are encoded in fixed-size chunks as
+/// they are produced, never materializing the flat op array. Replay decodes segment by segment into a
 /// bounded scratch ([`TraceStore::for_each_batch`]) feeding
 /// [`Machine::replay_segment`];
 /// `tests/batched_replay.rs` pins the encoded replay bit-identical to
@@ -323,14 +320,11 @@ struct TraceRec {
 #[derive(Debug, Default)]
 pub struct TraceStore {
     traces: Vec<TraceRec>,
-    profiles: ProfileArena,
-    /// The varint-coded run streams of every segment, concatenated
-    /// (each [`SegMeta`] owns a byte range).
-    runs: Vec<u8>,
+    /// The byte streams of every segment, concatenated (each
+    /// [`SegMeta`] owns a byte range).
+    stream: Vec<u8>,
     segs: Vec<SegMeta>,
     captured_ops: u64,
-    /// Reusable encode scratch (one run's blob).
-    blob_scratch: Vec<u8>,
     /// Reusable per-CPU base references for encoding.
     refs_scratch: CpuRefs,
 }
@@ -365,8 +359,8 @@ impl TraceStore {
         (id, report)
     }
 
-    /// Stores one already-materialized stream (segmenting, encoding,
-    /// and interning it) and returns its id.
+    /// Stores one already-materialized stream (segmenting and encoding
+    /// it) and returns its id.
     pub fn insert(
         &mut self,
         workload: &'static str,
@@ -388,13 +382,7 @@ impl TraceStore {
         if chunk.is_empty() {
             return;
         }
-        let meta = encode_segment(
-            chunk,
-            &mut self.profiles,
-            &mut self.runs,
-            &mut self.blob_scratch,
-            &mut self.refs_scratch,
-        );
+        let meta = encode_segment(chunk, &mut self.stream, &mut self.refs_scratch);
         self.segs.push(meta);
         self.captured_ops += chunk.len() as u64;
     }
@@ -436,8 +424,7 @@ impl TraceStore {
         for seg in rec.seg_start..rec.seg_end {
             decode_segment(
                 self.segs[seg as usize],
-                &self.profiles,
-                &self.runs,
+                &self.stream,
                 &mut ops,
                 &mut runs,
                 &mut refs,
@@ -492,14 +479,11 @@ impl TraceStore {
         self.captured_ops * std::mem::size_of::<TraceOp>() as u64
     }
 
-    /// Bytes the encoded store occupies: profile bytes plus the run,
-    /// segment, and profile-span tables.
+    /// Bytes the encoded store occupies: the byte stream plus the
+    /// segment table — all of its encoded data.
     #[must_use]
     pub fn encoded_bytes(&self) -> u64 {
-        self.profiles.stored_bytes()
-            + self.profiles.table_bytes()
-            + self.runs.len() as u64
-            + (self.segs.len() * std::mem::size_of::<SegMeta>()) as u64
+        self.stream.len() as u64 + (self.segs.len() * std::mem::size_of::<SegMeta>()) as u64
     }
 
     /// Encoded bytes resident in memory. The whole store is resident,
@@ -511,20 +495,15 @@ impl TraceStore {
         self.encoded_bytes()
     }
 
-    /// Stored over referenced profile bytes: 1.0 when every run's
-    /// profile is unique, below 1.0 when interning dedups — the common
-    /// case, since every CPU walking its partition with a shared stride
-    /// pattern references one stored profile.
+    /// Always 1.0: every encoded byte belongs to exactly one run, since
+    /// the store shares no data between runs. Kept because
+    /// `perfbench` still reports it.
     #[must_use]
     pub fn interning_ratio(&self) -> f64 {
-        let referenced = self.profiles.referenced_bytes();
-        if referenced == 0 {
-            return 1.0;
-        }
-        self.profiles.stored_bytes() as f64 / referenced as f64
+        1.0
     }
 
-    /// Flat over encoded bytes — the compression the columnar encoding
+    /// Flat over encoded bytes — the compression the delta encoding
     /// buys (≥ 4× on em3d and moldyn at tiny scale; see `RESULTS.md`).
     #[must_use]
     pub fn footprint_ratio(&self) -> f64 {
@@ -641,9 +620,8 @@ mod tests {
     }
 
     #[test]
-    fn trace_store_interns_repeated_profiles() {
-        // Three identical 4096-op segments: one run profile each, all
-        // three interning to a single stored blob.
+    fn trace_store_counts_and_replays_multi_segment_streams() {
+        // Three 4096-op segments of one repeated access.
         let op = TraceOp::Access {
             cpu: CpuId(0),
             va: rnuma_mem::addr::Va(0x2000),
@@ -655,11 +633,6 @@ mod tests {
         let id = store.insert("synthetic", config, &ops);
         assert_eq!(store.captured_ops(), 3 * 4096);
         assert_eq!(store.ops(id), 3 * 4096);
-        assert!(
-            store.interning_ratio() < 1.0,
-            "identical profiles must dedup (ratio {})",
-            store.interning_ratio()
-        );
         assert_eq!(
             store.replay_serial(id, config).metrics.references(),
             3 * 4096

@@ -489,14 +489,13 @@ impl Machine {
                 block,
                 false,
                 rnuma_mem::moesi::Moesi::Shared,
-                t,
             );
             return t - start;
         }
 
         // 5. Dispatch on the page's mapping mode.
         let done = match mapping {
-            Mapping::Local => self.access_local(node_idx, block, write, snoop.peer_had_copy, t),
+            Mapping::Local => self.access_local(node_idx, block, write, t),
             Mapping::CcNuma => {
                 self.access_ccnuma(node_idx, l1_idx, page, block, write, snoop.peer_had_copy, t)
             }
@@ -509,7 +508,7 @@ impl Machine {
             Mapping::Local | Mapping::SComa(_) => {
                 let state =
                     self.fill_state(node_idx, mapping, page, block, write, snoop.peer_had_copy);
-                self.fill_l1(node_idx, l1_idx, block, write, state, done);
+                self.fill_l1(node_idx, l1_idx, block, write, state);
             }
             Mapping::CcNuma => {}
         }
@@ -567,7 +566,6 @@ impl Machine {
         block: VBlock,
         write: bool,
         state: rnuma_mem::moesi::Moesi,
-        now: Cycles,
     ) {
         let ev = if write {
             self.node_mut(node_idx).l1s[l1_idx].grant_write(block)
@@ -575,12 +573,12 @@ impl Machine {
             self.node_mut(node_idx).l1s[l1_idx].fill(block, state)
         };
         if let Some(ev) = ev {
-            self.handle_l1_eviction(node_idx, ev.block, ev.dirty, now);
+            self.handle_l1_eviction(node_idx, ev.block, ev.dirty);
         }
     }
 
     /// Routes a dirty L1 victim to the node-level holder of the block.
-    fn handle_l1_eviction(&mut self, node_idx: usize, block: VBlock, dirty: bool, _now: Cycles) {
+    fn handle_l1_eviction(&mut self, node_idx: usize, block: VBlock, dirty: bool) {
         if !dirty {
             return; // clean drops are silent everywhere
         }
@@ -718,7 +716,6 @@ impl Machine {
         node_idx: usize,
         block: VBlock,
         write: bool,
-        _peer_had_copy: bool,
         mut t: Cycles,
     ) -> Cycles {
         let node_id = NodeId(node_idx as u8);
@@ -786,7 +783,7 @@ impl Machine {
                 } else {
                     Moesi::Shared
                 };
-                self.fill_l1(node_idx, l1_idx, block, false, fill, t);
+                self.fill_l1(node_idx, l1_idx, block, false, fill);
                 t
             }
             // Write hit with write permission.
@@ -796,22 +793,21 @@ impl Machine {
                 if let Some(bc) = self.node_mut(node_idx).block_cache.as_mut() {
                     bc.mark_dirty(block);
                 }
-                self.fill_l1(node_idx, l1_idx, block, true, Moesi::Modified, t);
+                self.fill_l1(node_idx, l1_idx, block, true, Moesi::Modified);
                 t
             }
             // Write to a read-only copy: upgrade at the home. The node
             // still holds the data, so no data reply is needed and no
             // refetch is charged.
             (true, Some(_)) => {
-                let holds_copy = true;
-                let (done, refetch) = self.fetch_remote(node_idx, page, block, true, holds_copy, t);
+                let (done, refetch) = self.fetch_remote(node_idx, page, block, true, true, t);
                 debug_assert!(!refetch);
                 if let Some(bc) = self.node_mut(node_idx).block_cache.as_mut() {
                     bc.grant_write(block);
                     bc.mark_dirty(block);
                 }
                 t = done + BUS_DATA;
-                self.fill_l1(node_idx, l1_idx, block, true, Moesi::Modified, t);
+                self.fill_l1(node_idx, l1_idx, block, true, Moesi::Modified);
                 t
             }
             // Miss: fetch from the home node.
@@ -840,7 +836,7 @@ impl Machine {
                 } else {
                     Moesi::Shared
                 };
-                self.fill_l1(node_idx, l1_idx, block, write, fill, t);
+                self.fill_l1(node_idx, l1_idx, block, write, fill);
 
                 // The reactive policy: count the refetch and relocate the
                 // page once the threshold is crossed.

@@ -1,5 +1,5 @@
 //! The machine-level operation stream ([`TraceOp`]), its run tables
-//! ([`CpuRun`]), and columnar, delta-encoded storage for captured
+//! ([`CpuRun`]), and delta-encoded byte-stream storage for captured
 //! streams.
 //!
 //! A trace is the sequence of [`TraceOp`]s one run issues, in the
@@ -10,30 +10,22 @@
 //!
 //! The rest of this module is the storage layer under
 //! [`TraceStore`](crate::experiment::TraceStore). A captured stream is
-//! held not as an array of 24-byte `TraceOp` structs but as runs, each
-//! reduced to a varint-coded entry in a per-segment *run stream* plus a
-//! *profile*:
-//! a byte blob holding the run's op kinds as a packed 2-bit column and
-//! its payloads as varints, with access addresses stored as zigzag
-//! deltas from the previous address in the run (and run bases as
-//! deltas from the same CPU's previous run in the segment). R-NUMA
+//! held not as an array of 16-byte `TraceOp` structs but as one varint
+//! byte stream per segment, written run by run: a same-CPU run is its
+//! CPU tag and length, its op kinds as a packed 2-bit column, and one
+//! varint payload per op, with access addresses stored as zigzag
+//! deltas from the same CPU's previous access in the segment. R-NUMA
 //! reference streams are dominated by small-stride runs inside a CPU's
 //! working set, so the typical access costs one or two bytes instead
-//! of twenty-four.
+//! of sixteen.
 //!
-//! Profiles — not whole segments — are the interning unit: two runs
-//! with the same kinds and the same *relative* address pattern share
-//! one blob regardless of their base addresses (the base lives in the
-//! `RunRec`). That is what makes dedup actually fire: every CPU
-//! walking its own partition of an array with the same stride maps to
-//! the same profile.
-//!
-//! Every decoder checks its input and panics with a "trace profile
-//! corrupt" diagnostic on a malformed blob or run stream, so a store
+//! The stream holds no index and no shared data: every byte belongs to
+//! exactly one run, and each segment decodes on its own. The decoder
+//! checks its input and panics with a "trace stream corrupt"
+//! diagnostic on a malformed stream or a wrong op count, so a store
 //! bug fails loudly instead of replaying garbage.
 
 use rnuma_mem::addr::{CpuId, Va};
-use rnuma_mem::fxmap::FxMap64;
 use rnuma_sim::Cycles;
 use std::ops::Range;
 
@@ -83,9 +75,9 @@ impl TraceOp {
 /// is either a maximal run of consecutive per-CPU ops all issued by the
 /// same CPU, or a single global op.
 ///
-/// `TraceStore` computes run tables once per interned segment at
-/// capture time ([`split_cpu_runs`]), so every replay of the segment —
-/// on any configuration — consumes the pre-split form directly.
+/// `TraceStore`'s decoder rebuilds each segment's run table from the
+/// run boundaries its stream records, so replay consumes the pre-split
+/// form without rescanning the ops.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CpuRun {
     /// `len` consecutive `Access`/`Think` ops, all issued by `cpu`.
@@ -189,234 +181,26 @@ pub(crate) fn unzigzag(v: u64) -> i64 {
 }
 
 // ---------------------------------------------------------------------
-// Run records and the profile codec.
+// Encoded segments: one varint byte stream per segment.
 // ---------------------------------------------------------------------
 
-/// Per-op kind codes inside a profile's packed 2-bit column.
-const KIND_READ: u8 = 0;
-const KIND_WRITE: u8 = 1;
-const KIND_THINK: u8 = 2;
-
-/// Encodes one same-CPU run into `blob` (cleared first). Layout:
-/// `ceil(len / 4)` bytes of 2-bit kind codes (op `i` in byte `i / 4` at
-/// bit `2 * (i % 4)`), then one varint per op — a zigzag-encoded
-/// address delta for accesses (relative to the previous access,
-/// starting from the base, so the first access encodes delta 0), a
-/// plain duration for thinks.
-///
-/// Returns `Some((base, last))` — the run's first and last access
-/// addresses — or `None` for an all-think run. The base is *not* part
-/// of the blob: two runs with the same relative pattern at different
-/// bases encode to the same blob, which is what makes profile interning
-/// fire.
-///
-/// # Panics
-///
-/// Panics if `ops` contains a global op — callers feed maximal same-CPU
-/// runs from [`scan_runs`].
-pub(crate) fn encode_run(ops: &[TraceOp], blob: &mut Vec<u8>) -> Option<(Va, Va)> {
-    blob.clear();
-    let base = ops.iter().find_map(|op| match op {
-        TraceOp::Access { va, .. } => Some(*va),
-        _ => None,
-    })?;
-    blob.resize(ops.len().div_ceil(4), 0);
-    let mut prev = base;
-    for (i, op) in ops.iter().enumerate() {
-        let kind = match *op {
-            TraceOp::Access { va, write, .. } => {
-                put_varint(blob, zigzag(va.0.wrapping_sub(prev.0) as i64));
-                prev = va;
-                if write {
-                    KIND_WRITE
-                } else {
-                    KIND_READ
-                }
-            }
-            TraceOp::Think { dur, .. } => {
-                put_varint(blob, dur.0);
-                KIND_THINK
-            }
-            TraceOp::Barrier | TraceOp::ArmFirstTouch => {
-                panic!("global ops never enter a same-CPU run")
-            }
-        };
-        blob[i / 4] |= kind << (2 * (i % 4));
-    }
-    Some((base, prev))
-}
-
-/// Encodes an all-think run (no accesses, so no base address) into
-/// `blob` — the degenerate case [`encode_run`] returns `None` for.
-fn encode_think_run(ops: &[TraceOp], blob: &mut Vec<u8>) {
-    blob.clear();
-    blob.resize(ops.len().div_ceil(4), 0);
-    for (i, op) in ops.iter().enumerate() {
-        match *op {
-            TraceOp::Think { dur, .. } => put_varint(blob, dur.0),
-            _ => unreachable!("think-only runs by construction"),
-        }
-        blob[i / 4] |= KIND_THINK << (2 * (i % 4));
-    }
-}
-
-/// Decodes one run back into `TraceOp`s, appending `len` ops to `out`
-/// and returning the last access address (`None` for all-think runs).
-///
-/// # Panics
-///
-/// Panics with a "trace profile corrupt" diagnostic when the blob does
-/// not decode to exactly `len` ops — a store bug, which must fail
-/// loudly rather than replay garbage.
-pub(crate) fn decode_run(
-    cpu: CpuId,
-    len: usize,
-    base: Va,
-    blob: &[u8],
-    out: &mut Vec<TraceOp>,
-) -> Option<Va> {
-    let kind_bytes = len.div_ceil(4);
-    let mut pos = kind_bytes;
-    let mut prev = base;
-    let mut last = None;
-    for i in 0..len {
-        let kind = blob
-            .get(i / 4)
-            .map(|b| (b >> (2 * (i % 4))) & 0b11)
-            .unwrap_or_else(|| corrupt("kind column short"));
-        let payload = get_varint(blob, &mut pos).unwrap_or_else(|| corrupt("payload short"));
-        out.push(match kind {
-            KIND_THINK => TraceOp::Think {
-                cpu,
-                dur: Cycles(payload),
-            },
-            kind => {
-                let va = Va(prev.0.wrapping_add(unzigzag(payload) as u64));
-                prev = va;
-                last = Some(va);
-                TraceOp::Access {
-                    cpu,
-                    va,
-                    write: kind == KIND_WRITE,
-                }
-            }
-        });
-    }
-    if pos != blob.len() {
-        corrupt("payload overlong");
-    }
-    last
-}
-
-#[cold]
-fn corrupt(what: &str) -> ! {
-    panic!("trace profile corrupt ({what}): store bug")
-}
-
-// ---------------------------------------------------------------------
-// The profile arena: interned blobs.
-// ---------------------------------------------------------------------
-
-/// Where a profile's bytes live: `(offset, len)` into the arena's byte
-/// store.
-#[derive(Clone, Copy, Debug)]
-struct ProfileSpan {
-    offset: u64,
-    len: u32,
-}
-
-/// Deterministic content hash of a profile blob (FxHash-style multiply
-/// mixing; collisions are verified byte-for-byte, never trusted).
-fn blob_hash(blob: &[u8]) -> u64 {
-    const MIX: u64 = 0x9E37_79B9_7F4A_7C15;
-    let mut h = 0x6c62_272e_07bb_0142u64 ^ (blob.len() as u64);
-    for chunk in blob.chunks(8) {
-        let mut word = [0u8; 8];
-        word[..chunk.len()].copy_from_slice(chunk);
-        h = (h ^ u64::from_le_bytes(word))
-            .wrapping_mul(MIX)
-            .rotate_left(23);
-    }
-    h
-}
-
-/// Interned storage for profile blobs.
-#[derive(Debug, Default)]
-pub(crate) struct ProfileArena {
-    spans: Vec<ProfileSpan>,
-    bytes: Vec<u8>,
-    /// Blob hash → profile id (first-wins; collisions verified).
-    dedup: FxMap64<u32>,
-    /// Bytes all runs reference — what storage would cost without dedup.
-    referenced_bytes: u64,
-}
-
-impl ProfileArena {
-    /// Interns `blob`, returning its profile id.
-    pub(crate) fn intern(&mut self, blob: &[u8]) -> u32 {
-        self.referenced_bytes += blob.len() as u64;
-        let hash = blob_hash(blob);
-        // First-wins on hash collisions: a mismatching occupant just
-        // costs this blob its dedup, never its correctness.
-        match self.dedup.get(hash) {
-            Some(&id) if self.read(id) == blob => id,
-            Some(_) => self.push(blob),
-            None => {
-                let id = self.push(blob);
-                self.dedup.insert(hash, id);
-                id
-            }
-        }
-    }
-
-    fn push(&mut self, blob: &[u8]) -> u32 {
-        let id = u32::try_from(self.spans.len()).expect("profile count overflow");
-        let len = u32::try_from(blob.len()).expect("profile blob overflow");
-        let offset = self.bytes.len() as u64;
-        self.bytes.extend_from_slice(blob);
-        self.spans.push(ProfileSpan { offset, len });
-        id
-    }
-
-    /// The bytes of profile `id`.
-    pub(crate) fn read(&self, id: u32) -> &[u8] {
-        let span = self.spans[id as usize];
-        let start = span.offset as usize;
-        &self.bytes[start..start + span.len as usize]
-    }
-
-    /// Bytes actually stored, after dedup.
-    pub(crate) fn stored_bytes(&self) -> u64 {
-        self.bytes.len() as u64
-    }
-
-    pub(crate) fn referenced_bytes(&self) -> u64 {
-        self.referenced_bytes
-    }
-
-    /// Heap bytes of the span table. The dedup map is not counted.
-    pub(crate) fn table_bytes(&self) -> u64 {
-        (self.spans.len() * std::mem::size_of::<ProfileSpan>()) as u64
-    }
-}
-
-// ---------------------------------------------------------------------
-// Encoded segments: the run stream.
-// ---------------------------------------------------------------------
-
-/// Run-stream tags for the two global ops; a CPU run is stored as
-/// `varint(cpu + 2)` followed by its length, base delta, and profile
-/// id.
+/// Stream tags for the two global ops; a CPU run is tagged
+/// `varint(cpu + 2)`.
 const TAG_BARRIER: u64 = 0;
 const TAG_ARM_FIRST_TOUCH: u64 = 1;
 const TAG_CPU_BASE: u64 = 2;
 
+/// Per-op kind codes inside a run's packed 2-bit column.
+const KIND_READ: u8 = 0;
+const KIND_WRITE: u8 = 1;
+const KIND_THINK: u8 = 2;
+
 /// Per-CPU last-access-address references threaded through one
-/// segment's run stream: a CPU run's base address is stored as a
-/// zigzag delta from where that CPU's previous run in the *same
-/// segment* left off (its partition walk usually continues there, so
-/// the delta is a byte or two). References reset at segment
-/// boundaries, keeping every segment independently decodable.
+/// segment's stream: every access is stored as a zigzag delta from
+/// the same CPU's previous access in the *same segment*, so a run's
+/// first access costs a byte or two when the CPU's partition walk
+/// continues where its previous run left off. References reset at
+/// segment boundaries, keeping every segment independently decodable.
 #[derive(Debug, Default)]
 pub(crate) struct CpuRefs(Vec<u64>);
 
@@ -438,7 +222,7 @@ impl CpuRefs {
     }
 }
 
-/// One stored segment: its byte range in the run stream and its op
+/// One stored segment: its byte range in the store's stream and its op
 /// count.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct SegMeta {
@@ -447,52 +231,65 @@ pub(crate) struct SegMeta {
     pub(crate) ops: u32,
 }
 
-/// Encodes one segment of ops into the arena + run stream, returning
-/// its [`SegMeta`] (the caller appends it to the segment table). The
-/// run stream is itself varint-coded — a short-run-heavy segment (CPUs
-/// interleaving every item) costs ~5 bytes per run, not a fixed
-/// record.
+/// Appends one segment of ops to `stream`, returning its [`SegMeta`]
+/// (the caller appends it to the segment table). The segment is its
+/// runs in order ([`scan_runs`]), each written inline:
+///
+/// - a global op is one tag varint (`TAG_BARRIER` or
+///   `TAG_ARM_FIRST_TOUCH`);
+/// - a same-CPU run of `len` ops is `varint(cpu + 2)`, `varint(len)`,
+///   then `ceil(len / 4)` bytes of 2-bit kind codes (op `i` in byte
+///   `i / 4` at bit `2 * (i % 4)`), then one varint per op: a plain
+///   duration for a think, a zigzag address delta from the CPU's
+///   previous access ([`CpuRefs`]) for an access.
 pub(crate) fn encode_segment(
     chunk: &[TraceOp],
-    arena: &mut ProfileArena,
-    runs: &mut Vec<u8>,
-    blob_scratch: &mut Vec<u8>,
+    stream: &mut Vec<u8>,
     refs: &mut CpuRefs,
 ) -> SegMeta {
-    let run_start = runs.len() as u64;
+    let run_start = stream.len() as u64;
     refs.reset();
-    scan_runs(chunk, |issuer, range| match issuer {
-        Some(cpu) => {
-            let run_ops = &chunk[range.clone()];
-            let delta = match encode_run(run_ops, blob_scratch) {
-                Some((base, last)) => {
-                    let delta = zigzag(base.0.wrapping_sub(refs.get(cpu)) as i64);
-                    refs.set(cpu, last.0);
-                    delta
-                }
-                None => {
-                    encode_think_run(run_ops, blob_scratch);
-                    0
-                }
-            };
-            let profile = arena.intern(blob_scratch);
-            put_varint(runs, TAG_CPU_BASE + u64::from(cpu.0));
-            put_varint(runs, range.len() as u64);
-            put_varint(runs, delta);
-            put_varint(runs, u64::from(profile));
-        }
-        None => put_varint(
-            runs,
-            match chunk[range.start] {
+    scan_runs(chunk, |issuer, range| {
+        let Some(cpu) = issuer else {
+            let tag = match chunk[range.start] {
                 TraceOp::Barrier => TAG_BARRIER,
                 TraceOp::ArmFirstTouch => TAG_ARM_FIRST_TOUCH,
                 _ => unreachable!("scan_runs only yields global ops without an issuer"),
-            },
-        ),
+            };
+            put_varint(stream, tag);
+            return;
+        };
+        put_varint(stream, TAG_CPU_BASE + u64::from(cpu.0));
+        put_varint(stream, range.len() as u64);
+        let kinds = stream.len();
+        stream.resize(kinds + range.len().div_ceil(4), 0);
+        let mut prev = refs.get(cpu);
+        for (i, op) in chunk[range].iter().enumerate() {
+            let kind = match *op {
+                TraceOp::Access { va, write, .. } => {
+                    put_varint(stream, zigzag(va.0.wrapping_sub(prev) as i64));
+                    prev = va.0;
+                    if write {
+                        KIND_WRITE
+                    } else {
+                        KIND_READ
+                    }
+                }
+                TraceOp::Think { dur, .. } => {
+                    put_varint(stream, dur.0);
+                    KIND_THINK
+                }
+                TraceOp::Barrier | TraceOp::ArmFirstTouch => {
+                    unreachable!("scan_runs never puts a global op in a CPU run")
+                }
+            };
+            stream[kinds + i / 4] |= kind << (2 * (i % 4));
+        }
+        refs.set(cpu, prev);
     });
     SegMeta {
         run_start,
-        run_len: u32::try_from(runs.len() as u64 - run_start).expect("segment run stream overflow"),
+        run_len: u32::try_from(stream.len() as u64 - run_start).expect("segment stream overflow"),
         ops: chunk.len() as u32,
     }
 }
@@ -504,12 +301,12 @@ pub(crate) fn encode_segment(
 ///
 /// # Panics
 ///
-/// Panics with a "trace profile corrupt" diagnostic on a malformed run
-/// stream or profile blob (a store bug).
+/// Panics with a "trace stream corrupt" diagnostic when the segment's
+/// bytes are malformed or do not decode to exactly `seg.ops` ops — a
+/// store bug, which must fail loudly rather than replay garbage.
 pub(crate) fn decode_segment(
     seg: SegMeta,
-    arena: &ProfileArena,
-    run_stream: &[u8],
+    stream: &[u8],
     ops: &mut Vec<TraceOp>,
     runs: &mut Vec<CpuRun>,
     refs: &mut CpuRefs,
@@ -517,41 +314,66 @@ pub(crate) fn decode_segment(
     ops.clear();
     runs.clear();
     refs.reset();
-    let start = usize::try_from(seg.run_start).expect("run stream offset fits usize");
-    let bytes = &run_stream[start..start + seg.run_len as usize];
+    let bytes = usize::try_from(seg.run_start)
+        .ok()
+        .and_then(|start| stream.get(start..start + seg.run_len as usize))
+        .unwrap_or_else(|| corrupt("segment range"));
     let mut pos = 0;
     while pos < bytes.len() {
-        let tag = get_varint(bytes, &mut pos).unwrap_or_else(|| corrupt("run tag short"));
-        match tag {
+        let cpu = match get_varint(bytes, &mut pos).unwrap_or_else(|| corrupt("run tag short")) {
             TAG_BARRIER => {
                 ops.push(TraceOp::Barrier);
                 runs.push(CpuRun::Global);
+                continue;
             }
             TAG_ARM_FIRST_TOUCH => {
                 ops.push(TraceOp::ArmFirstTouch);
                 runs.push(CpuRun::Global);
+                continue;
             }
-            tag => {
-                let cpu = u16::try_from(tag - TAG_CPU_BASE)
-                    .map(CpuId)
-                    .unwrap_or_else(|_| corrupt("cpu id overflow"));
-                let len = get_varint(bytes, &mut pos)
-                    .and_then(|v| usize::try_from(v).ok())
-                    .unwrap_or_else(|| corrupt("run length short"));
-                let delta =
-                    get_varint(bytes, &mut pos).unwrap_or_else(|| corrupt("base delta short"));
-                let profile = get_varint(bytes, &mut pos)
-                    .and_then(|v| u32::try_from(v).ok())
-                    .unwrap_or_else(|| corrupt("profile id short"));
-                let base = Va(refs.get(cpu).wrapping_add(unzigzag(delta) as u64));
-                if let Some(last) = decode_run(cpu, len, base, arena.read(profile), ops) {
-                    refs.set(cpu, last.0);
+            tag => u16::try_from(tag - TAG_CPU_BASE)
+                .map(CpuId)
+                .unwrap_or_else(|_| corrupt("cpu id overflow")),
+        };
+        let len = get_varint(bytes, &mut pos)
+            .and_then(|v| usize::try_from(v).ok())
+            .filter(|&len| len > 0)
+            .unwrap_or_else(|| corrupt("run length"));
+        let kinds = pos;
+        pos = kinds
+            .checked_add(len.div_ceil(4))
+            .filter(|&end| end <= bytes.len())
+            .unwrap_or_else(|| corrupt("kind column short"));
+        let mut prev = refs.get(cpu);
+        for i in 0..len {
+            let payload = get_varint(bytes, &mut pos).unwrap_or_else(|| corrupt("payload short"));
+            ops.push(match (bytes[kinds + i / 4] >> (2 * (i % 4))) & 0b11 {
+                KIND_THINK => TraceOp::Think {
+                    cpu,
+                    dur: Cycles(payload),
+                },
+                kind @ (KIND_READ | KIND_WRITE) => {
+                    prev = prev.wrapping_add(unzigzag(payload) as u64);
+                    TraceOp::Access {
+                        cpu,
+                        va: Va(prev),
+                        write: kind == KIND_WRITE,
+                    }
                 }
-                runs.push(CpuRun::Cpu { cpu, len });
-            }
+                _ => corrupt("kind code"),
+            });
         }
+        refs.set(cpu, prev);
+        runs.push(CpuRun::Cpu { cpu, len });
     }
-    debug_assert_eq!(ops.len(), seg.ops as usize, "segment decode length drift");
+    if ops.len() != seg.ops as usize {
+        corrupt("op count");
+    }
+}
+
+#[cold]
+fn corrupt(what: &str) -> ! {
+    panic!("trace stream corrupt ({what}): store bug")
 }
 
 #[cfg(test)]
@@ -573,21 +395,26 @@ mod tests {
         }
     }
 
+    /// Encodes each of `segs` as one segment of a shared stream.
+    fn encode(segs: &[&[TraceOp]]) -> (Vec<u8>, Vec<SegMeta>) {
+        let (mut stream, mut refs) = (Vec::new(), CpuRefs::default());
+        let metas = segs
+            .iter()
+            .map(|seg| encode_segment(seg, &mut stream, &mut refs))
+            .collect();
+        (stream, metas)
+    }
+
+    fn decode(meta: SegMeta, stream: &[u8]) -> (Vec<TraceOp>, Vec<CpuRun>) {
+        let (mut ops, mut runs) = (Vec::new(), Vec::new());
+        decode_segment(meta, stream, &mut ops, &mut runs, &mut CpuRefs::default());
+        (ops, runs)
+    }
+
     fn round_trip(ops: &[TraceOp]) -> Vec<TraceOp> {
-        let cpu = match ops[0] {
-            TraceOp::Access { cpu, .. } | TraceOp::Think { cpu, .. } => cpu,
-            _ => panic!("same-CPU runs only"),
-        };
-        let mut blob = Vec::new();
-        let base = match encode_run(ops, &mut blob) {
-            Some((base, _)) => base,
-            None => {
-                encode_think_run(ops, &mut blob);
-                Va(0)
-            }
-        };
-        let mut out = Vec::new();
-        decode_run(cpu, ops.len(), base, &blob, &mut out);
+        let (stream, metas) = encode(&[ops]);
+        let (out, runs) = decode(metas[0], &stream);
+        assert_eq!(runs, split_cpu_runs(ops), "decoded run table");
         out
     }
 
@@ -717,6 +544,8 @@ mod tests {
             access(3, u64::MAX, true),   // wraparound delta
             access(3, 0, false),
             think(3, 0),
+            access(4, 1 << 63, false), // another CPU's first access
+            access(3, 0x7fff_ffff_ffff_ffff, true),
         ];
         assert_eq!(round_trip(&ops), ops);
     }
@@ -725,27 +554,18 @@ mod tests {
     fn run_codec_handles_single_op_and_all_think_runs() {
         let one = vec![access(0, 0x2000, true)];
         assert_eq!(round_trip(&one), one);
-        let thinks = vec![think(5, 1), think(5, 1 << 40), think(5, 0)];
+        let thinks = vec![think(5, 1), think(5, 1 << 40), think(5, u64::MAX)];
         assert_eq!(round_trip(&thinks), thinks);
-    }
-
-    #[test]
-    fn identical_relative_patterns_share_one_profile() {
-        let mut arena = ProfileArena::default();
-        let mut blob = Vec::new();
-        // Two walks with the same stride pattern at different bases.
-        let a: Vec<TraceOp> = (0..64).map(|i| access(0, 0x1000 + i * 8, false)).collect();
-        let b: Vec<TraceOp> = (0..64).map(|i| access(0, 0x9000 + i * 8, false)).collect();
-        encode_run(&a, &mut blob).unwrap();
-        let pa = arena.intern(&blob);
-        encode_run(&b, &mut blob).unwrap();
-        let pb = arena.intern(&blob);
-        assert_eq!(pa, pb, "same relative pattern must intern to one blob");
-        assert!(arena.stored_bytes() < arena.referenced_bytes());
-        // A different stride is a different profile.
-        let c: Vec<TraceOp> = (0..64).map(|i| access(0, 0x1000 + i * 16, false)).collect();
-        encode_run(&c, &mut blob).unwrap();
-        assert_ne!(arena.intern(&blob), pa);
+        // A think-only run between two runs of the same CPU leaves its
+        // address reference where the first run left it.
+        let split = vec![
+            access(2, 0x9000, false),
+            TraceOp::Barrier,
+            think(2, 3),
+            TraceOp::ArmFirstTouch,
+            access(2, 0x9008, true),
+        ];
+        assert_eq!(round_trip(&split), split);
     }
 
     #[test]
@@ -770,41 +590,51 @@ mod tests {
             })
             .collect();
 
-        let mut arena = ProfileArena::default();
-        let mut runs = Vec::new();
-        let (mut blob, mut refs) = (Vec::new(), CpuRefs::default());
-        let metas: Vec<SegMeta> = [&seg_a, &seg_b]
-            .iter()
-            .map(|seg| encode_segment(seg, &mut arena, &mut runs, &mut blob, &mut refs))
-            .collect();
-
-        let (mut ops, mut cpu_runs) = (Vec::new(), Vec::new());
-        for (meta, expect) in metas.iter().zip([&seg_a, &seg_b]) {
-            decode_segment(*meta, &arena, &runs, &mut ops, &mut cpu_runs, &mut refs);
+        let (stream, metas) = encode(&[&seg_a, &seg_b]);
+        // Decoding the second segment first, with fresh references,
+        // proves its bases do not lean on the first segment's walk.
+        for (meta, expect) in metas.iter().zip([&seg_a, &seg_b]).rev() {
+            let (ops, runs) = decode(*meta, &stream);
             assert_eq!(ops.as_slice(), expect.as_slice());
-            let run_total: usize = cpu_runs
-                .iter()
-                .map(|r| match r {
-                    CpuRun::Cpu { len, .. } => *len,
-                    CpuRun::Global => 1,
-                })
-                .sum();
-            assert_eq!(run_total, expect.len(), "runs must tile the segment");
+            assert_eq!(runs, split_cpu_runs(expect), "runs must tile the segment");
         }
+        // The reset is visible in the bytes: the second segment's first
+        // access stores its full address, not the small continuation
+        // delta from the first segment's last access.
+        let b = &stream[metas[1].run_start as usize..];
+        let mut pos = 0;
+        assert_eq!(get_varint(b, &mut pos), Some(TAG_CPU_BASE)); // CPU 0
+        assert_eq!(get_varint(b, &mut pos), Some(1)); // a unit run
+        pos += 1; // its kind byte
+        assert_eq!(get_varint(b, &mut pos), Some(zigzag(0x1_0000 + 32 * 8)));
+    }
+
+    /// Encodes a two-CPU segment whose last op is an access, so cutting
+    /// the final byte leaves its payload varint unterminated.
+    fn sample() -> (Vec<u8>, SegMeta) {
+        let ops = [
+            access(1, 0x4000, false),
+            think(1, 9),
+            TraceOp::Barrier,
+            access(2, 0x4100, true),
+        ];
+        let (stream, metas) = encode(&[&ops]);
+        (stream, metas[0])
     }
 
     #[test]
-    fn corrupt_blob_fails_loudly() {
-        let ops = vec![access(1, 0x4000, false), access(1, 0x4100, true)];
-        let mut blob = Vec::new();
-        let (base, _) = encode_run(&ops, &mut blob).unwrap();
-        blob.truncate(blob.len() - 1);
-        let err = std::panic::catch_unwind(move || {
-            let mut out = Vec::new();
-            decode_run(CpuId(1), 2, base, &blob, &mut out);
-        })
-        .expect_err("truncated blob must panic");
-        let msg = err.downcast_ref::<String>().expect("string payload");
-        assert!(msg.contains("trace profile corrupt"), "got: {msg}");
+    #[should_panic(expected = "trace stream corrupt")]
+    fn truncated_stream_fails_loudly() {
+        let (stream, mut meta) = sample();
+        meta.run_len -= 1;
+        decode(meta, &stream);
+    }
+
+    #[test]
+    #[should_panic(expected = "trace stream corrupt (op count)")]
+    fn wrong_op_count_fails_loudly() {
+        let (stream, mut meta) = sample();
+        meta.ops += 1;
+        decode(meta, &stream);
     }
 }

@@ -172,17 +172,7 @@ impl BlockCache {
     }
 
     /// Removes every block of `page` (page relocation or unmap),
-    /// returning the removed lines. Hot callers should prefer
-    /// [`BlockCache::flush_page_into`] with a reused buffer — this
-    /// convenience form allocates a fresh `Vec` per call.
-    pub fn flush_page(&mut self, page: VPage) -> Vec<BlockEviction> {
-        let mut out = Vec::new();
-        self.flush_page_into(page, &mut out);
-        out
-    }
-
-    /// Removes every block of `page`, appending the evictions to a
-    /// caller-provided buffer. No allocation occurs once the buffer has
+    /// appending the evictions to a caller-provided buffer. No allocation occurs once the buffer has
     /// reached its high-water mark, which matters on the relocation path
     /// where every R-NUMA page switch flushes the block cache.
     pub fn flush_page_into(&mut self, page: VPage, out: &mut Vec<BlockEviction>) {
@@ -279,7 +269,8 @@ mod tests {
             bc.fill(b, BlockState::writable());
         }
         bc.fill(VPage(7).block(0), BlockState::read_only());
-        let flushed = bc.flush_page(page);
+        let mut flushed = Vec::new();
+        bc.flush_page_into(page, &mut flushed);
         assert_eq!(flushed.len(), 5);
         assert_eq!(bc.occupied(), 1);
         let _ = BLOCKS_PER_PAGE;
@@ -298,11 +289,6 @@ mod tests {
             assert_eq!(buf.len(), 5);
             assert!(buf.iter().all(|ev| ev.block.vpage() == page));
         }
-        // The convenience form agrees with the buffered form.
-        for b in VPage(4).blocks().take(3) {
-            bc.fill(b, BlockState::read_only());
-        }
-        assert_eq!(bc.flush_page(VPage(4)).len(), 3);
         // Infinite store goes through the same API.
         let mut inf = BlockCache::infinite();
         inf.fill(VPage(9).block(0), BlockState::read_only());
@@ -318,8 +304,8 @@ mod tests {
             assert!(bc.fill(VBlock(i), BlockState::read_only()).is_none());
         }
         assert_eq!(bc.occupied(), 100_000);
-        let page = VPage(0);
-        let flushed = bc.flush_page(page);
+        let mut flushed = Vec::new();
+        bc.flush_page_into(VPage(0), &mut flushed);
         assert_eq!(flushed.len(), BLOCKS_PER_PAGE as usize);
         assert_eq!(bc.occupied(), 100_000 - BLOCKS_PER_PAGE as usize);
     }

@@ -155,30 +155,11 @@ impl<S> DirectCache<S> {
         self.lines.iter().flatten()
     }
 
-    /// Removes every resident line satisfying `pred`, returning them.
+    /// Removes every resident line satisfying `pred`, handing each to
+    /// `sink` (no allocation).
     ///
     /// Used for page-granularity flushes (all blocks of a page leave the
-    /// cache when the OS unmaps the page). Hot callers should prefer
-    /// [`DirectCache::drain_matching_into`] with a reused buffer.
-    pub fn drain_matching<F>(&mut self, pred: F) -> Vec<Line<S>>
-    where
-        F: FnMut(&Line<S>) -> bool,
-    {
-        let mut out = Vec::new();
-        self.drain_matching_into(pred, &mut out);
-        out
-    }
-
-    /// Like [`DirectCache::drain_matching`], but appends the drained
-    /// lines to a caller-provided buffer instead of allocating one.
-    pub fn drain_matching_into<F>(&mut self, pred: F, out: &mut Vec<Line<S>>)
-    where
-        F: FnMut(&Line<S>) -> bool,
-    {
-        self.drain_matching_with(pred, |line| out.push(line));
-    }
-
-    /// Allocation-free drain: each removed line is handed to `sink`.
+    /// cache when the OS unmaps the page).
     pub fn drain_matching_with<F, G>(&mut self, mut pred: F, mut sink: G)
     where
         F: FnMut(&Line<S>) -> bool,
@@ -334,7 +315,8 @@ mod tests {
         }
         // Maps to set 0, clear of page 1's blocks (sets 128..138).
         c.insert(VPage(4).block(0), 0);
-        let drained = c.drain_matching(|l| l.block.vpage() == page);
+        let mut drained = Vec::new();
+        c.drain_matching_with(|l| l.block.vpage() == page, |l| drained.push(l));
         assert_eq!(drained.len(), 10);
         assert_eq!(c.occupied(), 1);
         assert!(drained.iter().all(|l| l.block.vpage() == page));

@@ -438,7 +438,7 @@ proptest! {
         }
     }
 
-    /// Block-cache flush_page removes exactly the page's resident blocks.
+    /// Block-cache flush_page_into removes exactly the page's resident blocks.
     #[test]
     fn block_cache_flush_is_exact(
         page_blocks in prop::collection::vec(0u64..BLOCKS_PER_PAGE, 0..32),
@@ -457,7 +457,8 @@ proptest! {
                 bc.fill(blk, BlockState::read_only());
             }
         }
-        let flushed = bc.flush_page(page);
+        let mut flushed = Vec::new();
+        bc.flush_page_into(page, &mut flushed);
         let got: std::collections::BTreeSet<_> =
             flushed.iter().map(|e| e.block).collect();
         prop_assert_eq!(got, expected);

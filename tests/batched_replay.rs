@@ -16,7 +16,7 @@
 //! its stream exactly. See `docs/SWEEP.md`.
 //!
 //! The splitter's edge cases (empty traces, single-op segments,
-//! CPU-alternating streams, same-CPU runs split across interned
+//! CPU-alternating streams, same-CPU runs split across the store's
 //! segment boundaries) are pinned here too; the pure-function unit
 //! tests live next to `split_cpu_runs` in `crates/core/src/trace.rs`.
 
@@ -47,8 +47,8 @@ fn batched_replay(config: MachineConfig, ops: &[TraceOp]) -> Metrics {
 }
 
 fn store_replay(config: MachineConfig, ops: &[TraceOp]) -> Metrics {
-    // Through the interned arena: segmented at capture time, replayed
-    // from the pre-split run tables.
+    // Through the encoded store: segmented at capture time, replayed
+    // from the run tables its decoder rebuilds.
     let mut store = TraceStore::new();
     let id = store.insert("synthetic", config, ops);
     assert_exact_decode(&store, id, ops);
@@ -76,7 +76,7 @@ fn assert_three_way(live: &Metrics, config: MachineConfig, ops: &[TraceOp], labe
 }
 
 /// Every figure-grid cell: live execution on the cell's configuration,
-/// its trace replayed per-op, batched, and through the interned store —
+/// its trace replayed per-op, batched, and through the encoded store —
 /// all four bit-identical, with the store's decode exact.
 #[test]
 fn live_per_op_and_batched_agree_across_the_figure_grid() {
@@ -207,8 +207,8 @@ fn splitter_edge_cases_replay_identically() {
     );
 }
 
-/// A same-CPU run longer than the store's segment size: the interned
-/// arena splits it across segment boundaries, and the per-segment run
+/// A same-CPU run longer than the store's segment size: the store
+/// splits it across segment boundaries, and the per-segment run
 /// tables must still tile and replay exactly.
 #[test]
 fn segment_boundaries_splitting_a_run_replay_identically() {
@@ -295,7 +295,7 @@ fn mismatched_run_table_panics() {
 proptest! {
     /// Random streams — random CPUs, small shared page pool, think
     /// time, barriers — executed live and replayed per-op, batched,
-    /// and through the interned store: all bit-identical, on every
+    /// and through the encoded store: all bit-identical, on every
     /// figure protocol, with the store's decode exact.
     #[test]
     fn random_streams_agree_live_per_op_batched(

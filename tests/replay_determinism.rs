@@ -1,8 +1,8 @@
 //! The determinism contract of the trace-once/replay-many sweep
 //! driver: every cell a sweep produces is **bit-identical** to a serial
 //! batched replay of the captured stream on that cell's configuration —
-//! across the paper's entire figure grid and through the interned
-//! `TraceStore` arena.
+//! across the paper's entire figure grid and through the encoded
+//! `TraceStore`.
 //!
 //! See `docs/SWEEP.md` for the model these tests enforce and
 //! `docs/DETERMINISM.md` for the contract. The `RNUMA_JOBS`

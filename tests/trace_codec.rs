@@ -1,5 +1,5 @@
-//! The trace-codec differential lane: the columnar, delta-encoded
-//! `TraceStore` segment format is the **only** storage format, so its
+//! The trace-codec differential lane: the delta-encoded `TraceStore`
+//! segment stream is the **only** storage format, so its
 //! decode must be *exact* — bit-identical ops out for ops in — and
 //! every replay mode fed from it must agree with the live execution.
 //!
@@ -16,9 +16,7 @@
 //!    and on random streams is pinned in `tests/batched_replay.rs`.)
 //!
 //! The footprint acceptance (encoded ≥ 4× smaller than the flat
-//! 24-byte-per-op array on sweep workloads) and the interning
-//! regression (shared page profiles actually dedup: ratio < 1.0) are
-//! pinned here too.
+//! 16-byte-per-op array on sweep workloads) is pinned here too.
 
 use proptest::prelude::*;
 use rnuma::config::MachineConfig;
@@ -79,7 +77,7 @@ fn streaming_capture_matches_materialized_insert() {
 }
 
 /// The footprint acceptance: across every application at tiny scale
-/// the encoded store is at least 4× smaller than the flat 24-byte op
+/// the encoded store is at least 4× smaller than the flat 16-byte op
 /// array it replaced.
 #[test]
 fn figure_grid_capture_compresses_at_least_4x() {
@@ -100,54 +98,6 @@ fn figure_grid_capture_compresses_at_least_4x() {
         store.flat_bytes(),
         store.encoded_bytes(),
         store.captured_ops()
-    );
-}
-
-/// The interning regression (PR 7): profiles are interned at
-/// page-*relative* granularity, so two workloads touching the same
-/// relative patterns at different bases share storage — the ratio
-/// actually drops below 1.0 instead of sitting at 1.000 forever.
-#[test]
-fn shared_page_profiles_intern_across_workloads() {
-    let config = figure_configs()[0];
-    let mut store = TraceStore::new();
-    store.capture(config, &mut by_name("em3d", Scale::Tiny).unwrap());
-    store.capture(config, &mut by_name("em3d", Scale::Tiny).unwrap());
-    assert!(
-        store.interning_ratio() < 1.0,
-        "two captures of the same workload must share page profiles \
-         (interning_ratio = {:.3})",
-        store.interning_ratio()
-    );
-
-    // The base-relative property directly: the same walk shifted to a
-    // different base address is byte-identical after delta encoding,
-    // so the second stream's profiles all dedup against the first's.
-    let walk = |base: u64| -> Vec<TraceOp> {
-        (0..6000u64)
-            .map(|i| TraceOp::Access {
-                cpu: CpuId((i % 4) as u16),
-                va: Va(base + (i % 512) * 32),
-                write: i % 5 == 0,
-            })
-            .collect()
-    };
-    let mut shifted = TraceStore::new();
-    shifted.insert("low", config, &walk(0x4000));
-    let after_first = shifted.encoded_bytes();
-    shifted.insert("high", config, &walk(0x40_0000));
-    assert!(
-        shifted.interning_ratio() < 1.0,
-        "base-shifted identical walks must intern (ratio = {:.3})",
-        shifted.interning_ratio()
-    );
-    // The second stream added run/segment metadata but no new profile
-    // bytes worth a second copy of the first stream.
-    assert!(
-        shifted.encoded_bytes() < after_first * 2,
-        "interning saved nothing: {} bytes after one stream, {} after two",
-        after_first,
-        shifted.encoded_bytes()
     );
 }
 
