@@ -623,11 +623,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "trace stream corrupt")]
-    fn truncated_stream_fails_loudly() {
+    fn corrupt_blob_fails_loudly() {
+        // A segment's byte stream cut short by one byte must panic, not
+        // decode a short or garbled run.
         let (stream, mut meta) = sample();
         meta.run_len -= 1;
-        decode(meta, &stream);
+        let err = std::panic::catch_unwind(move || decode(meta, &stream))
+            .expect_err("truncated stream must panic");
+        let msg = err.downcast_ref::<String>().expect("string payload");
+        assert!(msg.contains("trace stream corrupt"), "got: {msg}");
     }
 
     #[test]
