@@ -8,7 +8,10 @@
 //! `HashMap` it replaced, probed with the same key stream. The replay
 //! lane times batched replay against per-op live dispatch of the same
 //! captured streams; the bench **fails** (exit 1) when that speedup
-//! falls below `hotpath::REPLAY_GATE_FLOOR`. Results are recorded in
+//! falls below `hotpath::REPLAY_GATE_FLOOR`. The fine-grained-items
+//! lane times live `Runner` runs of radix (1–3-op items) against per-op
+//! dispatch of the same ops, and fails the bench below
+//! `hotpath::FINE_ITEMS_GATE_FLOOR`. Results are recorded in
 //! `results/BENCH_hotpath.json` so subsequent PRs have a throughput
 //! trajectory to beat.
 //!
@@ -60,14 +63,34 @@ fn main() {
         report.replay.perop_secs * 1e3,
         report.replay.speedup()
     );
-    let gate = hotpath::replay_gate(report.replay.speedup());
+    let fine = &report.fine_items;
+    println!(
+        "fine-grained-items lane ({}, {} ops in {} same-CPU runs per pass): live Runner {:.1} ms, \
+         per-op {:.1} ms (live is {:.3}x per-op)",
+        hotpath::FINE_ITEMS_APP,
+        fine.ops,
+        fine.runs,
+        fine.live_secs * 1e3,
+        fine.perop_secs * 1e3,
+        fine.ratio()
+    );
+    let gates = [
+        hotpath::replay_gate(report.replay.speedup()),
+        hotpath::fine_items_gate(fine.ratio()),
+    ];
 
     report.emit();
-    match gate {
-        Ok(line) => println!("{line}"),
-        Err(line) => {
-            eprintln!("{line}");
-            std::process::exit(1);
+    let mut failed = false;
+    for gate in gates {
+        match gate {
+            Ok(line) => println!("{line}"),
+            Err(line) => {
+                eprintln!("{line}");
+                failed = true;
+            }
         }
+    }
+    if failed {
+        std::process::exit(1);
     }
 }

@@ -22,12 +22,18 @@
 //!   and per-op ([`live_dispatch`]). Their speedup ratio is measured in
 //!   one process on the same streams, so it is host-independent, and
 //!   [`replay_gate`] fails the bench below [`REPLAY_GATE_FLOOR`];
+//! * the fine-grained-items lane: radix at tiny scale, whose work
+//!   items are 1–3 ops, run live through the [`rnuma::Runner`]
+//!   (scheduler, item buffer and batched kernel) against
+//!   [`live_dispatch`] of the same recorded ops. The ratio is measured
+//!   in one process, and [`fine_items_gate`] fails the bench below
+//!   [`FINE_ITEMS_GATE_FLOOR`];
 //! * [`HotpathReport::emit`], which records everything in
 //!   `results/BENCH_hotpath.json` so subsequent PRs have a perf
 //!   trajectory.
 
 use rnuma::config::{MachineConfig, Protocol};
-use rnuma::experiment::TraceStore;
+use rnuma::experiment::{run, run_traced, TraceStore};
 use rnuma::machine::Machine;
 use rnuma::metrics::Metrics;
 use rnuma::TraceOp;
@@ -234,15 +240,150 @@ pub const REPLAY_GATE_FLOOR: f64 = 0.927;
 ///
 /// Returns `Err` when `speedup` is below the floor.
 pub fn replay_gate(speedup: f64) -> Result<String, String> {
-    if speedup >= REPLAY_GATE_FLOOR {
-        Ok(format!(
-            "replay gate: PASS ({speedup:.3}x >= floor {REPLAY_GATE_FLOOR}x)"
-        ))
+    ratio_gate(
+        "replay",
+        "batched-vs-per-op speedup",
+        speedup,
+        REPLAY_GATE_FLOOR,
+    )
+}
+
+/// The verdict of the gate named `gate` on the measured `ratio`
+/// (described as `what` in the failure line) against `floor`.
+fn ratio_gate(gate: &str, what: &str, ratio: f64, floor: f64) -> Result<String, String> {
+    if ratio >= floor {
+        Ok(format!("{gate} gate: PASS ({ratio:.3}x >= floor {floor}x)"))
     } else {
         Err(format!(
-            "replay gate: FAIL — batched-vs-per-op speedup {speedup:.3}x \
-             is below the floor {REPLAY_GATE_FLOOR}x"
+            "{gate} gate: FAIL — {what} {ratio:.3}x is below the floor {floor}x"
         ))
+    }
+}
+
+/// The lowest live-Runner-vs-per-op ratio the fine-grained-items gate
+/// accepts (see [`FineItemsLane`]): 0.9 × 0.800, the lowest of 13
+/// runs (0.800–0.891) measured when the gate was armed with the heap
+/// scheduler on a 2-vCPU VM. It trips when the live path's per-item
+/// cost grows by more than ~10% against per-op dispatch of the same
+/// ops.
+pub const FINE_ITEMS_GATE_FLOOR: f64 = 0.72;
+
+/// The fine-grained-items gate's verdict on a measured
+/// live-vs-per-op ratio: `Ok` at or above [`FINE_ITEMS_GATE_FLOOR`],
+/// `Err` below it. Either way the string is the line to print.
+///
+/// # Errors
+///
+/// Returns `Err` when `ratio` is below the floor.
+pub fn fine_items_gate(ratio: f64) -> Result<String, String> {
+    ratio_gate(
+        "fine-items",
+        "live-Runner-vs-per-op ratio",
+        ratio,
+        FINE_ITEMS_GATE_FLOOR,
+    )
+}
+
+/// The application of the fine-grained-items lane: radix, whose work
+/// items are 1–3 ops, so the per-item cost of the live path (the
+/// scheduler's pick, the item buffer, the batched kernel's set-up)
+/// dominates its host time.
+pub const FINE_ITEMS_APP: &str = "radix";
+
+/// The fine-grained-items lane: [`FINE_ITEMS_APP`] at tiny scale run
+/// live through the `Runner`, against per-op [`live_dispatch`] of the
+/// ops the same run records. Both legs simulate the same references
+/// with the same results; the live leg also pays the workload's host
+/// work and the per-item scheduling, the per-op leg a dispatch per op.
+#[derive(Clone, Debug)]
+pub struct FineItemsLane {
+    /// Ops per pass (every cell's recorded ops).
+    pub ops: u64,
+    /// Same-CPU runs in a pass's ops. Each item is one such run, and
+    /// consecutive items of one CPU merge into one, so `ops / runs`
+    /// bounds the mean item length from above.
+    pub runs: u64,
+    /// Seconds per pass through live `run`s.
+    pub live_secs: f64,
+    /// Seconds per pass through per-op [`live_dispatch`].
+    pub perop_secs: f64,
+}
+
+impl FineItemsLane {
+    /// Live-vs-per-op ratio: the number the gate checks (higher is
+    /// better for the live path).
+    #[must_use]
+    pub fn ratio(&self) -> f64 {
+        self.perop_secs / self.live_secs
+    }
+}
+
+/// Runs the fine-grained-items lane on the three finite paper
+/// protocols: records each cell's ops once outside the timers, checks
+/// that per-op dispatch of them reproduces the live run's metrics, then
+/// times alternating live and per-op passes.
+///
+/// # Panics
+///
+/// Panics if a configuration is invalid or the two legs disagree.
+fn fine_items_lane() -> FineItemsLane {
+    let configs = [
+        Protocol::paper_ccnuma(),
+        Protocol::paper_scoma(),
+        Protocol::paper_rnuma(),
+    ]
+    .map(MachineConfig::paper_base);
+    let workload = || by_name(FINE_ITEMS_APP, Scale::Tiny).expect("registered app");
+    let traces: Vec<Vec<TraceOp>> = configs
+        .iter()
+        .map(|&config| {
+            let (report, ops) = run_traced(config, &mut workload());
+            let mut machine = Machine::new(config).expect("valid config");
+            live_dispatch(&mut machine, &ops);
+            assert!(
+                machine.metrics().replay_eq(&report.metrics),
+                "per-op dispatch diverged from the live run"
+            );
+            ops
+        })
+        .collect();
+    let runs = traces
+        .iter()
+        .map(|ops| {
+            let mut prev = None;
+            ops.iter()
+                .filter(|op| {
+                    let issuer = op.issuer();
+                    let starts = issuer.is_some() && issuer != prev;
+                    prev = issuer;
+                    starts
+                })
+                .count() as u64
+        })
+        .sum();
+    // The gate reads the ratio of the two legs, so they alternate cell
+    // by cell (a drift in host speed hits both alike) until ~2 s of
+    // work has been timed.
+    let (mut live_secs, mut perop_secs, mut passes) = (0.0f64, 0.0f64, 0u32);
+    while live_secs + perop_secs < 2.0 {
+        for (&config, ops) in configs.iter().zip(&traces) {
+            let mut w = workload();
+            live_secs += secs_of(|| {
+                std::hint::black_box(run(config, &mut w).cycles());
+            });
+            perop_secs += secs_of(|| {
+                let mut machine = Machine::new(config).expect("valid config");
+                live_dispatch(&mut machine, ops);
+                std::hint::black_box(machine.metrics().exec_cycles);
+            });
+        }
+        passes += 1;
+    }
+    FineItemsLane {
+        ops: traces.iter().map(|ops| ops.len() as u64).sum(),
+        runs,
+        live_secs: live_secs / f64::from(passes),
+        perop_secs: perop_secs / f64::from(passes),
     }
 }
 
@@ -361,6 +502,8 @@ pub struct HotpathReport {
     pub thrash: PageCacheThrash,
     /// The replay lane.
     pub replay: ReplayLane,
+    /// The fine-grained-items lane.
+    pub fine_items: FineItemsLane,
 }
 
 impl HotpathReport {
@@ -425,6 +568,16 @@ impl HotpathReport {
             self.replay.speedup()
         );
         let _ = writeln!(s, "    \"gate_floor\": {REPLAY_GATE_FLOOR}");
+        let _ = writeln!(s, "  }},");
+        let fine = &self.fine_items;
+        let _ = writeln!(s, "  \"fine_items\": {{");
+        let _ = writeln!(s, "    \"app\": \"{FINE_ITEMS_APP}\",");
+        let _ = writeln!(s, "    \"ops\": {},", fine.ops);
+        let _ = writeln!(s, "    \"runs\": {},", fine.runs);
+        let _ = writeln!(s, "    \"live_secs\": {:.4},", fine.live_secs);
+        let _ = writeln!(s, "    \"perop_secs\": {:.4},", fine.perop_secs);
+        let _ = writeln!(s, "    \"live_vs_perop\": {:.3},", fine.ratio());
+        let _ = writeln!(s, "    \"gate_floor\": {FINE_ITEMS_GATE_FLOOR}");
         let _ = writeln!(s, "  }}");
         s.push('}');
         s
@@ -476,6 +629,7 @@ pub fn measure(stream_refs: usize) -> HotpathReport {
         mru_hit_rate: mru_hit_rate(Protocol::paper_rnuma(), &stream),
         thrash: page_cache_thrash(&synth_stream(stream_refs, THRASH_PAGES, 32)),
         replay: replay_lane(),
+        fine_items: fine_items_lane(),
     }
 }
 
@@ -519,6 +673,12 @@ mod tests {
                 batched_secs: 0.5,
                 perop_secs: 0.55,
             },
+            fine_items: FineItemsLane {
+                ops: 900,
+                runs: 400,
+                live_secs: 0.4,
+                perop_secs: 0.3,
+            },
         };
         let json = report.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
@@ -527,6 +687,8 @@ mod tests {
         assert!(json.contains("\"lookup_speedup\": 4.00"));
         assert!(json.contains("\"batched_speedup_vs_perop\": 1.100"));
         assert!(json.contains("\"gate_floor\": 0.927"));
+        assert!(json.contains("\"live_vs_perop\": 0.750"));
+        assert!(json.contains(&format!("\"gate_floor\": {FINE_ITEMS_GATE_FLOOR}")));
         assert!((report.lookup_speedup() - 4.0).abs() < 1e-12);
     }
 
@@ -535,6 +697,13 @@ mod tests {
         assert!(replay_gate(0.92).is_err());
         assert!(replay_gate(0.93).is_ok());
         assert!(replay_gate(1.0).is_ok());
+    }
+
+    #[test]
+    fn fine_items_gate_fails_only_below_the_floor() {
+        assert!(fine_items_gate(FINE_ITEMS_GATE_FLOOR - 0.01).is_err());
+        assert!(fine_items_gate(FINE_ITEMS_GATE_FLOOR).is_ok());
+        assert!(fine_items_gate(FINE_ITEMS_GATE_FLOOR + 0.5).is_ok());
     }
 
     #[test]

@@ -211,6 +211,11 @@ impl Machine {
         self.clocks[cpu.0 as usize]
     }
 
+    /// Every CPU's clock, indexed by CPU id.
+    pub(crate) fn clocks(&self) -> &[Cycles] {
+        &self.clocks
+    }
+
     /// Advances `cpu`'s clock by `dur` (compute/think time).
     ///
     /// # Panics
@@ -423,19 +428,17 @@ impl Machine {
             self.metrics.reads += 1;
         }
 
-        // 1. L1 probe (1 cycle).
+        // 1. L1 probe (1 cycle); a store hit marks the line modified in
+        //    the same lookup.
         let probe = {
-            let l1 = &self.node(node_idx).l1s[l1_idx];
+            let l1 = &mut self.node_mut(node_idx).l1s[l1_idx];
             if write {
-                l1.probe_write(block)
+                l1.try_store(block)
             } else {
                 l1.probe_read(block)
             }
         };
         if probe == L1Probe::Hit {
-            if write {
-                self.node_mut(node_idx).l1s[l1_idx].store_hit(block);
-            }
             self.metrics.l1_hits += 1;
             return Cycles(1);
         }

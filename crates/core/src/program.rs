@@ -10,7 +10,10 @@
 //! * [`Runner::parallel`] — a parallel phase: each CPU owns a list of
 //!   work items and the scheduler interleaves CPUs at item granularity
 //!   in *minimum-clock order*, so cross-CPU contention and sharing are
-//!   simulated in (approximate) time order;
+//!   simulated in (approximate) time order. The waiting CPUs sit in a
+//!   `(clock, cpu)` min-heap, so a pick costs O(log P) rather than a
+//!   scan of every clock; that is exact because an item moves no clock
+//!   but its own CPU's (debug builds check it after every item);
 //! * [`Runner::barrier`] — global barrier (SPLASH-2 `BARRIER`);
 //! * [`Ctx`] — the per-item execution context: [`Ctx::read`],
 //!   [`Ctx::write`], and [`Ctx::think`] (compute time at the paper's
@@ -33,6 +36,8 @@ use crate::machine::Machine;
 use crate::trace::TraceOp;
 use rnuma_mem::addr::{CpuId, Va, PAGE_BYTES};
 use rnuma_sim::Cycles;
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 /// A page-aligned shared-memory region.
 ///
@@ -313,6 +318,13 @@ impl<'m> Runner<'m> {
     /// item via `body(ctx, cpu, item)`. Ties resolve by CPU id, so runs
     /// are deterministic.
     ///
+    /// The unfinished CPUs sit in a min-heap keyed by `(clock, cpu)`, so
+    /// each pick costs O(log P) instead of a scan of all P clocks. The
+    /// heap picks exactly what a scan would because an item moves no
+    /// clock but its own CPU's: only the running CPU's key changes, and
+    /// it is re-keyed after its item. Debug builds check that invariant
+    /// after every item and panic if another CPU's clock moved.
+    ///
     /// # Panics
     ///
     /// Panics if `items.len()` differs from the machine's CPU count.
@@ -326,23 +338,36 @@ impl<'m> Runner<'m> {
             "one item list per CPU required"
         );
         let mut cursors = vec![0usize; items.len()];
-        loop {
-            // Pick the unfinished CPU with the smallest clock.
-            let mut best: Option<(Cycles, usize)> = None;
-            for (idx, cursor) in cursors.iter().enumerate() {
-                if *cursor < items[idx].len() {
-                    let clock = self.machine.clock(CpuId(idx as u16));
-                    match best {
-                        Some((c, _)) if c <= clock => {}
-                        _ => best = Some((clock, idx)),
-                    }
-                }
-            }
-            let Some((_, idx)) = best else { break };
+        let mut ready: BinaryHeap<Reverse<(Cycles, u16)>> = (0..self.total_cpus)
+            .filter(|&c| !items[c as usize].is_empty())
+            .map(|c| Reverse((self.machine.clock(CpuId(c)), c)))
+            .collect();
+        // The debug guard's snapshot of every clock before an item.
+        let mut before = Vec::new();
+        while let Some(mut next) = ready.peek_mut() {
+            let Reverse((_, c)) = *next;
+            let (cpu, idx) = (CpuId(c), c as usize);
             let item = items[idx][cursors[idx]];
             cursors[idx] += 1;
-            let cpu = CpuId(idx as u16);
+            if cfg!(debug_assertions) {
+                before.clear();
+                before.extend_from_slice(self.machine.clocks());
+            }
             self.run_item(cpu, |ctx| body(ctx, cpu, item));
+            if cfg!(debug_assertions) {
+                if let Some(other) = foreign_clock_moved(&before, self.machine.clocks(), idx) {
+                    panic!(
+                        "an item on CPU {idx} moved CPU {other}'s clock: \
+                         the min-clock heap would go stale"
+                    );
+                }
+            }
+            if cursors[idx] < items[idx].len() {
+                // Re-key in place: the peeked entry sifts down on drop.
+                next.0 .0 = self.machine.clock(cpu);
+            } else {
+                PeekMut::pop(next);
+            }
         }
     }
 
@@ -380,6 +405,18 @@ impl<'m> Runner<'m> {
     }
 }
 
+/// The first CPU other than `cpu` whose clock differs between `before`
+/// and `after`, if any: the check behind [`Runner::parallel`]'s debug
+/// guard that an item moved no clock but its own CPU's.
+fn foreign_clock_moved(before: &[Cycles], after: &[Cycles], cpu: usize) -> Option<usize> {
+    before
+        .iter()
+        .zip(after)
+        .enumerate()
+        .find(|&(i, (b, a))| i != cpu && b != a)
+        .map(|(i, _)| i)
+}
+
 /// A runnable application kernel.
 ///
 /// Implementations live in the `rnuma-workloads` crate; anything that
@@ -406,6 +443,7 @@ impl<W: Workload + ?Sized> Workload for Box<W> {
 mod tests {
     use super::*;
     use crate::config::{MachineConfig, Protocol};
+    use crate::metrics::Metrics;
 
     fn machine() -> Machine {
         Machine::new(MachineConfig::paper_base(Protocol::paper_ccnuma())).unwrap()
@@ -456,27 +494,122 @@ mod tests {
         }
     }
 
+    /// The scheduler `Runner::parallel` replaced: before every item, a
+    /// linear scan of all clocks for the unfinished CPU with the
+    /// smallest one, the lower id winning ties. The oracle the heap's
+    /// pick order is checked against.
+    fn scan_parallel<F>(r: &mut Runner<'_>, items: &[Vec<u64>], mut body: F)
+    where
+        F: FnMut(&mut Ctx<'_>, CpuId, u64),
+    {
+        let mut cursors = vec![0usize; items.len()];
+        loop {
+            let mut best: Option<(Cycles, usize)> = None;
+            for (idx, cursor) in cursors.iter().enumerate() {
+                if *cursor < items[idx].len() {
+                    let clock = r.machine.clock(CpuId(idx as u16));
+                    match best {
+                        Some((c, _)) if c <= clock => {}
+                        _ => best = Some((clock, idx)),
+                    }
+                }
+            }
+            let Some((_, idx)) = best else { break };
+            let item = items[idx][cursors[idx]];
+            cursors[idx] += 1;
+            let cpu = CpuId(idx as u16);
+            r.run_item(cpu, |ctx| body(ctx, cpu, item));
+        }
+    }
+
+    /// Runs three phases of a mixed schedule with `heap` (`Runner::parallel`)
+    /// or the scan oracle, returning the `(cpu, item)` pick order and the
+    /// run's metrics.
+    fn mixed_schedule(heap: bool) -> (Vec<(u16, u64)>, Metrics) {
+        let mut m = machine();
+        let mut order = Vec::new();
+        {
+            let mut r = Runner::new(&mut m);
+            let region = r.alloc(PAGE_BYTES * 64);
+            r.arm_first_touch();
+            // CPUs 3 and 17 own nothing; CPUs 8..12 finish early, after
+            // three think-only items; the rest own 2–7 items. Every CPU
+            // starts at clock 0, so the first picks are all ties.
+            let items: Vec<Vec<u64>> = (0..32u64)
+                .map(|c| match c {
+                    3 | 17 => vec![],
+                    8..=11 => vec![c * 100, c * 100 + 1, c * 100 + 4],
+                    _ => (0..2 + c % 6).map(|i| c * 100 + i).collect(),
+                })
+                .collect();
+            // The second phase starts without a barrier, so CPUs enter it
+            // at the clocks the first left them at, and a waiting CPU's
+            // entry key can tie the key of a CPU that has just run.
+            for phase in 0..3 {
+                let mut body = |ctx: &mut Ctx<'_>, cpu: CpuId, item: u64| {
+                    order.push((cpu.0, item));
+                    match item % 4 {
+                        // Think-only items, twice as long on odd CPUs:
+                        // an even CPU that just ran two of them ties an
+                        // odd CPU that ran one and is waiting.
+                        0 | 1 => ctx.think(40 * (1 + u64::from(cpu.0 % 2))),
+                        2 => {
+                            ctx.write(region.elem((item * 7) % 64, PAGE_BYTES));
+                            ctx.think(item % 9 * 20);
+                        }
+                        _ => {
+                            ctx.read(region.elem(item % 64, PAGE_BYTES));
+                            ctx.update(region.word(item % 512));
+                        }
+                    }
+                };
+                if heap {
+                    r.parallel(&items, &mut body);
+                } else {
+                    scan_parallel(&mut r, &items, &mut body);
+                }
+                if phase != 0 {
+                    r.barrier();
+                }
+            }
+        }
+        (order, m.metrics())
+    }
+
     #[test]
     fn parallel_runs_items_in_min_clock_order() {
-        let mut m = machine();
-        let mut r = Runner::new(&mut m);
-        let region = r.alloc(PAGE_BYTES * 32);
-        // Give CPU 0 a long item first; others short items. The long
-        // item must not monopolize the schedule.
-        let mut order = Vec::new();
-        let items: Vec<Vec<u64>> = (0..32).map(|c| vec![c as u64]).collect();
-        r.parallel(&items, |ctx, cpu, item| {
-            order.push(cpu.0);
-            ctx.read(region.elem(item, PAGE_BYTES));
-            if cpu.0 == 0 {
-                ctx.think(100_000);
-            }
-        });
-        assert_eq!(order.len(), 32);
-        // All CPUs participated exactly once.
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..32).collect::<Vec<_>>());
+        let (heap_order, heap_metrics) = mixed_schedule(true);
+        let (scan_order, scan_metrics) = mixed_schedule(false);
+        let per_phase: usize = (0..32u64)
+            .map(|c| match c {
+                3 | 17 => 0,
+                8..=11 => 3,
+                _ => 2 + c as usize % 6,
+            })
+            .sum();
+        assert_eq!(heap_order.len(), 3 * per_phase);
+        assert_eq!(heap_order, scan_order, "heap and scan pick orders differ");
+        assert!(heap_metrics.replay_eq(&scan_metrics));
+        // The schedule does interleave: the first 30 picks are the 30
+        // CPUs with items, tied at clock 0 and taken in id order.
+        let first: Vec<u16> = heap_order[..30].iter().map(|&(c, _)| c).collect();
+        let with_items: Vec<u16> = (0..32).filter(|c| ![3, 17].contains(c)).collect();
+        assert_eq!(first, with_items);
+    }
+
+    #[test]
+    fn foreign_clock_moved_names_the_other_cpu() {
+        let before = [Cycles(10), Cycles(20), Cycles(30), Cycles(40)];
+        // Only the running CPU's clock moved.
+        let own = [Cycles(10), Cycles(25), Cycles(30), Cycles(40)];
+        assert_eq!(foreign_clock_moved(&before, &own, 1), None);
+        assert_eq!(foreign_clock_moved(&before, &before, 1), None);
+        // CPU 3's clock moved during an item on CPU 1.
+        let other = [Cycles(10), Cycles(25), Cycles(30), Cycles(41)];
+        assert_eq!(foreign_clock_moved(&before, &other, 1), Some(3));
+        // Blamed on CPU 3, the same pair is clean.
+        let only_three = [Cycles(10), Cycles(20), Cycles(30), Cycles(41)];
+        assert_eq!(foreign_clock_moved(&before, &only_three, 3), None);
     }
 
     #[test]

@@ -55,6 +55,10 @@ pub enum Insert<S> {
 #[derive(Clone, Debug)]
 pub struct DirectCache<S> {
     lines: Vec<Option<Line<S>>>,
+    /// `num_lines - 1` when the line count is a power of two (every
+    /// cache the paper's machines build), so the set index is a mask;
+    /// `None` otherwise, and the index falls back to `%`.
+    mask: Option<u64>,
 }
 
 impl<S> DirectCache<S> {
@@ -68,6 +72,7 @@ impl<S> DirectCache<S> {
         assert!(num_lines > 0, "cache must have at least one line");
         DirectCache {
             lines: (0..num_lines).map(|_| None).collect(),
+            mask: num_lines.is_power_of_two().then_some(num_lines as u64 - 1),
         }
     }
 
@@ -96,7 +101,10 @@ impl<S> DirectCache<S> {
     }
 
     fn index(&self, block: VBlock) -> usize {
-        (block.0 % self.lines.len() as u64) as usize
+        match self.mask {
+            Some(mask) => (block.0 & mask) as usize,
+            None => (block.0 % self.lines.len() as u64) as usize,
+        }
     }
 
     /// The resident line for `block`, if present.

@@ -30,6 +30,18 @@ pub struct L1Eviction {
     pub dirty: bool,
 }
 
+/// What a peer's bus transaction found in one cache, from the single
+/// lookup [`L1Cache::snoop`] makes.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Snooped {
+    /// The cache held the block in a valid state before the snoop.
+    pub had_copy: bool,
+    /// That copy was an owner's (`M`/`O`, the dirty states): a read
+    /// snoop had it supply the data, a write snoop destroyed it (the
+    /// dirty data is implicitly transferred to the writer).
+    pub owned: bool,
+}
+
 /// An 8-KB-class direct-mapped write-back data cache with MOESI states.
 ///
 /// # Example
@@ -71,6 +83,7 @@ impl L1Cache {
 
     /// Classifies a load.
     #[must_use]
+    #[inline]
     pub fn probe_read(&self, block: VBlock) -> L1Probe {
         match self.lines.get(block) {
             Some(l) if l.state.can_read() => L1Probe::Hit,
@@ -88,6 +101,21 @@ impl L1Cache {
         }
     }
 
+    /// Classifies a store and, on a hit, performs it in the same lookup:
+    /// the line becomes `Modified`. The one-lookup form of
+    /// [`L1Cache::probe_write`] followed by [`L1Cache::store_hit`].
+    #[inline]
+    pub fn try_store(&mut self, block: VBlock) -> L1Probe {
+        match self.lines.get_mut(block) {
+            Some(l) if l.state.can_write() => {
+                l.state = l.state.after_store();
+                L1Probe::Hit
+            }
+            Some(l) if l.state.is_valid() => L1Probe::UpgradeMiss,
+            Some(_) | None => L1Probe::Miss,
+        }
+    }
+
     /// Current state of `block` (`Invalid` when absent).
     #[must_use]
     pub fn state(&self, block: VBlock) -> Moesi {
@@ -96,6 +124,7 @@ impl L1Cache {
 
     /// Installs `block` in `state`, returning the eviction the fill caused,
     /// if any.
+    #[inline]
     pub fn fill(&mut self, block: VBlock, state: Moesi) -> Option<L1Eviction> {
         debug_assert!(state.is_valid(), "filling an invalid line is meaningless");
         match self.lines.insert(block, state) {
@@ -125,14 +154,33 @@ impl L1Cache {
     }
 
     /// Grants write permission after a bus upgrade: the line becomes
-    /// `Modified` (installing it if absent).
+    /// `Modified` (installing it if absent). One lookup: a fill of a
+    /// resident block only overwrites its state.
+    #[inline]
     pub fn grant_write(&mut self, block: VBlock) -> Option<L1Eviction> {
-        if let Some(line) = self.lines.get_mut(block) {
-            line.state = Moesi::Modified;
-            None
+        self.fill(block, Moesi::Modified)
+    }
+
+    /// Applies a peer's bus transaction for `block` in one lookup: a
+    /// read snoop (`invalidate == false`) downgrades `M`/`E` to `O`/`S`,
+    /// a write or upgrade snoop (`invalidate == true`) drops the line.
+    /// Equivalent to reading [`L1Cache::state`] and then calling
+    /// [`L1Cache::snoop_read`] or [`L1Cache::snoop_write`].
+    #[inline]
+    pub fn snoop(&mut self, block: VBlock, invalidate: bool) -> Snooped {
+        let before = if invalidate {
+            self.lines.remove(block).map(|l| l.state)
         } else {
-            self.fill(block, Moesi::Modified)
-        }
+            self.lines.get_mut(block).map(|l| {
+                let state = l.state;
+                l.state = state.after_snoop_read();
+                state
+            })
+        };
+        before.map_or(Snooped::default(), |state| Snooped {
+            had_copy: state.is_valid(),
+            owned: state.is_owner(),
+        })
     }
 
     /// Applies a peer read snoop. Returns `true` when this cache was the

@@ -6,7 +6,7 @@ use rnuma_mem::block_cache::{BlockCache, BlockState};
 use rnuma_mem::cache::DirectCache;
 use rnuma_mem::fine_tags::{AccessTag, FineTags};
 use rnuma_mem::fxmap::FxMap64;
-use rnuma_mem::l1::L1Cache;
+use rnuma_mem::l1::{L1Cache, L1Probe};
 use rnuma_mem::moesi::Moesi;
 use rnuma_mem::page_cache::{PageCache, ReplacementPolicy};
 use rnuma_mem::paged::PagedMap;
@@ -128,10 +128,13 @@ proptest! {
         }
     }
 
-    /// Two blocks can conflict only if they share an index.
+    /// Two blocks can conflict only if they share an index. The line
+    /// counts cover the masked index (powers of two, among them the
+    /// paper's 256-line L1 and 1024-line block cache) and the `%`
+    /// fallback (every other size).
     #[test]
     fn direct_cache_conflicts_share_index(
-        lines in 1usize..64,
+        lines in prop_oneof![1usize..1100, Just(256usize), Just(1024usize)],
         a in 0u64..10_000,
         b in 0u64..10_000,
     ) {
@@ -237,6 +240,60 @@ proptest! {
                 if ev.dirty {
                     wrote.remove(&ev.block.0);
                 }
+            }
+        }
+    }
+
+    /// The one-lookup L1 paths agree with the two-call forms they
+    /// replace on the walk: `snoop` with `state` followed by
+    /// `snoop_read`/`snoop_write`, and `try_store` with `probe_write`
+    /// followed by `store_hit` on a hit. Each step runs both forms, the
+    /// old one on a clone, and compares the flags and every line.
+    #[test]
+    fn l1_one_lookup_paths_match_two_call_forms(
+        bytes in prop_oneof![Just(128u64), Just(256u64), Just(8 * 1024u64)],
+        ops in prop::collection::vec((0u8..6, 0u64..48, 1u8..5), 1..300),
+    ) {
+        let valid = [Moesi::Shared, Moesi::Exclusive, Moesi::Owned, Moesi::Modified];
+        let mut l1 = L1Cache::new(bytes);
+        for (op, b, s) in ops {
+            let block = VBlock(b);
+            let mut reference = l1.clone();
+            match op {
+                0 => {
+                    l1.fill(block, valid[usize::from(s) - 1]);
+                }
+                1 => {
+                    l1.grant_write(block);
+                }
+                2 => {
+                    l1.invalidate(block);
+                }
+                3 | 4 => {
+                    let invalidate = op == 4;
+                    let got = l1.snoop(block, invalidate);
+                    let had_copy = reference.state(block).is_valid();
+                    let owned = if invalidate {
+                        reference.snoop_write(block)
+                    } else {
+                        reference.snoop_read(block)
+                    };
+                    prop_assert_eq!(got.had_copy, had_copy);
+                    prop_assert_eq!(got.owned, owned);
+                }
+                _ => {
+                    let got = l1.try_store(block);
+                    let want = reference.probe_write(block);
+                    if want == L1Probe::Hit {
+                        reference.store_hit(block);
+                    }
+                    prop_assert_eq!(got, want);
+                }
+            }
+            if op >= 3 {
+                let lines: Vec<_> = l1.iter().collect();
+                let want: Vec<_> = reference.iter().collect();
+                prop_assert_eq!(lines, want);
             }
         }
     }

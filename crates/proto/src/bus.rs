@@ -48,6 +48,7 @@ pub struct SnoopResult {
 /// # Panics
 ///
 /// Panics if `issuer` is out of range.
+#[inline]
 pub fn snoop(
     l1s: &mut [L1Cache],
     issuer: usize,
@@ -55,53 +56,36 @@ pub fn snoop(
     request: BusRequest,
 ) -> SnoopResult {
     assert!(issuer < l1s.len(), "issuer {issuer} out of range");
-    let mut result = SnoopResult::default();
-    for (i, l1) in l1s.iter_mut().enumerate() {
-        if i == issuer {
-            continue;
-        }
-        if l1.state(block).is_valid() {
-            result.peer_had_copy = true;
-        }
-        match request {
-            BusRequest::Read => {
-                if l1.snoop_read(block) {
-                    result.supplied_by_cache = true;
-                    result.dirty_absorbed = true;
-                }
-            }
-            BusRequest::ReadExclusive | BusRequest::Upgrade => {
-                if l1.snoop_write(block) {
-                    result.dirty_absorbed = true;
-                }
-            }
-        }
-    }
-    result
+    let (before, rest) = l1s.split_at_mut(issuer);
+    let result = snoop_each(before, block, request, SnoopResult::default());
+    snoop_each(&mut rest[1..], block, request, result)
 }
 
 /// Applies `request` for `block` issued by a non-CPU bus agent (the RAD
 /// servicing a request from another node): every cache on the bus is
 /// snooped.
+#[inline]
 pub fn snoop_all(l1s: &mut [L1Cache], block: VBlock, request: BusRequest) -> SnoopResult {
-    let mut result = SnoopResult::default();
-    for l1 in l1s.iter_mut() {
-        if l1.state(block).is_valid() {
-            result.peer_had_copy = true;
-        }
-        match request {
-            BusRequest::Read => {
-                if l1.snoop_read(block) {
-                    result.supplied_by_cache = true;
-                    result.dirty_absorbed = true;
-                }
-            }
-            BusRequest::ReadExclusive | BusRequest::Upgrade => {
-                if l1.snoop_write(block) {
-                    result.dirty_absorbed = true;
-                }
-            }
-        }
+    snoop_each(l1s, block, request, SnoopResult::default())
+}
+
+/// Snoops each of `l1s` once ([`L1Cache::snoop`]: one lookup per cache)
+/// and folds the replies into `result`.
+#[inline]
+fn snoop_each(
+    l1s: &mut [L1Cache],
+    block: VBlock,
+    request: BusRequest,
+    mut result: SnoopResult,
+) -> SnoopResult {
+    let invalidate = request != BusRequest::Read;
+    for l1 in l1s {
+        let reply = l1.snoop(block, invalidate);
+        result.peer_had_copy |= reply.had_copy;
+        // An owner supplies a read cache-to-cache and keeps its dirty
+        // copy as `O`; a write absorbs the owner's dirty copy.
+        result.supplied_by_cache |= reply.owned && !invalidate;
+        result.dirty_absorbed |= reply.owned;
     }
     result
 }
@@ -170,6 +154,26 @@ mod tests {
         assert!(!r.dirty_absorbed);
         assert_eq!(l1s[0].state(B), Moesi::Shared, "issuer untouched");
         assert_eq!(l1s[1].state(B), Moesi::Invalid);
+    }
+
+    #[test]
+    fn every_issuer_position_snoops_exactly_its_peers() {
+        for issuer in 0..4 {
+            let mut l1s = node();
+            for l1 in &mut l1s {
+                l1.fill(B, Moesi::Shared);
+            }
+            let r = snoop(&mut l1s, issuer, B, BusRequest::Upgrade);
+            assert!(r.peer_had_copy);
+            for (i, l1) in l1s.iter().enumerate() {
+                let want = if i == issuer {
+                    Moesi::Shared
+                } else {
+                    Moesi::Invalid
+                };
+                assert_eq!(l1.state(B), want, "issuer {issuer}, cache {i}");
+            }
+        }
     }
 
     #[test]
