@@ -2,11 +2,9 @@
 //! replay.
 //!
 //! Measures end-to-end simulator throughput (references per wall-clock
-//! second) for each protocol on a synthetic mixed stream, plus the
-//! translation-table microbenchmark: the open-addressed FxHash map that
-//! now sits on the reference walk against the `std::collections`
-//! `HashMap` it replaced, probed with the same key stream. The replay
-//! lane times batched replay against per-op live dispatch of the same
+//! second) for each protocol on a synthetic mixed stream and the
+//! page-cache-thrash lane (S-COMA with page replacement on the path).
+//! The replay lane times batched replay against per-op live dispatch of the same
 //! captured streams; the bench **fails** (exit 1) when that speedup
 //! falls below `hotpath::REPLAY_GATE_FLOOR`. The fine-grained-items
 //! lane times live `Runner` runs of radix (1–3-op items) against per-op
@@ -32,12 +30,6 @@ fn main() {
         println!("  {:10} {:>12.0} refs/sec", p.label, p.refs_per_sec);
     }
     println!(
-        "translation tables: HashMap {:.2} ns/lookup, FxMap {:.2} ns/lookup ({:.2}x speedup)",
-        report.hashmap_ns_per_lookup,
-        report.fxmap_ns_per_lookup,
-        report.lookup_speedup()
-    );
-    println!(
         "MRU fast path: {:.1}% of L1-miss translations served without a table walk",
         report.mru_hit_rate * 100.0
     );
@@ -48,13 +40,6 @@ fn main() {
         report.thrash.page_replacements,
         report.thrash.ns_per_replacement
     );
-    let target = 2.0;
-    if report.lookup_speedup() >= target {
-        println!("hot-path acceptance: PASS (>= {target}x over the HashMap baseline)");
-    } else {
-        println!("hot-path acceptance: BELOW TARGET ({target}x) — check host load");
-    }
-
     println!(
         "replay lane ({} ops per pass): batched {:.1} ms, per-op {:.1} ms \
          (batched is {:.3}x faster)",

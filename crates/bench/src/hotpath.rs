@@ -12,10 +12,6 @@
 //! * a page-cache-thrash lane: S-COMA on a stream whose remote working
 //!   set overflows every node's 80-frame page cache, so page
 //!   replacement (fault, TLB shootdown, block flush) sits on the path;
-//! * a microbenchmark of the translation structures themselves — the
-//!   open-addressed [`rnuma_mem::fxmap::FxMap64`] against the
-//!   `std::collections::HashMap` it replaced, on the same key stream —
-//!   which isolates the table swap's speedup;
 //! * the replay lane: the replay cells of a small sweep (em3d and moldyn
 //!   at tiny scale, captured on the ideal machine, replayed on the three
 //!   finite protocols) replayed batched ([`TraceStore::replay_serial`])
@@ -38,10 +34,8 @@ use rnuma::machine::Machine;
 use rnuma::metrics::Metrics;
 use rnuma::TraceOp;
 use rnuma_mem::addr::{CpuId, Va};
-use rnuma_mem::fxmap::FxMap64;
 use rnuma_sim::DetRng;
 use rnuma_workloads::{by_name, Scale};
-use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -166,46 +160,6 @@ pub fn mru_hit_rate(protocol: Protocol, stream: &[Ref]) -> f64 {
     } else {
         m.mru_translation_hits as f64 / m.l1_misses as f64
     }
-}
-
-/// ns-per-lookup comparison of `std::collections::HashMap` (the old hot
-/// path) against [`FxMap64`] (the new one) on `keys`: each map is
-/// pre-populated with the key set, then probed in stream order.
-///
-/// Returns `(hashmap_ns, fxmap_ns)`.
-///
-/// # Panics
-///
-/// Panics if `keys` is empty.
-#[must_use]
-pub fn lookup_ns_comparison(keys: &[u64]) -> (f64, f64) {
-    assert!(!keys.is_empty(), "empty key stream");
-    let mut std_map: HashMap<u64, u64> = HashMap::new();
-    let mut fx_map: FxMap64<u64> = FxMap64::new();
-    for &k in keys {
-        std_map.insert(k, k ^ 1);
-        fx_map.insert(k, k ^ 1);
-    }
-    let time_probes = |probe: &mut dyn FnMut(u64) -> u64| -> f64 {
-        // Warm up, then time enough rounds for a stable figure.
-        let mut acc = 0u64;
-        for &k in keys {
-            acc = acc.wrapping_add(probe(k));
-        }
-        let rounds = (2_000_000 / keys.len()).max(1);
-        let t0 = Instant::now();
-        for _ in 0..rounds {
-            for &k in keys {
-                acc = acc.wrapping_add(probe(k));
-            }
-        }
-        let elapsed = t0.elapsed().as_nanos() as f64;
-        std::hint::black_box(acc);
-        elapsed / (rounds * keys.len()) as f64
-    };
-    let std_ns = time_probes(&mut |k| std_map.get(&k).copied().unwrap_or(0));
-    let fx_ns = time_probes(&mut |k| fx_map.get(k).copied().unwrap_or(0));
-    (std_ns, fx_ns)
 }
 
 /// Drives `ops` through the per-op API (`Machine::access` and
@@ -492,10 +446,6 @@ pub struct HotpathReport {
     pub stream_refs: usize,
     /// Per-protocol machine throughput.
     pub protocols: Vec<ProtocolThroughput>,
-    /// ns/lookup through `std::collections::HashMap` (old hot path).
-    pub hashmap_ns_per_lookup: f64,
-    /// ns/lookup through the open-addressed `FxMap` (new hot path).
-    pub fxmap_ns_per_lookup: f64,
     /// MRU translation fast-path hit rate per L1 miss (R-NUMA run).
     pub mru_hit_rate: f64,
     /// The page-cache-thrash lane.
@@ -507,13 +457,6 @@ pub struct HotpathReport {
 }
 
 impl HotpathReport {
-    /// Table-lookup speedup of the new hot path over the HashMap
-    /// baseline.
-    #[must_use]
-    pub fn lookup_speedup(&self) -> f64 {
-        self.hashmap_ns_per_lookup / self.fxmap_ns_per_lookup
-    }
-
     /// Renders the report as JSON (hand-rolled: the workspace carries no
     /// serialization dependency).
     #[must_use]
@@ -530,17 +473,6 @@ impl HotpathReport {
             let _ = writeln!(s, "    \"{}\": {:.0}{comma}", p.label, p.refs_per_sec);
         }
         let _ = writeln!(s, "  }},");
-        let _ = writeln!(
-            s,
-            "  \"hashmap_ns_per_lookup\": {:.2},",
-            self.hashmap_ns_per_lookup
-        );
-        let _ = writeln!(
-            s,
-            "  \"fxmap_ns_per_lookup\": {:.2},",
-            self.fxmap_ns_per_lookup
-        );
-        let _ = writeln!(s, "  \"lookup_speedup\": {:.2},", self.lookup_speedup());
         let _ = writeln!(s, "  \"mru_hit_rate\": {:.4},", self.mru_hit_rate);
         let _ = writeln!(s, "  \"page_cache_thrash\": {{");
         let _ = writeln!(s, "    \"stream_pages\": {THRASH_PAGES},");
@@ -617,15 +549,9 @@ pub fn measure(stream_refs: usize) -> HotpathReport {
             refs_per_sec: machine_refs_per_sec(p, &stream),
         })
         .collect();
-    // The translation keys the machine actually resolves: page numbers
-    // in stream order.
-    let keys: Vec<u64> = stream.iter().map(|&(_, va, _)| va.vpage().0).collect();
-    let (hashmap_ns, fxmap_ns) = lookup_ns_comparison(&keys);
     HotpathReport {
         stream_refs,
         protocols: throughput,
-        hashmap_ns_per_lookup: hashmap_ns,
-        fxmap_ns_per_lookup: fxmap_ns,
         mru_hit_rate: mru_hit_rate(Protocol::paper_rnuma(), &stream),
         thrash: page_cache_thrash(&synth_stream(stream_refs, THRASH_PAGES, 32)),
         replay: replay_lane(),
@@ -660,8 +586,6 @@ mod tests {
                 label: "ideal",
                 refs_per_sec: 1e6,
             }],
-            hashmap_ns_per_lookup: 20.0,
-            fxmap_ns_per_lookup: 5.0,
             mru_hit_rate: 0.9,
             thrash: PageCacheThrash {
                 refs_per_sec: 2e6,
@@ -684,12 +608,11 @@ mod tests {
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"ideal\": 1000000"));
         assert!(json.contains("\"ns_per_replacement\": 1250.0"));
-        assert!(json.contains("\"lookup_speedup\": 4.00"));
         assert!(json.contains("\"batched_speedup_vs_perop\": 1.100"));
         assert!(json.contains("\"gate_floor\": 0.927"));
         assert!(json.contains("\"live_vs_perop\": 0.750"));
         assert!(json.contains(&format!("\"gate_floor\": {FINE_ITEMS_GATE_FLOOR}")));
-        assert!((report.lookup_speedup() - 4.0).abs() < 1e-12);
+        assert!(!json.contains("lookup"), "the lookup lane is retired");
     }
 
     #[test]

@@ -250,7 +250,8 @@ impl Machine {
     ///
     /// # Panics
     ///
-    /// Panics if `cpu` is out of range.
+    /// Panics if `cpu` is out of range, or if `va` lies at or past page
+    /// [`MAX_PAGES`](rnuma_mem::addr::MAX_PAGES).
     pub fn access(&mut self, cpu: CpuId, va: Va, write: bool) -> Cycles {
         let cpu_idx = cpu.0 as usize;
         let node_idx = self.node_of(cpu);
@@ -352,9 +353,9 @@ impl Machine {
     /// Within the run, the per-reference page-profile touch is
     /// coalesced: [`Metrics::touch_page`] is idempotent per
     /// `(page, node, wrote)` triple, so a span of consecutive
-    /// same-page references pays its hash probe once for the span's
-    /// first reference (creating the profile at the same point in
-    /// execution order as the per-op path) plus once for its first
+    /// same-page references pays its page-map update once for the
+    /// span's first reference (creating the profile at the same point
+    /// in execution order as the per-op path) plus once for its first
     /// write — never once per op.
     pub(crate) fn access_run(&mut self, cpu: CpuId, ops: &[TraceOp]) {
         let cpu_idx = cpu.0 as usize;
@@ -1255,6 +1256,13 @@ mod tests {
     const CPU_N0: CpuId = CpuId(0);
     const CPU_N1: CpuId = CpuId(4);
     const CPU_N2: CpuId = CpuId(8);
+
+    #[test]
+    #[should_panic(expected = "page vp:1048576 is past the simulated address space")]
+    fn access_past_max_pages_panics() {
+        let mut m = machine(Protocol::paper_rnuma());
+        m.access(CPU_N0, VPage(rnuma_mem::addr::MAX_PAGES).base(), false);
+    }
 
     #[test]
     fn l1_hit_costs_one_cycle() {

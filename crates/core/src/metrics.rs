@@ -6,7 +6,7 @@
 //! (Figure 5).
 
 use rnuma_mem::addr::{NodeId, NodeMask, VPage};
-use rnuma_mem::fxmap::FxMap;
+use rnuma_mem::page_map::PageMap;
 use rnuma_os::OsStats;
 use rnuma_sim::{Cdf, Cycles};
 use std::fmt;
@@ -79,8 +79,8 @@ pub struct Metrics {
     pub net_messages: u64,
     /// Total queueing delay at network interfaces.
     pub ni_wait: Cycles,
-    /// Per-page sharing/refetch profiles.
-    pub pages: FxMap<VPage, PageProfile>,
+    /// Per-page sharing/refetch profiles, in ascending page order.
+    pub pages: PageMap<PageProfile>,
 }
 
 impl Metrics {
@@ -153,6 +153,12 @@ impl Metrics {
     }
 
     /// Records that `node` touched `page` (with `wrote` set for stores).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `page` is new and at or past
+    /// [`MAX_PAGES`](rnuma_mem::addr::MAX_PAGES).
+    #[inline]
     pub fn touch_page(&mut self, page: VPage, node: NodeId, wrote: bool) {
         let p = self.pages.entry_or_default(page);
         p.accessors.insert(node);
@@ -173,16 +179,11 @@ impl Metrics {
         self.pages.entry_or_default(page).remote_fetches += 1;
     }
 
-    /// The per-page profiles in ascending page order.
-    ///
-    /// [`Metrics::pages`] is an insertion-ordered hash table, so its
-    /// iteration order depends on execution history; sorted access is
-    /// what reports and cross-mode comparisons should use.
+    /// The per-page profiles in ascending page order, copied out of
+    /// [`Metrics::pages`] (which already iterates in that order).
     #[must_use]
     pub fn pages_sorted(&self) -> Vec<(VPage, PageProfile)> {
-        let mut v: Vec<(VPage, PageProfile)> = self.pages.iter().map(|(k, p)| (k, *p)).collect();
-        v.sort_unstable_by_key(|&(page, _)| page);
-        v
+        self.pages.iter().map(|(k, p)| (k, *p)).collect()
     }
 
     /// `true` when `other` is a bit-identical replay of this run: every
@@ -190,9 +191,9 @@ impl Metrics {
     /// profile matches.
     ///
     /// This is the determinism contract between execution modes (live,
-    /// batched replay, parallel driver); the per-page comparison is on sorted
-    /// contents, because the hash tables' internal layouts legitimately
-    /// differ between modes while holding identical profiles.
+    /// batched replay, parallel driver). The page maps compare by
+    /// content: a [`PageMap`] has no layout of its own to differ in, only
+    /// its entries in page order.
     #[must_use]
     pub fn replay_eq(&self, other: &Metrics) -> bool {
         self.reads == other.reads
@@ -212,7 +213,7 @@ impl Metrics {
             && self.per_cpu_cycles == other.per_cpu_cycles
             && self.net_messages == other.net_messages
             && self.ni_wait == other.ni_wait
-            && self.pages_sorted() == other.pages_sorted()
+            && self.pages == other.pages
     }
 }
 
@@ -286,7 +287,7 @@ mod tests {
         m.record_refetch(VPage(1));
         m.record_refetch(VPage(1));
         m.record_remote_fetch(VPage(1));
-        let p = m.pages[&VPage(1)];
+        let p = *m.pages.get(VPage(1)).expect("page 1 has a profile");
         assert_eq!(p.refetches, 2);
         assert_eq!(p.remote_fetches, 1);
         assert!(p.is_read_write_shared());

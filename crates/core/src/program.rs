@@ -34,7 +34,7 @@
 
 use crate::machine::Machine;
 use crate::trace::TraceOp;
-use rnuma_mem::addr::{CpuId, Va, PAGE_BYTES};
+use rnuma_mem::addr::{CpuId, VPage, Va, MAX_PAGES, PAGE_BYTES};
 use rnuma_sim::Cycles;
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
@@ -285,11 +285,18 @@ impl<'m> Runner<'m> {
     ///
     /// # Panics
     ///
-    /// Panics if `bytes` is zero.
+    /// Panics if `bytes` is zero, or if the region would reach past the
+    /// simulated address space ([`MAX_PAGES`] pages).
     pub fn alloc(&mut self, bytes: u64) -> Region {
         assert!(bytes > 0, "empty allocation");
-        let rounded = bytes.div_ceil(PAGE_BYTES) * PAGE_BYTES;
+        let pages = bytes.div_ceil(PAGE_BYTES);
         let base = Va(self.next_va);
+        let last = VPage(base.vpage().0 + pages - 1);
+        assert!(
+            last.0 < MAX_PAGES,
+            "allocation of {bytes} bytes ends at page {last}, past the simulated address space ({MAX_PAGES} pages)"
+        );
+        let rounded = pages * PAGE_BYTES;
         self.next_va += rounded;
         Region {
             base,
@@ -460,6 +467,25 @@ mod tests {
         assert_eq!(b.bytes(), 2 * PAGE_BYTES);
         assert!(b.base().0 >= a.base().0 + a.bytes());
         assert!(a.base().0 >= PAGE_BYTES, "page 0 reserved");
+    }
+
+    #[test]
+    fn alloc_may_fill_the_address_space_exactly() {
+        let mut m = machine();
+        let mut r = Runner::new(&mut m);
+        // Page 0 is reserved, so pages 1..MAX_PAGES are what is left.
+        let all = r.alloc((MAX_PAGES - 1) * PAGE_BYTES);
+        assert_eq!(all.base().vpage(), VPage(1));
+        assert_eq!(all.bytes(), (MAX_PAGES - 1) * PAGE_BYTES);
+    }
+
+    #[test]
+    #[should_panic(expected = "ends at page vp:1048576, past the simulated address space")]
+    fn alloc_past_max_pages_panics() {
+        let mut m = machine();
+        let mut r = Runner::new(&mut m);
+        let _ = r.alloc((MAX_PAGES - 1) * PAGE_BYTES);
+        let _ = r.alloc(1);
     }
 
     #[test]

@@ -16,6 +16,11 @@ pub const BLOCK_BYTES: u64 = 32;
 pub const PAGE_BYTES: u64 = 4096;
 /// Coherence blocks per page.
 pub const BLOCKS_PER_PAGE: u64 = PAGE_BYTES / BLOCK_BYTES;
+/// Pages in the simulated address space (4 GiB). Per-page tables are
+/// dense arrays indexed by page number (`page_map::PageMap`), so their
+/// memory grows with the highest page touched; allocating or touching a
+/// page at or past this bound panics.
+pub const MAX_PAGES: u64 = 1 << 20;
 
 /// A virtual byte address in the global shared address space.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]

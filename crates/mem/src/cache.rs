@@ -9,7 +9,7 @@
 //!   with an infinite block cache" baseline all figures normalize to.
 
 use crate::addr::VBlock;
-use crate::fxmap::FxMap64;
+use crate::paged::PagedMap;
 
 /// One resident line: the block it holds plus caller-defined state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -191,10 +191,12 @@ impl<S> DirectCache<S> {
 /// An unbounded cache for the paper's "infinite block cache" baseline.
 ///
 /// Never evicts; otherwise mirrors the [`DirectCache`] interface the
-/// simulator uses.
+/// simulator uses. Lines live in a [`PagedMap`] (a dense slab per
+/// page), with `None` for a block that was resident and left.
 #[derive(Clone, Debug, Default)]
 pub struct InfiniteCache<S> {
-    lines: FxMap64<S>,
+    lines: PagedMap<Option<S>>,
+    resident: usize,
 }
 
 impl<S> InfiniteCache<S> {
@@ -202,47 +204,61 @@ impl<S> InfiniteCache<S> {
     #[must_use]
     pub fn new() -> InfiniteCache<S> {
         InfiniteCache {
-            lines: FxMap64::new(),
+            lines: PagedMap::new(),
+            resident: 0,
         }
     }
 
     /// State of `block` if resident.
+    #[inline]
     #[must_use]
     pub fn get(&self, block: VBlock) -> Option<&S> {
-        self.lines.get(block.0)
+        self.lines.get(block)?.as_ref()
     }
 
     /// Mutable state of `block` if resident.
+    #[inline]
     pub fn get_mut(&mut self, block: VBlock) -> Option<&mut S> {
-        self.lines.get_mut(block.0)
+        self.lines.get_mut(block)?.as_mut()
     }
 
     /// `true` when `block` is resident.
     #[must_use]
     pub fn contains(&self, block: VBlock) -> bool {
-        self.lines.contains_key(block.0)
+        self.get(block).is_some()
     }
 
     /// Installs or overwrites `block`. Never evicts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block's page is at or past
+    /// [`crate::addr::MAX_PAGES`].
     pub fn insert(&mut self, block: VBlock, state: S) {
-        self.lines.insert(block.0, state);
+        if self.lines.entry_or_default(block).replace(state).is_none() {
+            self.resident += 1;
+        }
     }
 
     /// Removes `block`, returning its state.
     pub fn remove(&mut self, block: VBlock) -> Option<S> {
-        self.lines.remove(block.0)
+        let state = self.lines.get_mut(block)?.take();
+        if state.is_some() {
+            self.resident -= 1;
+        }
+        state
     }
 
     /// Number of resident blocks.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.lines.len()
+        self.resident
     }
 
     /// `true` when nothing is resident.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.lines.is_empty()
+        self.resident == 0
     }
 }
 

@@ -16,10 +16,11 @@
 //!   replacement.
 //! * [`page_table`] — per-node page tables mapping pages to local,
 //!   CC-NUMA, or S-COMA modes.
-//! * [`fxmap`] — the open-addressed, deterministic FxHash tables every
-//!   hot-path lookup structure above is built on.
+//! * [`page_map`] — the dense map indexed by page number that every
+//!   per-page table above is built on: a lookup is one array load.
 //! * [`paged`] — the dense-per-page block-state map the home directory
-//!   uses: one page-level hash probe, then a flat array index.
+//!   and the infinite block cache use: a page index, then a flat array
+//!   index per block.
 //!
 //! Everything here is *state only*: the simulator never materializes data
 //! values, exactly like a protocol-level execution-driven simulator. The
@@ -34,19 +35,19 @@ pub mod addr;
 pub mod block_cache;
 pub mod cache;
 pub mod fine_tags;
-pub mod fxmap;
 pub mod l1;
 pub mod moesi;
 pub mod page_cache;
+pub mod page_map;
 pub mod page_table;
 pub mod paged;
 
 pub use addr::{CpuId, FrameId, NodeId, NodeMask, VBlock, VPage, Va};
 pub use block_cache::{BlockCache, BlockEviction, BlockState};
 pub use fine_tags::{AccessTag, FineTags};
-pub use fxmap::{FxMap, FxMap64};
 pub use l1::{L1Cache, L1Probe};
 pub use moesi::Moesi;
 pub use page_cache::{PageCache, PageVictim, ReplacementPolicy};
+pub use page_map::PageMap;
 pub use page_table::{Mapping, NodePageTable};
 pub use paged::PagedMap;

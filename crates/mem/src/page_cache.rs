@@ -10,7 +10,7 @@
 
 use crate::addr::{FrameId, VPage, PAGE_BYTES};
 use crate::fine_tags::{AccessTag, FineTags};
-use crate::fxmap::FxMap;
+use crate::page_map::PageMap;
 
 /// Victim-selection policy for a full page cache.
 ///
@@ -76,7 +76,7 @@ pub struct PageCache {
     /// `miss_clock`, so stamps are unique and the oldest is the victim.
     /// Random ignores them.
     stamps: Vec<u64>,
-    by_page: FxMap<VPage, FrameId>,
+    by_page: PageMap<FrameId>,
     free: Vec<FrameId>,
     miss_clock: u64,
     policy: ReplacementPolicy,
@@ -120,7 +120,7 @@ impl PageCache {
                 })
                 .collect(),
             stamps: vec![0; n as usize],
-            by_page: FxMap::new(),
+            by_page: PageMap::new(),
             free: (0..n as u32).rev().map(FrameId).collect(),
             miss_clock: 0,
             policy,
@@ -212,7 +212,10 @@ impl PageCache {
     ///
     /// Panics if the page is not resident.
     pub fn set_tag(&mut self, vpage: VPage, block_index: u64, tag: AccessTag) {
-        let frame = self.by_page[&vpage];
+        let frame = *self
+            .by_page
+            .get(vpage)
+            .expect("set_tag on a page that is not resident");
         self.frames[frame.0 as usize].tags.set(block_index, tag);
     }
 

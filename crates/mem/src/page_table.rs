@@ -16,7 +16,7 @@
 //! `SComa` for one page on one node.
 
 use crate::addr::{FrameId, VPage};
-use crate::fxmap::FxMap;
+use crate::page_map::PageMap;
 
 /// How one node currently maps one virtual page.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -44,7 +44,7 @@ pub enum Mapping {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct NodePageTable {
-    entries: FxMap<VPage, Mapping>,
+    entries: PageMap<Mapping>,
     version: u64,
 }
 
@@ -72,6 +72,10 @@ impl NodePageTable {
 
     /// Installs a mapping, replacing any previous one. Returns the
     /// previous mapping, which the OS uses to validate transitions.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `page` is at or past [`crate::addr::MAX_PAGES`].
     pub fn map(&mut self, page: VPage, mapping: Mapping) -> Option<Mapping> {
         self.version += 1;
         self.entries.insert(page, mapping)
@@ -96,7 +100,7 @@ impl NodePageTable {
         self.entries.is_empty()
     }
 
-    /// Iterates over `(page, mapping)` in arbitrary order.
+    /// Iterates over `(page, mapping)` in ascending page order.
     pub fn iter(&self) -> impl Iterator<Item = (VPage, Mapping)> + '_ {
         self.entries.iter().map(|(p, &m)| (p, m))
     }
@@ -144,10 +148,9 @@ mod tests {
     #[test]
     fn iter_visits_all_entries() {
         let mut pt = NodePageTable::new();
-        pt.map(VPage(1), Mapping::Local);
         pt.map(VPage(2), Mapping::CcNuma);
-        let mut pages: Vec<u64> = pt.iter().map(|(p, _)| p.0).collect();
-        pages.sort_unstable();
+        pt.map(VPage(1), Mapping::Local);
+        let pages: Vec<u64> = pt.iter().map(|(p, _)| p.0).collect();
         assert_eq!(pages, vec![1, 2]);
     }
 }

@@ -4,12 +4,12 @@
 //! traffic is heavily clustered *within pages*: a remote page fetch,
 //! flush, or relocation walks many blocks of one page back to back, and
 //! streaming applications touch the blocks of a page consecutively. A
-//! flat `FxMap<VBlock, V>` pays a hash probe per block; [`PagedMap`]
-//! pays one hash probe per *page* and a dense array index per block:
+//! flat map keyed by block would pay a lookup per block; [`PagedMap`]
+//! resolves the *page* once and then indexes a dense array per block:
 //!
-//! * `page -> slab` resolution goes through one [`FxMap`] keyed by the
-//!   block's page number — the same open-addressed table the rest of the
-//!   hot path uses;
+//! * `page -> slab` resolution goes through one [`PageMap`] indexed by
+//!   the block's page number — the same dense table the rest of the
+//!   per-page state uses;
 //! * each slab is a dense `[V; BLOCKS_PER_PAGE]` array indexed by the
 //!   block's offset in its page, plus a 128-bit *touched* bitmap that
 //!   preserves the sparse-map distinction between "absent" and
@@ -22,7 +22,7 @@
 //! bit-identical-replay guarantees rely on.
 
 use crate::addr::{VBlock, VPage, BLOCKS_PER_PAGE};
-use crate::fxmap::FxMap;
+use crate::page_map::PageMap;
 
 const SLAB_LEN: usize = BLOCKS_PER_PAGE as usize;
 const BITMAP_WORDS: usize = SLAB_LEN / 64;
@@ -60,8 +60,8 @@ impl<V: Default> Slab<V> {
 
 /// A dense-per-page map from [`VBlock`] to `V`.
 ///
-/// Drop-in replacement for the directory's former `FxMap<VBlock, V>`:
-/// one page-level hash probe, then a dense index — see the module docs.
+/// One page-indexed load, then a dense index per block — see the
+/// module docs.
 ///
 /// # Example
 ///
@@ -81,7 +81,7 @@ impl<V: Default> Slab<V> {
 /// ```
 #[derive(Clone)]
 pub struct PagedMap<V> {
-    index: FxMap<VPage, u32>,
+    index: PageMap<u32>,
     slabs: Vec<Slab<V>>,
     len: usize,
 }
@@ -106,7 +106,7 @@ impl<V: Default> PagedMap<V> {
     #[must_use]
     pub fn new() -> PagedMap<V> {
         PagedMap {
-            index: FxMap::new(),
+            index: PageMap::new(),
             slabs: Vec::new(),
             len: 0,
         }
@@ -154,6 +154,11 @@ impl<V: Default> PagedMap<V> {
     }
 
     /// The state of `block`, touching it with `V::default()` when absent.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block's page is untouched and at or past
+    /// [`crate::addr::MAX_PAGES`].
     #[inline]
     pub fn entry_or_default(&mut self, block: VBlock) -> &mut V {
         let page = block.vpage();
@@ -250,10 +255,10 @@ mod tests {
     }
 
     #[test]
-    fn matches_fxmap_reference_on_mixed_traffic() {
-        use crate::fxmap::FxMap;
+    fn matches_btreemap_reference_on_mixed_traffic() {
+        use std::collections::BTreeMap;
         let mut paged: PagedMap<u64> = PagedMap::new();
-        let mut flat: FxMap<VBlock, u64> = FxMap::new();
+        let mut flat: BTreeMap<VBlock, u64> = BTreeMap::new();
         // Deterministic pseudo-random block traffic across many pages.
         let mut x = 0x1234_5678_9abc_def0u64;
         for _ in 0..20_000 {
@@ -261,18 +266,17 @@ mod tests {
             let block = VBlock((x >> 16) % (64 * BLOCKS_PER_PAGE));
             if x.is_multiple_of(3) {
                 *paged.entry_or_default(block) += 1;
-                *flat.entry_or_default(block) += 1;
+                *flat.entry(block).or_default() += 1;
             } else {
-                assert_eq!(paged.get(block), flat.get(block), "block {block:?}");
+                assert_eq!(paged.get(block), flat.get(&block), "block {block:?}");
             }
         }
         assert_eq!(paged.len(), flat.len());
         for page in 0..64u64 {
-            let mut from_flat: Vec<(VBlock, u64)> = VPage(page)
+            let from_flat: Vec<(VBlock, u64)> = VPage(page)
                 .blocks()
-                .filter_map(|b| flat.get(b).map(|&v| (b, v)))
+                .filter_map(|b| flat.get(&b).map(|&v| (b, v)))
                 .collect();
-            from_flat.sort_unstable_by_key(|&(b, _)| b);
             let from_paged: Vec<(VBlock, u64)> = paged
                 .page_entries(VPage(page))
                 .map(|(b, &v)| (b, v))

@@ -5,10 +5,10 @@ use rnuma_mem::addr::{NodeId, NodeMask, VBlock, VPage, Va, BLOCKS_PER_PAGE, PAGE
 use rnuma_mem::block_cache::{BlockCache, BlockState};
 use rnuma_mem::cache::DirectCache;
 use rnuma_mem::fine_tags::{AccessTag, FineTags};
-use rnuma_mem::fxmap::FxMap64;
 use rnuma_mem::l1::{L1Cache, L1Probe};
 use rnuma_mem::moesi::Moesi;
 use rnuma_mem::page_cache::{PageCache, ReplacementPolicy};
+use rnuma_mem::page_map::PageMap;
 use rnuma_mem::paged::PagedMap;
 
 fn arb_tag() -> impl Strategy<Value = AccessTag> {
@@ -313,54 +313,67 @@ proptest! {
         prop_assert_eq!(from_mask, from_model);
     }
 
-    /// The open-addressed FxMap agrees with a `std` map (`BTreeMap`)
-    /// reference model under arbitrary insert/remove/lookup sequences — the
-    /// correctness contract behind swapping it onto the hot path.
+    /// The dense page map agrees with a `BTreeMap` reference model under
+    /// arbitrary insert/entry/remove/lookup sequences: every answer, the
+    /// entry count after every op, and iteration in ascending page order
+    /// with exactly the model's entries.
     #[test]
-    fn fxmap_matches_hashmap_model(
-        ops in prop::collection::vec((0u8..3, 0u64..64, 0u32..1000), 1..600)
+    fn page_map_matches_btreemap_model(
+        ops in prop::collection::vec((0u8..4, 0u64..300, 0u32..1000), 1..600)
     ) {
-        let mut map: FxMap64<u32> = FxMap64::new();
+        let mut map: PageMap<u32> = PageMap::new();
         let mut model: std::collections::BTreeMap<u64, u32> =
             std::collections::BTreeMap::new();
-        for (op, key, value) in ops {
+        for (op, page, value) in ops {
+            let p = VPage(page);
             match op {
-                0 => prop_assert_eq!(map.insert(key, value), model.insert(key, value)),
-                1 => prop_assert_eq!(map.remove(key), model.remove(&key)),
-                _ => prop_assert_eq!(map.get(key).copied(), model.get(&key).copied()),
+                0 => prop_assert_eq!(map.insert(p, value), model.insert(page, value)),
+                1 => {
+                    let got = map.entry_or_default(p);
+                    let want = model.entry(page).or_default();
+                    prop_assert_eq!(*got, *want);
+                    *got += value;
+                    *want += value;
+                }
+                2 => prop_assert_eq!(map.remove(p), model.remove(&page)),
+                _ => prop_assert_eq!(map.get(p).copied(), model.get(&page).copied()),
             }
             prop_assert_eq!(map.len(), model.len());
+            prop_assert_eq!(map.is_empty(), model.is_empty());
         }
-        // Full sweep: every surviving key agrees, and iteration covers
-        // exactly the model's key set.
-        for key in 0u64..64 {
-            prop_assert_eq!(map.get(key).copied(), model.get(&key).copied());
+        for page in 0u64..300 {
+            prop_assert_eq!(map.get(VPage(page)).copied(), model.get(&page).copied());
         }
-        let mut keys: Vec<u64> = map.iter().map(|(k, _)| k).collect();
-        keys.sort_unstable();
-        let mut model_keys: Vec<u64> = model.keys().copied().collect();
-        model_keys.sort_unstable();
-        prop_assert_eq!(keys, model_keys);
+        let entries: Vec<(u64, u32)> = map.iter().map(|(p, &v)| (p.0, v)).collect();
+        let model_entries: Vec<(u64, u32)> = model.iter().map(|(&k, &v)| (k, v)).collect();
+        prop_assert_eq!(entries, model_entries);
+        let values: Vec<u32> = map.values().copied().collect();
+        let model_values: Vec<u32> = model.values().copied().collect();
+        prop_assert_eq!(values, model_values);
     }
 
-    /// The map also agrees with the model when keys collide heavily and
-    /// the table grows through several resizes.
+    /// The map also agrees with the model when sparse pages arrive in
+    /// any order and the vector grows several times, and two maps built
+    /// from the same entries in different orders compare equal.
     #[test]
-    fn fxmap_survives_growth_and_clustering(
-        keys in prop::collection::vec(0u64..10_000, 1..800)
+    fn page_map_survives_growth_in_any_order(
+        pages in prop::collection::vec(0u64..10_000, 1..800)
     ) {
-        let mut map: FxMap64<u64> = FxMap64::new();
+        let mut map: PageMap<u64> = PageMap::new();
         let mut model = std::collections::BTreeMap::new();
-        for (i, &k) in keys.iter().enumerate() {
-            // Consecutive-ish keys cluster probe chains on purpose.
-            let key = k / 3;
-            map.insert(key, i as u64);
-            model.insert(key, i as u64);
+        for (i, &page) in pages.iter().enumerate() {
+            map.insert(VPage(page), i as u64);
+            model.insert(page, i as u64);
         }
         prop_assert_eq!(map.len(), model.len());
         for (&k, &v) in &model {
-            prop_assert_eq!(map.get(k), Some(&v));
+            prop_assert_eq!(map.get(VPage(k)), Some(&v));
         }
+        let mut rebuilt: PageMap<u64> = PageMap::new();
+        for (&k, &v) in model.iter().rev() {
+            rebuilt.insert(VPage(k), v);
+        }
+        prop_assert!(rebuilt == map);
     }
 
     /// The paged dense map agrees with a `BTreeMap` reference model

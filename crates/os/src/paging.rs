@@ -11,7 +11,7 @@
 //! home.
 
 use rnuma_mem::addr::{NodeId, VPage};
-use rnuma_mem::fxmap::FxMap;
+use rnuma_mem::page_map::PageMap;
 
 /// Where each shared virtual page lives, and how it got there.
 #[derive(Clone, Debug)]
@@ -19,7 +19,7 @@ pub struct PageManager {
     nodes: u8,
     /// Armed by the workload at the start of its parallel phase.
     first_touch_armed: bool,
-    homes: FxMap<VPage, NodeId>,
+    homes: PageMap<NodeId>,
     /// Pages whose home was fixed by first touch (vs. static allocation).
     first_touched: u64,
 }
@@ -36,7 +36,7 @@ impl PageManager {
         PageManager {
             nodes,
             first_touch_armed: false,
-            homes: FxMap::new(),
+            homes: PageMap::new(),
             first_touched: 0,
         }
     }

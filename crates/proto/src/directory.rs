@@ -82,8 +82,8 @@ pub struct Directory {
     home: NodeId,
     /// Per-block records in a paged dense array: directory traffic
     /// clusters within pages (fetch/flush/relocation walk a page's
-    /// blocks back to back), so one page-level hash probe plus a dense
-    /// index beats a per-block hash probe.
+    /// blocks back to back), so one page-indexed load plus a dense
+    /// index per block beats a per-block map lookup.
     entries: PagedMap<Entry>,
     reads: u64,
     writes: u64,

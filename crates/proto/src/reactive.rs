@@ -7,7 +7,7 @@
 //! relocation threshold `T` on every capacity/conflict refetch.
 
 use rnuma_mem::addr::VPage;
-use rnuma_mem::fxmap::FxMap;
+use rnuma_mem::page_map::PageMap;
 
 /// Per-node, per-page refetch counters with a relocation threshold.
 ///
@@ -25,7 +25,7 @@ use rnuma_mem::fxmap::FxMap;
 #[derive(Clone, Debug)]
 pub struct RefetchCounters {
     threshold: u32,
-    counts: FxMap<VPage, u32>,
+    counts: PageMap<u32>,
     interrupts: u64,
     total_refetches: u64,
 }
@@ -44,7 +44,7 @@ impl RefetchCounters {
         assert!(threshold > 0, "relocation threshold must be at least 1");
         RefetchCounters {
             threshold,
-            counts: FxMap::new(),
+            counts: PageMap::new(),
             interrupts: 0,
             total_refetches: 0,
         }
