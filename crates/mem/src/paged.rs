@@ -254,8 +254,10 @@ mod tests {
         assert_eq!(m.page_entries(VPage(10)).count(), 0);
     }
 
+    /// Named for the flat `FxMap` the reference used to be; the
+    /// reference is now a `BTreeMap` keyed by block.
     #[test]
-    fn matches_btreemap_reference_on_mixed_traffic() {
+    fn matches_fxmap_reference_on_mixed_traffic() {
         use std::collections::BTreeMap;
         let mut paged: PagedMap<u64> = PagedMap::new();
         let mut flat: BTreeMap<VBlock, u64> = BTreeMap::new();

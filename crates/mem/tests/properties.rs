@@ -316,9 +316,10 @@ proptest! {
     /// The dense page map agrees with a `BTreeMap` reference model under
     /// arbitrary insert/entry/remove/lookup sequences: every answer, the
     /// entry count after every op, and iteration in ascending page order
-    /// with exactly the model's entries.
+    /// with exactly the model's entries. Named for `FxMap`, the hashed
+    /// page table that `PageMap` replaced; the map contract is the same.
     #[test]
-    fn page_map_matches_btreemap_model(
+    fn fxmap_matches_hashmap_model(
         ops in prop::collection::vec((0u8..4, 0u64..300, 0u32..1000), 1..600)
     ) {
         let mut map: PageMap<u32> = PageMap::new();
@@ -352,16 +353,21 @@ proptest! {
         prop_assert_eq!(values, model_values);
     }
 
-    /// The map also agrees with the model when sparse pages arrive in
-    /// any order and the vector grows several times, and two maps built
-    /// from the same entries in different orders compare equal.
+    /// The map also agrees with the model when sparse, clustered pages
+    /// arrive in any order and the vector grows several times, and two
+    /// maps built from the same entries in different orders compare
+    /// equal. Named, like the test above, for the table `PageMap`
+    /// replaced.
     #[test]
-    fn page_map_survives_growth_in_any_order(
-        pages in prop::collection::vec(0u64..10_000, 1..800)
+    fn fxmap_survives_growth_and_clustering(
+        keys in prop::collection::vec(0u64..10_000, 1..800)
     ) {
         let mut map: PageMap<u64> = PageMap::new();
         let mut model = std::collections::BTreeMap::new();
-        for (i, &page) in pages.iter().enumerate() {
+        for (i, &k) in keys.iter().enumerate() {
+            // Neighbouring draws land on the same page, so pages are
+            // both overwritten and clustered.
+            let page = k / 3;
             map.insert(VPage(page), i as u64);
             model.insert(page, i as u64);
         }
