@@ -11,7 +11,9 @@
 //! * per-protocol `refs/sec` measurement of the assembled machine;
 //! * a page-cache-thrash lane: S-COMA on a stream whose remote working
 //!   set overflows every node's 80-frame page cache, so page
-//!   replacement (fault, TLB shootdown, block flush) sits on the path;
+//!   replacement (fault, TLB shootdown, block flush) sits on the path.
+//!   These five `Machine::access` lanes alternate passes within one
+//!   shared time budget, so a drift in host speed hits them alike;
 //! * the replay lane: the replay cells of a small sweep (em3d and moldyn
 //!   at tiny scale, captured on the ideal machine, replayed on the three
 //!   finite protocols) replayed batched ([`TraceStore::replay_serial`])
@@ -69,38 +71,48 @@ pub fn synth_stream(refs: usize, pages: u64, cpus: u16) -> Vec<Ref> {
     out
 }
 
-/// Replays `stream` on a fresh machine and reports references per
-/// wall-clock second. The replay repeats until at least ~0.2 s of work
-/// has been timed, so short streams still measure stably.
+/// Seconds of timed work the five `Machine::access` lanes share: the
+/// four protocols on the mixed stream and S-COMA on the thrash stream.
+const ACCESS_LANES_SECS: f64 = 2.0;
+
+/// Replays each `(protocol, stream)` lane on fresh machines, one pass
+/// per lane in turn (a drift in host speed hits every lane alike),
+/// until `budget_secs` of work has been timed across all of them.
+/// Returns each lane's references per wall-clock second and the
+/// metrics of its first replay (every replay is identical).
 ///
 /// # Panics
 ///
-/// Panics if the stream is empty or the configuration is invalid.
-#[must_use]
-pub fn machine_refs_per_sec(protocol: Protocol, stream: &[Ref]) -> f64 {
-    timed_replay(protocol, stream).0
-}
-
-/// Replays `stream` on fresh machines until at least ~0.2 s of work has
-/// been timed. Returns references per wall-clock second and the
-/// metrics of one replay (every replay is identical).
-fn timed_replay(protocol: Protocol, stream: &[Ref]) -> (f64, Metrics) {
-    assert!(!stream.is_empty(), "empty reference stream");
-    let mut total_refs = 0u64;
-    let mut total_secs = 0.0f64;
-    loop {
-        let mut machine =
-            Machine::new(MachineConfig::paper_base(protocol)).expect("valid paper config");
-        let t0 = Instant::now();
-        for &(cpu, va, write) in stream {
-            machine.access(cpu, va, write);
+/// Panics if a stream is empty or a configuration is invalid.
+fn timed_replays(lanes: &[(Protocol, &[Ref])], budget_secs: f64) -> Vec<(f64, Metrics)> {
+    assert!(
+        lanes.iter().all(|(_, stream)| !stream.is_empty()),
+        "empty reference stream"
+    );
+    let mut secs = vec![0.0f64; lanes.len()];
+    let mut metrics = Vec::with_capacity(lanes.len());
+    let mut passes = 0u32;
+    while secs.iter().sum::<f64>() < budget_secs {
+        for (lane_secs, &(protocol, stream)) in secs.iter_mut().zip(lanes) {
+            let mut machine =
+                Machine::new(MachineConfig::paper_base(protocol)).expect("valid paper config");
+            *lane_secs += secs_of(|| {
+                for &(cpu, va, write) in stream {
+                    machine.access(cpu, va, write);
+                }
+            });
+            if passes == 0 {
+                metrics.push(machine.metrics());
+            }
         }
-        total_secs += t0.elapsed().as_secs_f64();
-        total_refs += stream.len() as u64;
-        if total_secs >= 0.2 {
-            return (total_refs as f64 / total_secs, machine.metrics());
-        }
+        passes += 1;
     }
+    lanes
+        .iter()
+        .zip(secs)
+        .zip(metrics)
+        .map(|((&(_, stream), secs), m)| (stream.len() as f64 * f64::from(passes) / secs, m))
+        .collect()
 }
 
 /// Pages in the page-cache-thrash stream: with 8 nodes, each node sees
@@ -120,25 +132,26 @@ pub struct PageCacheThrash {
     pub ns_per_replacement: f64,
 }
 
-/// Runs the page-cache-thrash lane on `stream` (from
-/// [`synth_stream`] over [`THRASH_PAGES`] pages).
-///
-/// # Panics
-///
-/// Panics if the stream is empty or causes no page replacement.
-#[must_use]
-pub fn page_cache_thrash(stream: &[Ref]) -> PageCacheThrash {
-    let (refs_per_sec, metrics) = timed_replay(Protocol::paper_scoma(), stream);
-    let page_replacements = metrics.os.page_replacements;
-    assert!(
-        page_replacements > 0,
-        "the stream must overflow the page cache"
-    );
-    let replay_ns = stream.len() as f64 / refs_per_sec * 1e9;
-    PageCacheThrash {
-        refs_per_sec,
-        page_replacements,
-        ns_per_replacement: replay_ns / page_replacements as f64,
+impl PageCacheThrash {
+    /// The lane's figures from the timing of a `stream_refs`-reference
+    /// thrash stream (from [`synth_stream`] over [`THRASH_PAGES`]
+    /// pages) and the metrics of one replay of it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the replay made no page replacement.
+    fn from_replay(stream_refs: usize, refs_per_sec: f64, metrics: &Metrics) -> PageCacheThrash {
+        let page_replacements = metrics.os.page_replacements;
+        assert!(
+            page_replacements > 0,
+            "the stream must overflow the page cache"
+        );
+        let replay_ns = stream_refs as f64 / refs_per_sec * 1e9;
+        PageCacheThrash {
+            refs_per_sec,
+            page_replacements,
+            ns_per_replacement: replay_ns / page_replacements as f64,
+        }
     }
 }
 
@@ -536,24 +549,37 @@ pub fn measure(stream_refs: usize) -> HotpathReport {
     // 64 pages × 8 nodes: working set overflows the 128-B R-NUMA block
     // cache (forcing refetches and relocations) but fits the page cache.
     let stream = synth_stream(stream_refs, 64, 32);
+    let thrash_stream = synth_stream(stream_refs, THRASH_PAGES, 32);
     let protocols: [(&'static str, Protocol); 4] = [
         ("ideal", Protocol::ideal()),
         ("CC-NUMA", Protocol::paper_ccnuma()),
         ("S-COMA", Protocol::paper_scoma()),
         ("R-NUMA", Protocol::paper_rnuma()),
     ];
+    let mut lanes: Vec<(Protocol, &[Ref])> = protocols
+        .iter()
+        .map(|&(_, p)| (p, stream.as_slice()))
+        .collect();
+    lanes.push((Protocol::paper_scoma(), &thrash_stream));
+    let mut timed = timed_replays(&lanes, ACCESS_LANES_SECS);
+    let (thrash_refs_per_sec, thrash_metrics) = timed.pop().expect("the thrash lane was timed");
     let throughput = protocols
         .iter()
-        .map(|&(label, p)| ProtocolThroughput {
+        .zip(timed)
+        .map(|(&(label, _), (refs_per_sec, _))| ProtocolThroughput {
             label,
-            refs_per_sec: machine_refs_per_sec(p, &stream),
+            refs_per_sec,
         })
         .collect();
     HotpathReport {
         stream_refs,
         protocols: throughput,
         mru_hit_rate: mru_hit_rate(Protocol::paper_rnuma(), &stream),
-        thrash: page_cache_thrash(&synth_stream(stream_refs, THRASH_PAGES, 32)),
+        thrash: PageCacheThrash::from_replay(
+            thrash_stream.len(),
+            thrash_refs_per_sec,
+            &thrash_metrics,
+        ),
         replay: replay_lane(),
         fine_items: fine_items_lane(),
     }
@@ -574,7 +600,8 @@ mod tests {
     #[test]
     fn machine_replay_produces_throughput() {
         let stream = synth_stream(2000, 8, 32);
-        let rps = machine_refs_per_sec(Protocol::paper_ccnuma(), &stream);
+        let timed = timed_replays(&[(Protocol::paper_ccnuma(), &stream)], 0.05);
+        let rps = timed[0].0;
         assert!(rps > 0.0 && rps.is_finite());
     }
 
@@ -631,7 +658,9 @@ mod tests {
 
     #[test]
     fn thrash_stream_overflows_the_page_cache() {
-        let lane = page_cache_thrash(&synth_stream(40_000, THRASH_PAGES, 32));
+        let stream = synth_stream(40_000, THRASH_PAGES, 32);
+        let timed = timed_replays(&[(Protocol::paper_scoma(), &stream)], 0.05);
+        let lane = PageCacheThrash::from_replay(stream.len(), timed[0].0, &timed[0].1);
         assert!(lane.page_replacements > 0);
         assert!(lane.refs_per_sec > 0.0 && lane.ns_per_replacement > 0.0);
     }

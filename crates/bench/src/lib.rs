@@ -20,13 +20,15 @@
 //! Every binary accepts `--scale paper|small|tiny` (default `paper`) and
 //! writes both a text report to stdout and machine-readable CSV under
 //! `results/`. Every binary that runs an application grid runs it on
-//! [`sweep_grid`] (directly or through [`sweep_protocol_grid`]).
+//! [`sweep_grid`] (directly or through [`sweep_protocol_grid`]). Both
+//! grid drivers, [`sweep_grid`] and [`run_grid`], run their cells on one
+//! work queue, the workspace's only worker pool.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use rnuma::config::{MachineConfig, Protocol};
-use rnuma::experiment::{parallel_map, parallel_workers, run, RunReport, TraceId, TraceStore};
+use rnuma::experiment::{parallel_workers, run, RunReport, TraceId, TraceStore};
 use rnuma_workloads::{by_name, Scale, APP_NAMES};
 use std::any::Any;
 use std::cmp::Reverse;
@@ -161,14 +163,18 @@ pub fn apps() -> &'static [&'static str] {
 }
 
 /// Runs every `(application, configuration)` pair of the grid in
-/// parallel across the host's cores, one simulation per pair.
+/// parallel across the host's cores, one live simulation per pair.
 ///
 /// Returns one row per application (in `apps` order); row `i` holds one
 /// [`RunReport`] per configuration (in `configs` order). Each report is
 /// bit-identical to a serial `run_app_config` of the same pair — every
-/// simulation owns its machine, so the figure binaries built on this
-/// produce exactly the numbers the serial loops did, just
-/// `available_parallelism()` times faster.
+/// simulation owns its machine, so the result does not depend on the
+/// worker count.
+///
+/// The cells run on [`sweep_grid`]'s work queue, handed out in
+/// row-major order to `RNUMA_JOBS` workers (default: the host's
+/// parallelism). A panicking cell stops dispatch; once every worker has
+/// returned, the first panic is re-raised with its payload.
 ///
 /// # Example
 ///
@@ -197,20 +203,8 @@ pub fn run_grid(
     configs: &[MachineConfig],
     scale: Scale,
 ) -> Vec<Vec<RunReport>> {
-    let jobs: Vec<(&'static str, MachineConfig)> = apps
-        .iter()
-        .flat_map(|&app| configs.iter().map(move |&c| (app, c)))
-        .collect();
-    let reports = parallel_map(&jobs, |&(app, config)| {
-        let mut w = by_name(app, scale).unwrap_or_else(|| panic!("unknown app {app}"));
-        run(config, &mut w)
-    });
-    let mut rows = Vec::with_capacity(apps.len());
-    let mut it = reports.into_iter();
-    for _ in apps {
-        rows.push(it.by_ref().take(configs.len()).collect());
-    }
-    rows
+    let cells = (0..apps.len()).flat_map(|a| (0..configs.len()).map(move |c| Job::Run(a, c)));
+    queue_grid(apps, configs, scale, cells.collect())
 }
 
 /// [`run_grid`], the trace-once/replay-many way: each application's
@@ -220,11 +214,12 @@ pub fn run_grid(
 /// configuration.
 ///
 /// One pool of `RNUMA_JOBS` workers (default: the host's parallelism)
-/// pulls every cell from one queue. A worker takes the next pending
-/// capture first, in `apps` order, since captures are what release
-/// more work; the capture encodes the stream as the machine produces
-/// it, so the flat op array is never built. A finished capture fills
-/// its row's first cell and releases the row's replay cells. Otherwise
+/// pulls every cell from one work queue, the one [`run_grid`] runs on.
+/// A worker takes the next pending capture first, in `apps` order,
+/// since captures are what release more work; the capture encodes the
+/// stream as the machine produces it, so the flat op array is never
+/// built. A finished capture fills its row's first cell and releases
+/// the row's replay cells. Otherwise
 /// a worker takes the ready replay with the longest stream, ties going
 /// to the lower `(app, config)` index. A panicking cell stops dispatch;
 /// once every worker has returned, the first panic is re-raised with
@@ -238,10 +233,10 @@ pub fn run_grid(
 /// `tests/replay_determinism.rs`. See `docs/SWEEP.md`.
 ///
 /// A grid with one configuration has no replay cells, so nothing would
-/// read a trace: each of its cells runs as a plain [`run`] of the
-/// workload on `configs[0]`, and no trace or [`TraceStore`] is built.
-/// The capture cell's report is that same `run`, so the rows are
-/// identical either way.
+/// read a trace: it is the [`run_grid`] of the same grid, a plain
+/// [`run`] of each workload on `configs[0]`, and no trace or
+/// [`TraceStore`] is built. The capture cell's report is that same
+/// `run`, so the rows are identical either way.
 ///
 /// # Example
 ///
@@ -280,19 +275,37 @@ pub fn sweep_grid(
         !configs.is_empty(),
         "need at least a baseline configuration"
     );
+    if configs.len() == 1 {
+        return run_grid(apps, configs, scale);
+    }
+    queue_grid(
+        apps,
+        configs,
+        scale,
+        (0..apps.len()).map(Job::Capture).collect(),
+    )
+}
+
+/// Runs the grid's cells on one pool of [`parallel_workers`] workers
+/// pulling from a [`SweepQueue`] seeded with `seed`, and returns its
+/// rows.
+#[deny(clippy::unwrap_used, clippy::expect_used)]
+fn queue_grid(
+    apps: &[&'static str],
+    configs: &[MachineConfig],
+    scale: Scale,
+    seed: Vec<Job>,
+) -> Vec<Vec<RunReport>> {
     // Each app's stream sits alone in its own store, so no capture ever
     // waits on another app's encoding.
     let captured: Vec<OnceLock<(TraceStore, TraceId)>> =
         apps.iter().map(|_| OnceLock::new()).collect();
-    let queue = SweepQueue::new(apps.len(), configs.len());
+    let queue = SweepQueue::new(apps.len(), configs.len(), seed);
     let run_job = |job: Job| match job {
+        Job::Run(a, c) => (run_app_config(apps[a], configs[c], scale), 0),
         Job::Capture(a) => {
             let app = apps[a];
             let mut w = by_name(app, scale).unwrap_or_else(|| panic!("unknown app {app}"));
-            if configs.len() == 1 {
-                // No replay cell will read the stream: skip the trace.
-                return (run(configs[0], &mut w), 0);
-            }
             let mut store = TraceStore::new();
             let (id, report) = store.capture(configs[0], &mut w);
             let ops = store.ops(id);
@@ -321,17 +334,19 @@ pub fn sweep_grid(
     queue.into_rows()
 }
 
-/// A unit of [`sweep_grid`] work: capture app `a` on the baseline, or
-/// replay app `a`'s stream on configuration `c`.
+/// A unit of grid work: run cell `(a, c)` live, capture app `a` on the
+/// baseline, or replay app `a`'s stream on configuration `c`.
 #[derive(Clone, Copy, Debug)]
 enum Job {
+    Run(usize, usize),
     Capture(usize),
     Replay(usize, usize),
 }
 
-/// The dependency-driven queue behind [`sweep_grid`]: captures are
-/// handed out in app order, each finished capture releases its row's
-/// replays, and ready replays go longest stream first.
+/// The dependency-driven queue behind [`run_grid`] and [`sweep_grid`]:
+/// the seeded jobs (live cells or captures) are handed out first, in
+/// seed order; each finished capture releases its row's replays, and
+/// ready replays go longest stream first.
 struct SweepQueue {
     state: Mutex<QueueState>,
     changed: Condvar,
@@ -340,7 +355,8 @@ struct SweepQueue {
 struct QueueState {
     apps: usize,
     configs: usize,
-    next_capture: usize,
+    /// The seeded jobs not yet handed out.
+    seeded: std::vec::IntoIter<Job>,
     /// Ready replays as `(stream ops, Reverse((app, config)))`: the
     /// max-heap pops the longest stream, ties to the lowest cell.
     ready: BinaryHeap<(u64, Reverse<(usize, usize)>)>,
@@ -352,12 +368,12 @@ struct QueueState {
 }
 
 impl SweepQueue {
-    fn new(apps: usize, configs: usize) -> SweepQueue {
+    fn new(apps: usize, configs: usize, seed: Vec<Job>) -> SweepQueue {
         SweepQueue {
             state: Mutex::new(QueueState {
                 apps,
                 configs,
-                next_capture: 0,
+                seeded: seed.into_iter(),
                 ready: BinaryHeap::new(),
                 running: 0,
                 cells: (0..apps * configs).map(|_| None).collect(),
@@ -373,7 +389,7 @@ impl SweepQueue {
 
     /// One worker's loop: take jobs until the grid is done or a job
     /// has panicked. `run` returns the cell's report and the length of
-    /// the stream a capture recorded (0 for a replay).
+    /// the stream a capture recorded (0 for any other job).
     #[deny(clippy::unwrap_used, clippy::expect_used)]
     fn work(&self, run: &(impl Fn(Job) -> (RunReport, u64) + Sync)) {
         loop {
@@ -424,7 +440,7 @@ impl SweepQueue {
         }
         #[expect(
             clippy::expect_used,
-            reason = "without a job panic the workers return only once nothing is ready or running, and every capture releases its row's replays, so every cell is filled"
+            reason = "without a job panic the workers return only once nothing is seeded, ready or running; the seed covers every row, and every capture releases its row's replays, so every cell is filled"
         )]
         let mut cells = st
             .cells
@@ -439,9 +455,8 @@ impl SweepQueue {
 impl QueueState {
     #[deny(clippy::unwrap_used, clippy::expect_used)]
     fn next_job(&mut self) -> Option<Job> {
-        if self.next_capture < self.apps {
-            self.next_capture += 1;
-            return Some(Job::Capture(self.next_capture - 1));
+        if let Some(job) = self.seeded.next() {
+            return Some(job);
         }
         let (_, Reverse((a, c))) = self.ready.pop()?;
         Some(Job::Replay(a, c))
@@ -455,7 +470,7 @@ impl QueueState {
                     .extend((1..self.configs).map(|c| (ops, Reverse((a, c)))));
                 (a, 0)
             }
-            Job::Replay(a, c) => (a, c),
+            Job::Run(a, c) | Job::Replay(a, c) => (a, c),
         };
         self.cells[a * self.configs + c] = Some(report);
     }

@@ -22,20 +22,18 @@
 //! `rnuma_bench::sweep_grid`; see `docs/SWEEP.md` for the model and its
 //! guarantees.
 //!
-//! # Worker pool
+//! # Worker count
 //!
-//! [`parallel_map`] fans independent jobs over the host's cores
-//! (`rnuma_bench::run_grid` runs one simulation per grid cell on it),
-//! and [`parallel_workers`] sizes every worker pool in the workspace
-//! from `RNUMA_JOBS`.
+//! [`parallel_workers`] sizes the workspace's one worker pool, the work
+//! queue behind `rnuma_bench::{run_grid, sweep_grid}`, from
+//! `RNUMA_JOBS`; [`env_raw`] is the one env-knob reader.
 
 use crate::config::MachineConfig;
 use crate::machine::Machine;
 use crate::metrics::Metrics;
 use crate::program::{Runner, Sink, Workload};
 use crate::trace::{decode_segment, encode_segment, CpuRefs, CpuRun, SegMeta, TraceOp, SEG_OPS};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::Once;
 
 /// The result of one (configuration, workload) simulation.
 #[derive(Clone, Debug)]
@@ -119,141 +117,48 @@ fn run_recorded<W: Workload + ?Sized>(
     }
 }
 
-/// Applies `f` to every job, fanned out over the host's cores, and
-/// returns the results in job order.
+/// The raw string value of an `RNUMA_*` knob, or `None` when unset (or
+/// not valid UTF-8).
 ///
-/// Jobs are claimed from a shared cursor, each `f` invocation runs
-/// entirely on one worker thread, and `RNUMA_JOBS` overrides the worker
-/// count (1 forces serial execution). `f` must be order-independent — a
-/// pure function of its job — which every simulation in this workspace
-/// is.
-///
-/// # Panics
-///
-/// Propagates panics from `f`.
-pub fn parallel_map<J, T, F>(jobs: &[J], f: F) -> Vec<T>
-where
-    J: Sync,
-    T: Send,
-    F: Fn(&J) -> T + Sync,
-{
-    let n = jobs.len();
-    let workers = parallel_workers(n);
-    if n <= 1 || workers == 1 {
-        return jobs.iter().map(f).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, T)>();
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let next = &next;
-            let f = &f;
-            s.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                if tx.send((i, f(&jobs[i]))).is_err() {
-                    break;
-                }
-            });
-        }
-    });
-    drop(tx);
-    let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    for (i, out) in rx {
-        results[i] = Some(out);
-    }
-    results
-        .into_iter()
-        .map(|r| r.expect("worker pool covered every job"))
-        .collect()
-}
-
-/// Shared parser for numeric `RNUMA_*` environment variables under the
-/// workspace's uniform misconfiguration contract.
-///
-/// * Unset → `default` (each variable's documented fallback).
-/// * A parse in `1..` → `Some(value)`, clamped down to `max`.
-/// * Set but *not a usable count* — `0` or anything unparsable — is a
-///   misconfiguration: one warning naming the variable goes to stderr
-///   (once per variable per process; tests count the name in
-///   subprocess stderr), and `default` applies. Misconfiguration never
-///   aborts a run and never silently coerces.
+/// This is the one access point for env knobs: call sites own their
+/// documented semantics (`RNUMA_RESULTS_DIR` is a path, `RNUMA_JOBS` a
+/// count parsed by [`parallel_workers`]), but `crates/clippy.toml` bans
+/// `std::env::var`/`var_os` everywhere else, so the whole knob surface
+/// stays inventoried (and `tests/robust_env.rs` cross-checks it against
+/// README's env table).
 #[must_use]
 #[expect(
     clippy::disallowed_methods,
-    reason = "the blessed numeric env-knob reader; every other env read is banned"
-)]
-pub fn env_usize(name: &str, default: Option<usize>, max: usize) -> Option<usize> {
-    let Ok(raw) = std::env::var(name) else {
-        return default;
-    };
-    match raw.parse::<usize>() {
-        Ok(n) if n >= 1 => Some(n.min(max)),
-        _ => {
-            warn_once_misconfigured(name, &raw, max);
-            default
-        }
-    }
-}
-
-/// The raw string value of a *non-numeric* `RNUMA_*` knob, or `None`
-/// when unset (or not valid UTF-8).
-///
-/// This is the blessed escape hatch companion to [`env_usize`] for
-/// knobs whose values are paths (`RNUMA_RESULTS_DIR`). Call sites still own their documented
-/// semantics — what this helper centralizes is the *access point*:
-/// `crates/clippy.toml` bans `std::env::var`/`var_os` everywhere else,
-/// so the whole knob surface stays inventoried in this module (and
-/// `tests/robust_env.rs` cross-checks it against README's env table).
-#[must_use]
-#[expect(
-    clippy::disallowed_methods,
-    reason = "the blessed raw env-knob reader; every other env read is banned"
+    reason = "the blessed env-knob reader; every other env read is banned"
 )]
 pub fn env_raw(name: &str) -> Option<String> {
     std::env::var(name).ok()
 }
 
-/// One stderr warning per misconfigured variable per process. A
-/// per-name registry (rather than one `Once` per call site) keeps the
-/// contract uniform no matter how many call sites parse the same
-/// variable.
-fn warn_once_misconfigured(name: &str, raw: &str, max: usize) {
-    use std::sync::{Mutex, OnceLock, PoisonError};
-    static WARNED: OnceLock<Mutex<Vec<String>>> = OnceLock::new();
-    let mut warned = WARNED
-        .get_or_init(|| Mutex::new(Vec::new()))
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner);
-    if warned.iter().any(|n| n == name) {
-        return;
-    }
-    warned.push(name.to_string());
-    if max == usize::MAX {
-        eprintln!("rnuma: {name}={raw:?} is not a count (want an integer >= 1); using the documented default");
-    } else {
-        eprintln!(
-            "rnuma: {name}={raw:?} is not a count (want 1..={max}); using the documented default"
-        );
-    }
-}
-
-/// The worker count [`parallel_map`] would use for `jobs` jobs:
-/// `RNUMA_JOBS` when set to a usable count, otherwise the host's
-/// available parallelism, clamped to the job count. `RNUMA_JOBS=0` or
-/// an unparsable value is a misconfiguration: it warns once to stderr
-/// and falls back to available parallelism ([`env_usize`] contract),
-/// exactly like the other numeric `RNUMA_*` variables. Drivers that run
-/// their own worker pool (`rnuma_bench::sweep_grid`) size it with this.
+/// The worker count of a pool for `jobs` jobs: `RNUMA_JOBS` when set to
+/// a count `>= 1`, otherwise the host's available parallelism, clamped
+/// to the job count. `RNUMA_JOBS=0` or an unparsable value is a
+/// misconfiguration: it warns once per process to stderr and falls back
+/// to the host's parallelism — never a silent coercion to serial. The
+/// grid drivers (`rnuma_bench::{run_grid, sweep_grid}`) size their work
+/// queue's pool with this.
 #[must_use]
 pub fn parallel_workers(jobs: usize) -> usize {
     let host = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    env_usize("RNUMA_JOBS", Some(host), usize::MAX)
-        .unwrap_or(host)
-        .clamp(1, jobs.max(1))
+    let workers = match env_raw("RNUMA_JOBS") {
+        None => host,
+        Some(raw) => match raw.parse::<usize>() {
+            Ok(n) if n >= 1 => n,
+            _ => {
+                static WARNED: Once = Once::new();
+                WARNED.call_once(|| {
+                    eprintln!("rnuma: RNUMA_JOBS={raw:?} is not a count (want an integer >= 1); using the documented default");
+                });
+                host
+            }
+        },
+    };
+    workers.clamp(1, jobs.max(1))
 }
 
 /// Handle of one captured trace inside a [`TraceStore`].
@@ -448,24 +353,6 @@ impl TraceStore {
         self.rec(id).ops
     }
 
-    /// The workload name recorded at capture.
-    #[must_use]
-    pub fn workload(&self, id: TraceId) -> &'static str {
-        self.rec(id).workload
-    }
-
-    /// The configuration the stream was captured under.
-    #[must_use]
-    pub fn capture_config(&self, id: TraceId) -> MachineConfig {
-        self.rec(id).config
-    }
-
-    /// Number of captured streams.
-    #[must_use]
-    pub fn traces(&self) -> usize {
-        self.traces.len()
-    }
-
     /// Total ops captured across all streams.
     #[must_use]
     pub fn captured_ops(&self) -> u64 {
@@ -607,10 +494,9 @@ mod tests {
         let config = MachineConfig::paper_base(Protocol::paper_rnuma());
         let mut store = TraceStore::new();
         let (id, report) = store.capture(config, &mut Stream { words: 2048 });
-        assert_eq!(store.traces(), 1);
-        assert_eq!(store.workload(id), "stream");
-        assert_eq!(store.capture_config(id), config);
         let replayed = store.replay_serial(id, config);
+        assert_eq!(replayed.workload, "stream");
+        assert_eq!(replayed.config, config);
         assert!(
             report.metrics.replay_eq(&replayed.metrics),
             "replay diverged from capture:\ncapture: {}\nreplay: {}",
@@ -665,15 +551,5 @@ mod tests {
         let mut other = base;
         other.nodes = 4;
         let _ = store.replay_serial(id, other);
-    }
-
-    #[test]
-    fn parallel_map_preserves_order_and_covers_all() {
-        let jobs: Vec<u64> = (0..37).collect();
-        let out = parallel_map(&jobs, |&j| j * 3);
-        assert_eq!(out, (0..37).map(|j| j * 3).collect::<Vec<_>>());
-        let empty: Vec<u64> = Vec::new();
-        assert!(parallel_map(&empty, |&j| j).is_empty());
-        assert_eq!(parallel_map(&[7u64], |&j| j + 1), [8]);
     }
 }

@@ -28,10 +28,11 @@
 //!   point-to-point interconnect with NI contention.
 //! * [`program`] — the shared-memory programming framework for workload
 //!   kernels (allocation, parallel phases, barriers, think time).
-//! * [`experiment`] — one-call runs, the worker pool (`RNUMA_JOBS`
-//!   workers across machines), and the trace-once/replay-many building
-//!   blocks (`TraceStore` capture and `replay_serial`; the sweep driver
-//!   on top of them is `rnuma_bench::sweep_grid`, see `docs/SWEEP.md`).
+//! * [`experiment`] — one-call runs, the worker count of the grid
+//!   drivers' pool (`RNUMA_JOBS`), and the trace-once/replay-many
+//!   building blocks (`TraceStore` capture and `replay_serial`; the
+//!   sweep driver on top of them is `rnuma_bench::sweep_grid`, see
+//!   `docs/SWEEP.md`).
 //!   Every replay is serial batched replay of a [`TraceOp`] stream,
 //!   bit-identical to the live run it was captured from (see
 //!   `docs/DETERMINISM.md`).
@@ -78,7 +79,7 @@ pub mod program;
 mod trace;
 
 pub use config::{MachineConfig, Protocol};
-pub use experiment::{parallel_map, run, run_traced, RunReport, TraceId, TraceStore};
+pub use experiment::{run, run_traced, RunReport, TraceId, TraceStore};
 pub use machine::Machine;
 pub use metrics::{Metrics, PageProfile};
 pub use model::ModelParams;

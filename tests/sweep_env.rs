@@ -1,8 +1,8 @@
-//! The sweep driver's environment contract: `RNUMA_JOBS` sizes both
-//! worker pools — `parallel_map`'s (behind `rnuma_bench::run_grid`) and
-//! `rnuma_bench::sweep_grid`'s work queue — through `parallel_workers`
+//! The grid drivers' environment contract: `RNUMA_JOBS` sizes the one
+//! worker pool — the work queue behind `rnuma_bench::run_grid` and
+//! `rnuma_bench::sweep_grid` — through `parallel_workers`
 //! (misconfigured values follow the warn-once-then-default contract),
-//! the sweep's result is independent of the worker count, a failing
+//! both drivers' results are independent of the worker count, a failing
 //! cell propagates out of the queue instead of hanging it, and a failed
 //! sweep leaves nothing behind that a later sweep could trip over.
 //!
@@ -11,8 +11,8 @@
 //! [`env_lock`] for its whole body.
 
 use rnuma::config::{MachineConfig, Protocol};
-use rnuma::experiment::{parallel_workers, run, run_traced, RunReport, TraceStore};
-use rnuma_bench::sweep_grid;
+use rnuma::experiment::{parallel_workers, run_traced, RunReport, TraceStore};
+use rnuma_bench::{run_grid, sweep_grid};
 use rnuma_workloads::{by_name, Scale, APP_NAMES};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -44,11 +44,11 @@ fn with_jobs<R>(value: Option<&str>, body: impl FnOnce() -> R) -> R {
 fn rnuma_jobs_routing() {
     let _env = env_lock();
 
-    // RNUMA_JOBS follows the warn-once misconfiguration contract of
-    // the numeric knobs (the shared env_usize helper): unset
-    // means the host's parallelism, a valid count sticks (clamped to
-    // the job count), and zero or garbage warn once to stderr and fall
-    // back to the host default — never a silent coercion to serial.
+    // RNUMA_JOBS follows the warn-once misconfiguration contract:
+    // unset means the host's parallelism, a valid count sticks
+    // (clamped to the job count), and zero or garbage warn once to
+    // stderr and fall back to the host default — never a silent
+    // coercion to serial.
     // The one-warning-per-process stderr shape is pinned subprocess-
     // style in tests/robust_env.rs.
     let host = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
@@ -103,26 +103,22 @@ fn assert_same_grid(a: &[Vec<RunReport>], b: &[Vec<RunReport>], what: &str) {
     }
 }
 
-/// `sweep_grid`'s result does not depend on how its queue schedules
-/// cells: the figure grid is bit-identical under 1, 2 and 3 workers,
-/// its capture column is the plain execution-driven run, and each
-/// per-app streaming capture decodes to exactly the flat stream
-/// `run_traced` records.
+/// Neither driver's result depends on how the queue schedules cells:
+/// `sweep_grid`'s figure grid and `run_grid`'s live grid are each
+/// bit-identical under 1, 2 and 3 workers, the sweep's capture column
+/// is the live run (`run_grid`'s first column; `tests/determinism.rs`
+/// pins `run_grid` to serial `run`s), each per-app streaming capture
+/// decodes to exactly the flat stream `run_traced` records, and an
+/// empty app list gives no rows.
 #[test]
 fn sweep_grid_is_independent_of_the_worker_count() {
     let _env = env_lock();
     let configs = figure_configs();
-    let grids: Vec<Vec<Vec<RunReport>>> = ["1", "2", "3"]
-        .into_iter()
-        .map(|jobs| with_jobs(Some(jobs), || sweep_grid(&APP_NAMES, &configs, Scale::Tiny)))
-        .collect();
-    for (jobs, grid) in ["2", "3"].into_iter().zip(&grids[1..]) {
-        assert_same_grid(&grids[0], grid, &format!("RNUMA_JOBS={jobs} vs 1"));
-    }
-    for (&app, row) in APP_NAMES.iter().zip(&grids[0]) {
-        let live = run(configs[0], &mut by_name(app, Scale::Tiny).unwrap());
+    let swept = one_grid_for_every_worker_count("sweep_grid", sweep_grid, &configs);
+    let live = one_grid_for_every_worker_count("run_grid", run_grid, &configs);
+    for ((&app, row), live_row) in APP_NAMES.iter().zip(&swept).zip(&live) {
         assert!(
-            row[0].metrics.replay_eq(&live.metrics),
+            row[0].metrics.replay_eq(&live_row[0].metrics),
             "capture cell of {app} is not the live run"
         );
         let mut store = TraceStore::new();
@@ -135,6 +131,28 @@ fn sweep_grid_is_independent_of_the_worker_count() {
     }
 }
 
+type GridDriver = fn(&[&'static str], &[MachineConfig], Scale) -> Vec<Vec<RunReport>>;
+
+/// Runs `driver` over the figure grid under 1, 2 and 3 workers, asserts
+/// the three grids are bit-identical and that no apps give no rows, and
+/// returns the one-worker grid.
+fn one_grid_for_every_worker_count(
+    name: &str,
+    driver: GridDriver,
+    configs: &[MachineConfig],
+) -> Vec<Vec<RunReport>> {
+    let mut grids = ["1", "2", "3"]
+        .map(|jobs| with_jobs(Some(jobs), || driver(&APP_NAMES, configs, Scale::Tiny)));
+    for (jobs, grid) in ["2", "3"].into_iter().zip(&grids[1..]) {
+        assert_same_grid(&grids[0], grid, &format!("{name}: RNUMA_JOBS={jobs} vs 1"));
+    }
+    assert!(
+        driver(&[], configs, Scale::Tiny).is_empty(),
+        "{name} returned rows without apps"
+    );
+    std::mem::take(&mut grids[0])
+}
+
 fn panic_message(outcome: std::thread::Result<Vec<Vec<RunReport>>>) -> String {
     let payload = outcome.expect_err("the sweep did not panic");
     payload
@@ -144,10 +162,10 @@ fn panic_message(outcome: std::thread::Result<Vec<Vec<RunReport>>>) -> String {
         .unwrap_or_default()
 }
 
-/// A panicking cell propagates out of `sweep_grid` with its payload
-/// instead of hanging the queue — for a failing capture (an unknown
-/// app) and a failing replay (a configuration whose cluster shape
-/// differs from the capture baseline's) alike.
+/// A panicking cell propagates out of the queue with its payload instead
+/// of hanging it — for a failing capture (an unknown app), a failing
+/// replay (a configuration whose cluster shape differs from the capture
+/// baseline's) and a failing live `run_grid` cell alike.
 #[test]
 fn sweep_grid_failures_propagate() {
     let _env = env_lock();
@@ -168,6 +186,11 @@ fn sweep_grid_failures_propagate() {
             message.contains("replay configuration must match the capture cluster shape"),
             "wrong payload: {message}"
         );
+
+        let live = catch_unwind(AssertUnwindSafe(|| {
+            run_grid(&["em3d", "doom"], &configs, Scale::Tiny)
+        }));
+        assert_eq!(panic_message(live), "unknown app doom");
     });
 }
 
