@@ -188,7 +188,6 @@ pub fn live_dispatch(machine: &mut Machine, ops: &[TraceOp]) {
             }
             TraceOp::Think { cpu, dur } => machine.advance(cpu, dur),
             TraceOp::Barrier => machine.barrier_all(),
-            TraceOp::ArmFirstTouch => machine.arm_first_touch(),
         }
     }
 }

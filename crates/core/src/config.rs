@@ -143,9 +143,6 @@ pub struct MachineConfig {
     pub page_policy: ReplacementPolicy,
     /// Cost charged per barrier episode.
     pub barrier_cost: Cycles,
-    /// Seed for workload randomness; the run is a pure function of
-    /// (config, workload).
-    pub seed: u64,
 }
 
 impl MachineConfig {
@@ -162,7 +159,6 @@ impl MachineConfig {
             bus_occupancy: Cycles::from_bus_cycles(2),
             page_policy: ReplacementPolicy::LeastRecentlyMissed,
             barrier_cost: Cycles(400),
-            seed: 0x5EED_0001,
         }
     }
 
@@ -177,7 +173,8 @@ impl MachineConfig {
     /// # Errors
     ///
     /// Returns a human-readable description of the first violated
-    /// constraint (zero nodes/CPUs, cache sizes below one line, zero
+    /// constraint (zero nodes/CPUs, cache sizes below one line, a
+    /// direct-mapped cache whose line count is not a power of two, zero
     /// threshold, or more than 64 nodes).
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.nodes == 0 {
@@ -191,6 +188,19 @@ impl MachineConfig {
         }
         if self.l1_bytes < 32 {
             return Err(ConfigError("L1 smaller than one 32-byte line"));
+        }
+        if !lines_are_power_of_two(self.l1_bytes) {
+            return Err(ConfigError("L1 line count must be a power of two"));
+        }
+        let block_cache = match self.protocol {
+            Protocol::CcNuma { block_cache_bytes } => block_cache_bytes,
+            Protocol::RNuma {
+                block_cache_bytes, ..
+            } => Some(block_cache_bytes),
+            Protocol::SComa { .. } => None,
+        };
+        if block_cache.is_some_and(|b| b >= 32 && !lines_are_power_of_two(b)) {
+            return Err(ConfigError("block cache line count must be a power of two"));
         }
         match self.protocol {
             Protocol::CcNuma {
@@ -211,6 +221,12 @@ impl MachineConfig {
             _ => Ok(()),
         }
     }
+}
+
+/// `true` when a direct-mapped cache of `bytes` holds a power-of-two
+/// number of 32-byte lines (the only sizes it accepts).
+fn lines_are_power_of_two(bytes: u64) -> bool {
+    (bytes / rnuma_mem::addr::BLOCK_BYTES).is_power_of_two()
 }
 
 /// An invalid [`MachineConfig`].
@@ -296,6 +312,37 @@ mod tests {
         };
         let err = c.validate().unwrap_err();
         assert!(err.to_string().contains("threshold"));
+    }
+
+    #[test]
+    fn validation_rejects_non_power_of_two_caches() {
+        let mut c = MachineConfig::paper_base(Protocol::paper_ccnuma());
+        c.l1_bytes = 3 * 32;
+        let err = c.validate().unwrap_err();
+        assert!(err.to_string().contains("L1 line count"), "{err}");
+
+        // 1000 bytes hold 31 lines: neither a power of two nor tiny.
+        for protocol in [
+            Protocol::CcNuma {
+                block_cache_bytes: Some(1000),
+            },
+            Protocol::RNuma {
+                block_cache_bytes: 96,
+                page_cache_bytes: 320 * 1024,
+                threshold: 64,
+            },
+        ] {
+            let err = MachineConfig::paper_base(protocol).validate().unwrap_err();
+            assert!(err.to_string().contains("block cache line count"), "{err}");
+        }
+
+        // Every cache size the figures build is accepted.
+        for b in [128, 1024, 32 * 1024] {
+            let c = MachineConfig::paper_base(Protocol::CcNuma {
+                block_cache_bytes: Some(b),
+            });
+            assert!(c.validate().is_ok(), "{b}-byte block cache");
+        }
     }
 
     #[test]

@@ -457,7 +457,6 @@ mod tests {
         }
         fn run(&mut self, r: &mut Runner<'_>) {
             let region = r.alloc(self.words * 8);
-            r.arm_first_touch();
             let items = r.block_partition(self.words);
             r.parallel(&items, |ctx: &mut Ctx<'_>, _cpu: CpuId, i: u64| {
                 ctx.update(region.word(i));

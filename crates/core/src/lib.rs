@@ -52,7 +52,6 @@
 //!     fn name(&self) -> &'static str { "sum" }
 //!     fn run(&mut self, r: &mut Runner<'_>) {
 //!         let data = r.alloc(64 * 1024);
-//!         r.arm_first_touch();
 //!         let items = r.block_partition(data.len(8));
 //!         r.parallel(&items, |ctx, _cpu, i| {
 //!             ctx.read(data.word(i));

@@ -142,7 +142,7 @@ impl Machine {
     pub fn new(cfg: MachineConfig) -> Result<Machine, crate::config::ConfigError> {
         cfg.validate()?;
         let nodes = (0..cfg.nodes)
-            .map(|n| {
+            .map(|_| {
                 let (block_cache, page_cache, counters) =
                     match cfg.protocol {
                         Protocol::CcNuma { block_cache_bytes } => (
@@ -171,13 +171,13 @@ impl Machine {
                     l1s: (0..cfg.cpus_per_node)
                         .map(|_| L1Cache::new(cfg.l1_bytes))
                         .collect(),
-                    bus: Resource::new("membus"),
-                    rad: Resource::new("rad"),
-                    mem: Resource::new("mem"),
+                    bus: Resource::new(),
+                    rad: Resource::new(),
+                    mem: Resource::new(),
                     block_cache,
                     page_cache,
                     pt: NodePageTable::new(),
-                    dir: Directory::new(NodeId(n)),
+                    dir: Directory::new(),
                     counters,
                     os: OsStats::new(),
                 }
@@ -185,7 +185,7 @@ impl Machine {
             .collect();
         Ok(Machine {
             net: Network::new(cfg.nodes as usize, cfg.net),
-            pages: PageManager::new(cfg.nodes),
+            pages: PageManager::new(),
             clocks: vec![Cycles::ZERO; cfg.total_cpus() as usize],
             mru: vec![MruTranslation::INVALID; cfg.total_cpus() as usize],
             flush_scratch: Vec::new(),
@@ -235,11 +235,6 @@ impl Machine {
         }
     }
 
-    /// Arms first-touch page placement (start of the parallel phase).
-    pub fn arm_first_touch(&mut self) {
-        self.pages.arm_first_touch();
-    }
-
     /// Performs one memory reference for `cpu` at its current clock,
     /// advancing the clock by the reference's latency, which is
     /// returned.
@@ -285,8 +280,8 @@ impl Machine {
                     self.access_run(cpu, &ops[at..end]);
                     at = end;
                 }
-                CpuRun::Global => {
-                    self.run_global(&ops[at]);
+                CpuRun::Barrier => {
+                    self.barrier_all();
                     at += 1;
                 }
             }
@@ -334,17 +329,6 @@ impl Machine {
         (cpu.0 / self.cfg.cpus_per_node) as usize
     }
 
-    /// Executes one global op (batched-loop dispatch).
-    fn run_global(&mut self, op: &TraceOp) {
-        match op {
-            TraceOp::Barrier => self.barrier_all(),
-            TraceOp::ArmFirstTouch => self.pages.arm_first_touch(),
-            TraceOp::Access { .. } | TraceOp::Think { .. } => {
-                unreachable!("per-CPU op dispatched as global")
-            }
-        }
-    }
-
     /// Executes one contiguous same-CPU run of `Access`/`Think` ops with
     /// the CPU-derived indices (clock slot, node, L1) hoisted out of the
     /// per-op loop — the batched kernel every workload item and every
@@ -386,9 +370,7 @@ impl Machine {
                     self.clocks[cpu_idx] += latency;
                 }
                 TraceOp::Think { dur, .. } => self.clocks[cpu_idx] += dur,
-                TraceOp::Barrier | TraceOp::ArmFirstTouch => {
-                    unreachable!("global op inside a same-CPU run")
-                }
+                TraceOp::Barrier => unreachable!("barrier inside a same-CPU run"),
             }
         }
     }
@@ -506,12 +488,13 @@ impl Machine {
             Mapping::SComa(_) => self.access_scoma(node_idx, page, block, write, t),
         };
 
-        // 6. Fill the issuing L1 for the non-CC-NUMA paths (the CC-NUMA
-        //    path fills inside to sequence block-cache evictions).
+        // 6. Fill the issuing L1 for the local and S-COMA paths (the
+        //    CC-NUMA path fills inside to sequence block-cache evictions).
         match mapping {
             Mapping::Local | Mapping::SComa(_) => {
+                let local = mapping == Mapping::Local;
                 let state =
-                    self.fill_state(node_idx, mapping, page, block, write, snoop.peer_had_copy);
+                    self.fill_state(node_idx, local, page, block, write, snoop.peer_had_copy);
                 self.fill_l1(node_idx, l1_idx, block, write, state);
             }
             Mapping::CcNuma => {}
@@ -519,13 +502,12 @@ impl Machine {
         done - start
     }
 
-    /// Chooses the MOESI state for an L1 fill from node-level permission.
-    /// `mapping` is the page's already-resolved translation, so the walk
-    /// is not repeated here.
+    /// Chooses the MOESI state for a local (`local`) or S-COMA L1 fill
+    /// from node-level permission.
     fn fill_state(
         &self,
         node_idx: usize,
-        mapping: Mapping,
+        local: bool,
         page: VPage,
         block: VBlock,
         write: bool,
@@ -539,22 +521,15 @@ impl Machine {
             return Moesi::Shared;
         }
         let node = self.node(node_idx);
-        let node_rw = match mapping {
-            Mapping::Local => {
-                let e = node.dir.entry(block);
-                let home = NodeId(node_idx as u8);
-                e.owner.is_none_or(|o| o == home) && e.sharers.without(home).is_empty()
-            }
-            Mapping::SComa(_) => node
-                .page_cache
+        let node_rw = if local {
+            let e = node.dir.entry(block);
+            let home = NodeId(node_idx as u8);
+            e.owner.is_none_or(|o| o == home) && e.sharers.without(home).is_empty()
+        } else {
+            node.page_cache
                 .as_ref()
                 .and_then(|pc| pc.tag(page, block.index_in_page()))
-                .is_some_and(AccessTag::writable),
-            Mapping::CcNuma => node
-                .block_cache
-                .as_ref()
-                .and_then(|bc| bc.probe(block))
-                .is_some_and(|s| s.read_write),
+                .is_some_and(AccessTag::writable)
         };
         if node_rw {
             Moesi::Exclusive
@@ -614,13 +589,8 @@ impl Machine {
             return (Mapping::Local, now + self.cfg.costs.page_fault());
         }
         match self.cfg.protocol {
-            Protocol::CcNuma { .. } => {
-                self.node_mut(node_idx).pt.map(page, Mapping::CcNuma);
-                self.node_mut(node_idx).os.ccnuma_maps += 1;
-                (Mapping::CcNuma, now + self.cfg.costs.page_fault())
-            }
-            Protocol::RNuma { .. } => {
-                // R-NUMA always starts a remote page as CC-NUMA.
+            // R-NUMA always starts a remote page as CC-NUMA.
+            Protocol::CcNuma { .. } | Protocol::RNuma { .. } => {
                 self.node_mut(node_idx).pt.map(page, Mapping::CcNuma);
                 self.node_mut(node_idx).os.ccnuma_maps += 1;
                 (Mapping::CcNuma, now + self.cfg.costs.page_fault())
@@ -731,7 +701,7 @@ impl Machine {
             if foreign_owner.is_some() || !foreign_sharers.is_empty() {
                 let outcome = self.node_mut(node_idx).dir.write(block, node_id, true);
                 if let Some(owner) = outcome.fetch_from {
-                    t = self.fetch_invalidate_foreign_owner(node_idx, owner, block, t);
+                    t = self.recall_from_owner(node_idx, owner, block, true, t);
                 }
                 let invals = outcome.invalidate.without(node_id);
                 t = self.invalidate_sharers(node_idx, invals, block, t);
@@ -739,7 +709,7 @@ impl Machine {
         } else if let Some(owner) = foreign_owner {
             let outcome = self.node_mut(node_idx).dir.read(block, node_id);
             debug_assert_eq!(outcome.fetch_from, Some(owner));
-            t = self.downgrade_foreign_owner(node_idx, owner, block, t);
+            t = self.recall_from_owner(node_idx, owner, block, false, t);
         }
 
         // Local memory fill: DRAM access plus the bus data return.
@@ -985,11 +955,7 @@ impl Machine {
 
         if let Some(owner) = fetch_from {
             if owner != home {
-                t = if write {
-                    self.fetch_invalidate_foreign_owner(home_idx, owner, block, t)
-                } else {
-                    self.downgrade_foreign_owner(home_idx, owner, block, t)
-                };
+                t = self.recall_from_owner(home_idx, owner, block, write, t);
             }
         }
         if write {
@@ -1019,52 +985,39 @@ impl Machine {
         (t, refetch)
     }
 
-    /// Home-side helper: pull a dirty block home from a foreign owner and
-    /// leave the owner with a clean read-only copy.
-    fn downgrade_foreign_owner(
+    /// Home-side helper: pull a dirty block home from a foreign owner.
+    /// For a reader (`write == false`) the owner keeps a clean read-only
+    /// copy; for a writer, which is taking over, the owner's copies are
+    /// invalidated.
+    fn recall_from_owner(
         &mut self,
         home_idx: usize,
         owner: NodeId,
         block: VBlock,
+        write: bool,
         mut t: Cycles,
     ) -> Cycles {
         let home = NodeId(home_idx as u8);
         let sram = self.cfg.costs.sram_access;
-        t = self.net.send(t, home, owner, MsgKind::FetchDowngrade);
+        let request = if write {
+            MsgKind::FetchInvalidate
+        } else {
+            MsgKind::FetchDowngrade
+        };
+        t = self.net.send(t, home, owner, request);
         let owner_idx = owner.0 as usize;
         let grant = self.node_mut(owner_idx).rad.acquire(t, sram);
         t = grant + sram;
-        self.apply_downgrade_at(owner_idx, block);
+        if write {
+            self.apply_invalidation_at(owner_idx, block);
+        } else {
+            self.apply_downgrade_at(owner_idx, block);
+        }
         let occ = self.cfg.bus_occupancy;
         let bus_grant = self.node_mut(owner_idx).bus.acquire(t, occ);
         t = bus_grant + occ;
         t = self.net.send(t, owner, home, MsgKind::WriteBack);
         // Home memory update.
-        let dram = self.cfg.costs.dram_access;
-        let grant = self.node_mut(home_idx).mem.acquire(t, dram);
-        grant + dram
-    }
-
-    /// Home-side helper: pull a dirty block home from a foreign owner and
-    /// invalidate the owner's copy (a writer is taking over).
-    fn fetch_invalidate_foreign_owner(
-        &mut self,
-        home_idx: usize,
-        owner: NodeId,
-        block: VBlock,
-        mut t: Cycles,
-    ) -> Cycles {
-        let home = NodeId(home_idx as u8);
-        let sram = self.cfg.costs.sram_access;
-        t = self.net.send(t, home, owner, MsgKind::FetchInvalidate);
-        let owner_idx = owner.0 as usize;
-        let grant = self.node_mut(owner_idx).rad.acquire(t, sram);
-        t = grant + sram;
-        self.apply_invalidation_at(owner_idx, block);
-        let occ = self.cfg.bus_occupancy;
-        let bus_grant = self.node_mut(owner_idx).bus.acquire(t, occ);
-        t = bus_grant + occ;
-        t = self.net.send(t, owner, home, MsgKind::WriteBack);
         let dram = self.cfg.costs.dram_access;
         let grant = self.node_mut(home_idx).mem.acquire(t, dram);
         grant + dram

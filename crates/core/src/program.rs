@@ -216,7 +216,7 @@ impl<'m> Runner<'m> {
     }
 
     /// A runner that also records every op it executes — each item's
-    /// ops and each global op, in issue order — handing them to `sink`
+    /// ops and each barrier, in issue order — handing them to `sink`
     /// in chunks of exactly `chunk_ops` ops. [`Runner::finish`] flushes
     /// the last, partial chunk.
     ///
@@ -269,12 +269,6 @@ impl<'m> Runner<'m> {
         self.flush(false);
     }
 
-    /// Records one global op, already executed.
-    fn global(&mut self, op: TraceOp) {
-        self.ops.push(op);
-        self.flush(false);
-    }
-
     /// Number of CPUs in the machine.
     #[must_use]
     pub fn cpus(&self) -> u16 {
@@ -304,17 +298,11 @@ impl<'m> Runner<'m> {
         }
     }
 
-    /// Arms first-touch page placement; call at the start of the
-    /// parallel phase (the paper's user-invoked directive).
-    pub fn arm_first_touch(&mut self) {
-        self.machine.arm_first_touch();
-        self.global(TraceOp::ArmFirstTouch);
-    }
-
     /// Synchronizes all CPUs (SPLASH-2 `BARRIER`).
     pub fn barrier(&mut self) {
         self.machine.barrier_all();
-        self.global(TraceOp::Barrier);
+        self.ops.push(TraceOp::Barrier);
+        self.flush(false);
     }
 
     /// Runs one parallel phase.
@@ -557,7 +545,6 @@ mod tests {
         {
             let mut r = Runner::new(&mut m);
             let region = r.alloc(PAGE_BYTES * 64);
-            r.arm_first_touch();
             // CPUs 3 and 17 own nothing; CPUs 8..12 finish early, after
             // three think-only items; the rest own 2–7 items. Every CPU
             // starts at clock 0, so the first picks are all ties.
@@ -685,7 +672,6 @@ mod tests {
         let mut m = Machine::new(MachineConfig::paper_base(Protocol::paper_rnuma())).unwrap();
         let mut r = Runner::recording(&mut m, chunk_ops, &mut sink);
         let region = r.alloc(PAGE_BYTES);
-        r.arm_first_touch();
         r.serial(CpuId(0), |ctx| {
             ctx.write(region.word(0));
             ctx.think(20);
@@ -709,7 +695,6 @@ mod tests {
         };
         // Each item's ops arrive in issue order, between the global ops.
         let expected = [
-            TraceOp::ArmFirstTouch,
             access(0, 0, true),
             TraceOp::Think {
                 cpu: CpuId(0),

@@ -53,19 +53,17 @@ pub enum TraceOp {
     },
     /// A global barrier across all CPUs.
     Barrier,
-    /// Arms first-touch page placement.
-    ArmFirstTouch,
 }
 
 impl TraceOp {
     /// The issuing CPU of a per-CPU op (`Access`/`Think`), or `None`
-    /// for a global op (`Barrier`/`ArmFirstTouch`). This is the key the
-    /// batched replay loop groups contiguous runs by.
+    /// for a `Barrier`. This is the key the batched replay loop groups
+    /// contiguous runs by.
     #[must_use]
     pub fn issuer(&self) -> Option<CpuId> {
         match *self {
             TraceOp::Access { cpu, .. } | TraceOp::Think { cpu, .. } => Some(cpu),
-            TraceOp::Barrier | TraceOp::ArmFirstTouch => None,
+            TraceOp::Barrier => None,
         }
     }
 }
@@ -73,7 +71,7 @@ impl TraceOp {
 /// One entry of a segment's *run table*: the batched replay loop's unit
 /// of work. A run table tiles its segment exactly, in order; each entry
 /// is either a maximal run of consecutive per-CPU ops all issued by the
-/// same CPU, or a single global op.
+/// same CPU, or a single barrier.
 ///
 /// `TraceStore`'s decoder rebuilds each segment's run table from the
 /// run boundaries its stream records, so replay consumes the pre-split
@@ -87,12 +85,12 @@ pub enum CpuRun {
         /// Number of consecutive ops in the run (always at least 1).
         len: usize,
     },
-    /// One global op (`Barrier` or `ArmFirstTouch`).
-    Global,
+    /// One `Barrier`.
+    Barrier,
 }
 
 /// Walks `ops` as its maximal runs, calling `f` once per run with the
-/// run's issuer (`None` for a single global op) and its index range.
+/// run's issuer (`None` for a single barrier) and its index range.
 /// The one place the grouping rule lives: [`split_cpu_runs`] records
 /// the runs as a table, and the store's encoder
 /// (`encode_segment`) streams them directly.
@@ -117,7 +115,7 @@ pub(crate) fn scan_runs(ops: &[TraceOp], mut f: impl FnMut(Option<CpuId>, Range<
 }
 
 /// Splits `ops` into its run table: maximal contiguous same-CPU runs,
-/// with each global op as its own entry. The returned entries tile
+/// with each barrier as its own entry. The returned entries tile
 /// `ops` exactly, in order (an empty slice yields an empty table).
 #[must_use]
 pub fn split_cpu_runs(ops: &[TraceOp]) -> Vec<CpuRun> {
@@ -127,7 +125,7 @@ pub fn split_cpu_runs(ops: &[TraceOp]) -> Vec<CpuRun> {
             cpu,
             len: range.len(),
         }),
-        None => runs.push(CpuRun::Global),
+        None => runs.push(CpuRun::Barrier),
     });
     runs
 }
@@ -184,11 +182,9 @@ pub(crate) fn unzigzag(v: u64) -> i64 {
 // Encoded segments: one varint byte stream per segment.
 // ---------------------------------------------------------------------
 
-/// Stream tags for the two global ops; a CPU run is tagged
-/// `varint(cpu + 2)`.
+/// Stream tag for a barrier; a CPU run is tagged `varint(cpu + 1)`.
 const TAG_BARRIER: u64 = 0;
-const TAG_ARM_FIRST_TOUCH: u64 = 1;
-const TAG_CPU_BASE: u64 = 2;
+const TAG_CPU_BASE: u64 = 1;
 
 /// Per-op kind codes inside a run's packed 2-bit column.
 const KIND_READ: u8 = 0;
@@ -235,9 +231,8 @@ pub(crate) struct SegMeta {
 /// (the caller appends it to the segment table). The segment is its
 /// runs in order ([`scan_runs`]), each written inline:
 ///
-/// - a global op is one tag varint (`TAG_BARRIER` or
-///   `TAG_ARM_FIRST_TOUCH`);
-/// - a same-CPU run of `len` ops is `varint(cpu + 2)`, `varint(len)`,
+/// - a barrier is one tag varint (`TAG_BARRIER`);
+/// - a same-CPU run of `len` ops is `varint(cpu + 1)`, `varint(len)`,
 ///   then `ceil(len / 4)` bytes of 2-bit kind codes (op `i` in byte
 ///   `i / 4` at bit `2 * (i % 4)`), then one varint per op: a plain
 ///   duration for a think, a zigzag address delta from the CPU's
@@ -251,12 +246,7 @@ pub(crate) fn encode_segment(
     refs.reset();
     scan_runs(chunk, |issuer, range| {
         let Some(cpu) = issuer else {
-            let tag = match chunk[range.start] {
-                TraceOp::Barrier => TAG_BARRIER,
-                TraceOp::ArmFirstTouch => TAG_ARM_FIRST_TOUCH,
-                _ => unreachable!("scan_runs only yields global ops without an issuer"),
-            };
-            put_varint(stream, tag);
+            put_varint(stream, TAG_BARRIER);
             return;
         };
         put_varint(stream, TAG_CPU_BASE + u64::from(cpu.0));
@@ -279,8 +269,8 @@ pub(crate) fn encode_segment(
                     put_varint(stream, dur.0);
                     KIND_THINK
                 }
-                TraceOp::Barrier | TraceOp::ArmFirstTouch => {
-                    unreachable!("scan_runs never puts a global op in a CPU run")
+                TraceOp::Barrier => {
+                    unreachable!("scan_runs never puts a barrier in a CPU run")
                 }
             };
             stream[kinds + i / 4] |= kind << (2 * (i % 4));
@@ -323,12 +313,7 @@ pub(crate) fn decode_segment(
         let cpu = match get_varint(bytes, &mut pos).unwrap_or_else(|| corrupt("run tag short")) {
             TAG_BARRIER => {
                 ops.push(TraceOp::Barrier);
-                runs.push(CpuRun::Global);
-                continue;
-            }
-            TAG_ARM_FIRST_TOUCH => {
-                ops.push(TraceOp::ArmFirstTouch);
-                runs.push(CpuRun::Global);
+                runs.push(CpuRun::Barrier);
                 continue;
             }
             tag => u16::try_from(tag - TAG_CPU_BASE)
@@ -432,7 +417,7 @@ mod tests {
                 len: 1
             }]
         );
-        assert_eq!(split_cpu_runs(&[TraceOp::Barrier]), vec![CpuRun::Global]);
+        assert_eq!(split_cpu_runs(&[TraceOp::Barrier]), vec![CpuRun::Barrier]);
     }
 
     #[test]
@@ -462,7 +447,7 @@ mod tests {
             },
             access(4, 0x2000, false),
             TraceOp::Barrier,
-            TraceOp::ArmFirstTouch,
+            TraceOp::Barrier,
             access(4, 0x2020, false),
         ];
         assert_eq!(
@@ -476,8 +461,8 @@ mod tests {
                     cpu: CpuId(4),
                     len: 1
                 },
-                CpuRun::Global,
-                CpuRun::Global,
+                CpuRun::Barrier,
+                CpuRun::Barrier,
                 CpuRun::Cpu {
                     cpu: CpuId(4),
                     len: 1
@@ -488,8 +473,8 @@ mod tests {
 
     #[test]
     fn split_cpu_runs_tables_tile_their_input() {
-        // Interleaved CPUs, long same-CPU spans and global ops.
-        let mut ops = vec![TraceOp::ArmFirstTouch];
+        // Interleaved CPUs, long same-CPU spans and barriers.
+        let mut ops = vec![TraceOp::Barrier];
         for i in 0..512u64 {
             let cpu = ((i / 7) % 32) as u16;
             ops.push(access(cpu, 0x1000 + i * 32, i % 5 == 0));
@@ -505,7 +490,7 @@ mod tests {
             .iter()
             .map(|r| match r {
                 CpuRun::Cpu { len, .. } => *len,
-                CpuRun::Global => 1,
+                CpuRun::Barrier => 1,
             })
             .sum();
         assert_eq!(total, ops.len());
@@ -562,7 +547,7 @@ mod tests {
             access(2, 0x9000, false),
             TraceOp::Barrier,
             think(2, 3),
-            TraceOp::ArmFirstTouch,
+            TraceOp::Barrier,
             access(2, 0x9008, true),
         ];
         assert_eq!(round_trip(&split), split);
@@ -570,11 +555,11 @@ mod tests {
 
     #[test]
     fn segment_round_trips_interleaved_cpus_and_global_ops() {
-        // CPUs alternating per item (unit-length runs), global ops in
+        // CPUs alternating per item (unit-length runs), barriers in
         // the middle, a think-only run, and a second segment continuing
         // each CPU's walk — exercising the per-CPU base references and
         // their reset at the segment boundary.
-        let mut seg_a = vec![TraceOp::ArmFirstTouch];
+        let mut seg_a = vec![TraceOp::Barrier];
         for i in 0..32u64 {
             seg_a.push(access(0, 0x1_0000 + i * 8, i % 3 == 0));
             seg_a.push(access(1, 0x9_0000 + i * 8, false));

@@ -55,10 +55,9 @@ pub enum Insert<S> {
 #[derive(Clone, Debug)]
 pub struct DirectCache<S> {
     lines: Vec<Option<Line<S>>>,
-    /// `num_lines - 1` when the line count is a power of two (every
-    /// cache the paper's machines build), so the set index is a mask;
-    /// `None` otherwise, and the index falls back to `%`.
-    mask: Option<u64>,
+    /// `num_lines - 1`: the line count is a power of two, so the set
+    /// index is a mask.
+    mask: u64,
 }
 
 impl<S> DirectCache<S> {
@@ -66,13 +65,16 @@ impl<S> DirectCache<S> {
     ///
     /// # Panics
     ///
-    /// Panics if `num_lines` is zero.
+    /// Panics unless `num_lines` is a power of two (so at least one).
     #[must_use]
     pub fn new(num_lines: usize) -> DirectCache<S> {
-        assert!(num_lines > 0, "cache must have at least one line");
+        assert!(
+            num_lines.is_power_of_two(),
+            "cache must have a power-of-two number of lines, at least one line (got {num_lines})"
+        );
         DirectCache {
             lines: (0..num_lines).map(|_| None).collect(),
-            mask: num_lines.is_power_of_two().then_some(num_lines as u64 - 1),
+            mask: num_lines as u64 - 1,
         }
     }
 
@@ -80,7 +82,8 @@ impl<S> DirectCache<S> {
     ///
     /// # Panics
     ///
-    /// Panics if `bytes` is smaller than one line.
+    /// Panics if `bytes` is smaller than one line, or if it holds a
+    /// line count that is not a power of two.
     #[must_use]
     pub fn with_capacity_bytes(bytes: u64) -> DirectCache<S> {
         let lines = bytes / crate::addr::BLOCK_BYTES;
@@ -101,10 +104,7 @@ impl<S> DirectCache<S> {
     }
 
     fn index(&self, block: VBlock) -> usize {
-        match self.mask {
-            Some(mask) => (block.0 & mask) as usize,
-            None => (block.0 % self.lines.len() as u64) as usize,
-        }
+        (block.0 & self.mask) as usize
     }
 
     /// The resident line for `block`, if present.
@@ -362,6 +362,12 @@ mod tests {
     #[should_panic(expected = "at least one line")]
     fn zero_lines_panics() {
         let _ = DirectCache::<()>::new(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "power-of-two number of lines")]
+    fn non_power_of_two_lines_panic() {
+        let _ = DirectCache::<()>::new(3);
     }
 
     #[test]

@@ -225,18 +225,10 @@ impl L1Cache {
         }
     }
 
-    /// Invalidates every block of `page`, returning how many lines were
-    /// dropped and how many of them were dirty.
-    pub fn invalidate_page(&mut self, page: VPage) -> (u32, u32) {
-        let (mut dropped, mut dirty) = (0u32, 0u32);
-        self.lines.drain_matching_with(
-            |l| l.block.vpage() == page,
-            |l| {
-                dropped += 1;
-                dirty += u32::from(l.state.is_dirty());
-            },
-        );
-        (dropped, dirty)
+    /// Invalidates every block of `page`.
+    pub fn invalidate_page(&mut self, page: VPage) {
+        self.lines
+            .drain_matching_with(|l| l.block.vpage() == page, |_| {});
     }
 
     /// Number of resident lines.
@@ -341,9 +333,9 @@ mod tests {
             );
         }
         l1.fill(VPage(3).block(0), Moesi::Shared);
-        let (n, dirty) = l1.invalidate_page(p);
-        assert_eq!((n, dirty), (6, 3));
+        l1.invalidate_page(p);
         assert_eq!(l1.occupied(), 1);
+        assert!(l1.iter().all(|(b, _)| b.vpage() == VPage(3)));
     }
 
     #[test]

@@ -40,8 +40,6 @@ pub struct PageVictim {
     /// Blocks present in the frame (each must be invalidated; read-write
     /// ones flushed home).
     pub valid_blocks: u32,
-    /// Blocks with write permission, flushed back to the home node.
-    pub dirty_blocks: u32,
     /// Snapshot of the frame's fine-grain tags at eviction, so the OS can
     /// issue the per-block write-backs the flush implies.
     pub tags: FineTags,
@@ -240,15 +238,6 @@ impl PageCache {
         }
     }
 
-    /// Removes `vpage` from the cache (OS-initiated release rather than
-    /// LRM replacement), returning its flush work.
-    pub fn release(&mut self, vpage: VPage) -> Option<PageVictim> {
-        let frame = self.by_page.get(vpage).copied()?;
-        let victim = self.evict(frame);
-        self.free.push(frame);
-        Some(victim)
-    }
-
     fn evict(&mut self, frame: FrameId) -> PageVictim {
         let slot = &mut self.frames[frame.0 as usize];
         let vpage = slot.vpage.take().expect("evicting an empty frame");
@@ -259,7 +248,6 @@ impl PageCache {
             vpage,
             frame,
             valid_blocks: tags.count_valid(),
-            dirty_blocks: tags.count_read_write(),
             tags,
         }
     }
@@ -344,7 +332,7 @@ mod tests {
         pc.set_tag(VPage(5), 2, AccessTag::ReadWrite);
         let victim = pc.allocate(VPage(6)).victim.unwrap();
         assert_eq!(victim.valid_blocks, 3);
-        assert_eq!(victim.dirty_blocks, 2);
+        assert_eq!(victim.tags.count_read_write(), 2);
         // The reused frame starts with clean tags.
         assert_eq!(pc.tag(VPage(6), 1), Some(AccessTag::Invalid));
     }
@@ -372,19 +360,6 @@ mod tests {
         assert_eq!(pc.tag(VPage(1), 0), Some(AccessTag::Invalid));
         // Non-resident pages are ignored.
         pc.invalidate_block(VPage(9), 0);
-    }
-
-    #[test]
-    fn release_frees_the_frame() {
-        let mut pc = PageCache::new(PAGE_BYTES);
-        pc.allocate(VPage(1));
-        pc.set_tag(VPage(1), 0, AccessTag::ReadWrite);
-        let v = pc.release(VPage(1)).unwrap();
-        assert_eq!(v.dirty_blocks, 1);
-        assert_eq!(pc.occupied(), 0);
-        assert!(pc.release(VPage(1)).is_none());
-        // Frame is reusable without eviction.
-        assert!(pc.allocate(VPage(2)).victim.is_none());
     }
 
     #[test]

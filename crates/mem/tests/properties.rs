@@ -91,13 +91,6 @@ impl NaivePageCache {
             }
         }
     }
-
-    fn release(&mut self, page: u64) -> Option<usize> {
-        let f = self.frame_of(page)?;
-        self.frames[f] = None;
-        self.free.push(f);
-        Some(f)
-    }
 }
 
 proptest! {
@@ -117,7 +110,7 @@ proptest! {
     /// a resident block is always found at its own index.
     #[test]
     fn direct_cache_capacity_invariant(
-        lines in 1usize..64,
+        lines in (0u32..7).prop_map(|k| 1usize << k),
         blocks in prop::collection::vec(0u64..10_000, 0..500),
     ) {
         let mut c: DirectCache<u8> = DirectCache::new(lines);
@@ -128,13 +121,12 @@ proptest! {
         }
     }
 
-    /// Two blocks can conflict only if they share an index. The line
-    /// counts cover the masked index (powers of two, among them the
-    /// paper's 256-line L1 and 1024-line block cache) and the `%`
-    /// fallback (every other size).
+    /// Two blocks can conflict only if they share an index. Line counts
+    /// are powers of two (the only sizes a cache accepts), from one line
+    /// up to past the paper's 256-line L1 and 1024-line block cache.
     #[test]
     fn direct_cache_conflicts_share_index(
-        lines in prop_oneof![1usize..1100, Just(256usize), Just(1024usize)],
+        lines in (0u32..12).prop_map(|k| 1usize << k),
         a in 0u64..10_000,
         b in 0u64..10_000,
     ) {
@@ -570,12 +562,12 @@ proptest! {
     }
 
     /// Every policy's victims equal the naive model's over random
-    /// allocate/record-miss/release sequences.
+    /// allocate/record-miss sequences.
     #[test]
     fn page_cache_victims_match_naive_model(
         policy in 0u8..3,
         frames in 1usize..12,
-        ops in prop::collection::vec((0u8..4, 0u64..24), 1..400),
+        ops in prop::collection::vec((0u8..3, 0u64..24), 1..400),
     ) {
         let policy = match policy {
             0 => ReplacementPolicy::LeastRecentlyMissed,
@@ -598,13 +590,9 @@ proptest! {
                         prop_assert_eq!(alloc.victim.map(|v| v.vpage.0), victim);
                     }
                 }
-                2 => {
+                _ => {
                     pc.record_miss(VPage(page));
                     model.record_miss(page);
-                }
-                _ => {
-                    let freed = pc.release(VPage(page)).map(|v| v.frame.0 as usize);
-                    prop_assert_eq!(freed, model.release(page));
                 }
             }
             prop_assert_eq!(

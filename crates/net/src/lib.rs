@@ -4,8 +4,7 @@
 //! network of constant 100-cycle latency, modeling contention only at
 //! the network interfaces (Section 4). This crate provides:
 //!
-//! * [`msg`] — the directory protocol's message vocabulary and size
-//!   classes;
+//! * [`msg`] — the directory protocol's message vocabulary;
 //! * [`net`] — the [`Network`]: constant-latency fabric plus per-node
 //!   FCFS NI ports in both directions.
 
@@ -16,5 +15,5 @@
 pub mod msg;
 pub mod net;
 
-pub use msg::{MsgKind, SizeClass};
+pub use msg::MsgKind;
 pub use net::{NetConfig, Network};

@@ -1,10 +1,9 @@
 //! Coherence message vocabulary.
 //!
 //! The directory protocol exchanges a small set of message types between
-//! requesting nodes and homes. The network model only needs each
-//! message's *size class* (header-only control message vs. a message
-//! carrying a 32-byte data block) to charge network-interface occupancy;
-//! the kinds are also tallied for traffic reports.
+//! requesting nodes and homes. The network model only needs to know
+//! whether a message carries a 32-byte data block or is header-only
+//! ([`MsgKind::carries_data`]) to charge network-interface occupancy.
 
 use std::fmt;
 
@@ -33,47 +32,20 @@ pub enum MsgKind {
     FetchInvalidate,
     /// Owner returns a dirty block (voluntary or forced; carries data).
     WriteBack,
-    /// Home acknowledges a write-back.
-    WriteBackAck,
-    /// OS-level page migration payload (first-touch migration).
-    PageMigrate,
-}
-
-/// Whether a message carries a data block or only a header.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SizeClass {
-    /// Header-only control message.
-    Control,
-    /// Header plus one 32-byte block.
-    Data,
-    /// Header plus one 4-KB page (migration only).
-    Page,
 }
 
 impl MsgKind {
-    /// Number of message kinds (the length of [`MsgKind::all`]), for
-    /// sizing array-backed statistics.
-    pub const COUNT: usize = 13;
-
-    /// The size class of this message kind.
+    /// `true` for a message carrying one 32-byte block (header plus
+    /// data); `false` for a header-only control message.
     #[must_use]
-    pub fn size_class(self) -> SizeClass {
-        match self {
-            MsgKind::GetShared
-            | MsgKind::GetExclusive
-            | MsgKind::Upgrade
-            | MsgKind::AckUpgrade
-            | MsgKind::Invalidate
-            | MsgKind::InvalAck
-            | MsgKind::FetchDowngrade
-            | MsgKind::FetchInvalidate
-            | MsgKind::WriteBackAck => SizeClass::Control,
-            MsgKind::DataShared | MsgKind::DataExclusive | MsgKind::WriteBack => SizeClass::Data,
-            MsgKind::PageMigrate => SizeClass::Page,
-        }
+    pub fn carries_data(self) -> bool {
+        matches!(
+            self,
+            MsgKind::DataShared | MsgKind::DataExclusive | MsgKind::WriteBack
+        )
     }
 
-    /// All message kinds, for exhaustive statistics tables.
+    /// All message kinds, in declaration order.
     #[must_use]
     pub fn all() -> &'static [MsgKind] {
         &[
@@ -88,16 +60,7 @@ impl MsgKind {
             MsgKind::FetchDowngrade,
             MsgKind::FetchInvalidate,
             MsgKind::WriteBack,
-            MsgKind::WriteBackAck,
-            MsgKind::PageMigrate,
         ]
-    }
-
-    /// A dense index for array-backed statistics (declaration order,
-    /// matching [`MsgKind::all`]).
-    #[must_use]
-    pub fn index(self) -> usize {
-        self as usize
     }
 }
 
@@ -115,8 +78,6 @@ impl fmt::Display for MsgKind {
             MsgKind::FetchDowngrade => "FETCH_DG",
             MsgKind::FetchInvalidate => "FETCH_INV",
             MsgKind::WriteBack => "WB",
-            MsgKind::WriteBackAck => "WB_ACK",
-            MsgKind::PageMigrate => "PG_MIG",
         };
         f.write_str(s)
     }
@@ -128,19 +89,20 @@ mod tests {
 
     #[test]
     fn size_classes() {
-        assert_eq!(MsgKind::GetShared.size_class(), SizeClass::Control);
-        assert_eq!(MsgKind::DataShared.size_class(), SizeClass::Data);
-        assert_eq!(MsgKind::WriteBack.size_class(), SizeClass::Data);
-        assert_eq!(MsgKind::InvalAck.size_class(), SizeClass::Control);
-        assert_eq!(MsgKind::PageMigrate.size_class(), SizeClass::Page);
+        assert!(!MsgKind::GetShared.carries_data());
+        assert!(MsgKind::DataShared.carries_data());
+        assert!(MsgKind::WriteBack.carries_data());
+        assert!(!MsgKind::InvalAck.carries_data());
+        let data = MsgKind::all().iter().filter(|k| k.carries_data()).count();
+        assert_eq!(data, 3, "only the two data replies and the write-back");
     }
 
     #[test]
     fn all_is_exhaustive_and_indexable() {
         let all = MsgKind::all();
-        assert_eq!(all.len(), MsgKind::COUNT);
+        assert_eq!(all.len(), 11);
         for (i, &k) in all.iter().enumerate() {
-            assert_eq!(k.index(), i);
+            assert_eq!(k as usize, i, "{k} out of declaration order");
         }
     }
 

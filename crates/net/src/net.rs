@@ -5,9 +5,9 @@
 //! interfaces." [`Network`] reproduces exactly that: the fabric itself is
 //! contention-free and adds [`NetConfig::latency`] to every message, while
 //! each node has one outbound and one inbound FCFS network-interface
-//! port whose occupancy depends on the message's size class.
+//! port whose occupancy depends on whether the message carries data.
 //!
-//! All per-message state (both NI ports and the send counters, which are
+//! All per-message state (both NI ports and the send count, which is
 //! attributed to the *sender*) lives in one `NodeNi` per node. Two
 //! message operations exist:
 //!
@@ -18,7 +18,7 @@
 //!   sinks at the destination's memory controller without occupying the
 //!   in-NI port.
 
-use crate::msg::{MsgKind, SizeClass};
+use crate::msg::MsgKind;
 use rnuma_mem::addr::NodeId;
 use rnuma_sim::{Cycles, Resource};
 
@@ -31,8 +31,6 @@ pub struct NetConfig {
     pub control_occupancy: Cycles,
     /// NI occupancy for a message carrying one 32-byte block.
     pub data_occupancy: Cycles,
-    /// NI occupancy for a page-sized migration message.
-    pub page_occupancy: Cycles,
 }
 
 impl Default for NetConfig {
@@ -41,45 +39,31 @@ impl Default for NetConfig {
             latency: Cycles(100),
             control_occupancy: Cycles(4),
             data_occupancy: Cycles(8),
-            page_occupancy: Cycles(512),
         }
     }
 }
 
 impl NetConfig {
     #[inline]
-    fn occupancy(&self, class: SizeClass) -> Cycles {
-        match class {
-            SizeClass::Control => self.control_occupancy,
-            SizeClass::Data => self.data_occupancy,
-            SizeClass::Page => self.page_occupancy,
+    fn occupancy(&self, kind: MsgKind) -> Cycles {
+        if kind.carries_data() {
+            self.data_occupancy
+        } else {
+            self.control_occupancy
         }
     }
 }
 
 /// One node's complete network-interface state: both FCFS ports plus the
-/// node's (sender-attributed) message counters.
-#[derive(Clone, Debug)]
+/// number of messages the node has sent.
+#[derive(Clone, Debug, Default)]
 struct NodeNi {
     out: Resource,
     inbound: Resource,
-    sent_by_kind: [u64; MsgKind::COUNT],
+    sent: u64,
 }
 
 impl NodeNi {
-    fn new() -> NodeNi {
-        NodeNi {
-            out: Resource::new("ni-out"),
-            inbound: Resource::new("ni-in"),
-            sent_by_kind: [0; MsgKind::COUNT],
-        }
-    }
-
-    /// Messages this node has sent, of any kind.
-    fn total_sent(&self) -> u64 {
-        self.sent_by_kind.iter().sum()
-    }
-
     /// Queueing delay imposed by this node's two NI ports.
     fn wait(&self) -> Cycles {
         self.out.total_wait() + self.inbound.total_wait()
@@ -118,20 +102,8 @@ impl Network {
         assert!(nodes > 0, "network needs at least one node");
         Network {
             config,
-            nis: (0..nodes).map(|_| NodeNi::new()).collect(),
+            nis: vec![NodeNi::default(); nodes],
         }
-    }
-
-    /// Number of nodes attached.
-    #[must_use]
-    pub fn nodes(&self) -> usize {
-        self.nis.len()
-    }
-
-    /// The configured timing parameters.
-    #[must_use]
-    pub fn config(&self) -> NetConfig {
-        self.config
     }
 
     /// Sends one synchronous message, returning its delivery time at
@@ -149,12 +121,11 @@ impl Network {
     /// id is out of range.
     pub fn send(&mut self, now: Cycles, from: NodeId, to: NodeId, kind: MsgKind) -> Cycles {
         assert_ne!(from, to, "loopback messages are a protocol bug");
-        let occ = self.config.occupancy(kind.size_class());
+        let occ = self.config.occupancy(kind);
         let departed = {
             let src = &mut self.nis[from.0 as usize];
-            let t = src.out.acquire(now, occ) + occ;
-            src.sent_by_kind[kind.index()] += 1;
-            t
+            src.sent += 1;
+            src.out.acquire(now, occ) + occ
         };
         let at_dest = departed + self.config.latency;
         self.nis[to.0 as usize].inbound.acquire(at_dest, occ) + occ
@@ -173,34 +144,16 @@ impl Network {
     /// Panics if `from == to` or `from` is out of range.
     pub fn post(&mut self, now: Cycles, from: NodeId, to: NodeId, kind: MsgKind) -> Cycles {
         assert_ne!(from, to, "loopback messages are a protocol bug");
-        let occ = self.config.occupancy(kind.size_class());
+        let occ = self.config.occupancy(kind);
         let src = &mut self.nis[from.0 as usize];
-        let departed = src.out.acquire(now, occ) + occ;
-        src.sent_by_kind[kind.index()] += 1;
-        departed + self.config.latency
-    }
-
-    /// The uncontended one-way cost of a synchronous message of `kind`,
-    /// for latency budgeting (2 NI occupancies + fabric latency).
-    #[must_use]
-    pub fn uncontended(&self, kind: MsgKind) -> Cycles {
-        let occ = self.config.occupancy(kind.size_class());
-        occ + self.config.latency + occ
-    }
-
-    /// Messages sent so far, by kind (summed over all senders).
-    #[must_use]
-    pub fn sends_of(&self, kind: MsgKind) -> u64 {
-        self.nis
-            .iter()
-            .map(|ni| ni.sent_by_kind[kind.index()])
-            .sum()
+        src.sent += 1;
+        src.out.acquire(now, occ) + occ + self.config.latency
     }
 
     /// Total messages sent.
     #[must_use]
     pub fn total_sends(&self) -> u64 {
-        self.nis.iter().map(NodeNi::total_sent).sum()
+        self.nis.iter().map(|ni| ni.sent).sum()
     }
 
     /// Total queueing delay imposed by all NIs (a contention measure).
@@ -222,8 +175,7 @@ mod tests {
     fn uncontended_control_message_timing() {
         let mut n = net();
         let t = n.send(Cycles(0), NodeId(0), NodeId(7), MsgKind::GetShared);
-        assert_eq!(t, Cycles(108));
-        assert_eq!(n.uncontended(MsgKind::GetShared), Cycles(108));
+        assert_eq!(t, Cycles(108), "4 out-NI + 100 fabric + 4 in-NI");
     }
 
     #[test]
@@ -265,10 +217,9 @@ mod tests {
         n.send(Cycles(0), NodeId(0), NodeId(1), MsgKind::GetShared);
         n.send(Cycles(0), NodeId(1), NodeId(0), MsgKind::DataShared);
         n.send(Cycles(0), NodeId(2), NodeId(0), MsgKind::GetShared);
-        assert_eq!(n.sends_of(MsgKind::GetShared), 2);
-        assert_eq!(n.sends_of(MsgKind::DataShared), 1);
-        assert_eq!(n.sends_of(MsgKind::WriteBack), 0);
         assert_eq!(n.total_sends(), 3);
+        n.post(Cycles(0), NodeId(3), NodeId(0), MsgKind::WriteBack);
+        assert_eq!(n.total_sends(), 4);
     }
 
     #[test]
@@ -292,7 +243,7 @@ mod tests {
         let t = n.post(Cycles(0), NodeId(0), NodeId(1), MsgKind::WriteBack);
         assert_eq!(t, Cycles(8 + 100));
         // It is still counted as a send...
-        assert_eq!(n.sends_of(MsgKind::WriteBack), 1);
+        assert_eq!(n.total_sends(), 1);
         // ...but leaves the receiver's in-NI untouched: a synchronous
         // arrival right behind it sees an idle port.
         let t2 = n.send(Cycles(0), NodeId(2), NodeId(1), MsgKind::GetShared);

@@ -34,9 +34,6 @@ pub struct SnoopResult {
     pub supplied_by_cache: bool,
     /// Some peer held a copy in any valid state before the transaction.
     pub peer_had_copy: bool,
-    /// A peer's dirty copy was absorbed (read: by downgrade to `O`;
-    /// write: by invalidation transferring the dirty data).
-    pub dirty_absorbed: bool,
 }
 
 /// Applies `request` for `block`, issued by the CPU at `issuer` (an index
@@ -85,7 +82,6 @@ fn snoop_each(
         // An owner supplies a read cache-to-cache and keeps its dirty
         // copy as `O`; a write absorbs the owner's dirty copy.
         result.supplied_by_cache |= reply.owned && !invalidate;
-        result.dirty_absorbed |= reply.owned;
     }
     result
 }
@@ -107,7 +103,6 @@ mod tests {
         l1s[2].fill(B, Moesi::Modified);
         let r = snoop(&mut l1s, 0, B, BusRequest::Read);
         assert!(r.supplied_by_cache);
-        assert!(r.dirty_absorbed);
         assert_eq!(l1s[2].state(B), Moesi::Owned, "owner keeps dirty copy as O");
     }
 
@@ -128,7 +123,6 @@ mod tests {
         let r = snoop(&mut l1s, 0, B, BusRequest::Read);
         assert!(!r.supplied_by_cache);
         assert_eq!(l1s[3].state(B), Moesi::Shared);
-        assert!(!r.dirty_absorbed);
     }
 
     #[test]
@@ -138,7 +132,8 @@ mod tests {
         l1s[2].fill(B, Moesi::Owned);
         l1s[3].fill(B, Moesi::Shared);
         let r = snoop(&mut l1s, 0, B, BusRequest::ReadExclusive);
-        assert!(r.dirty_absorbed, "O copy transferred to writer");
+        assert!(!r.supplied_by_cache, "a write takes the O copy's data");
+        assert!(r.peer_had_copy);
         for (i, l1) in l1s.iter().enumerate().skip(1) {
             assert_eq!(l1.state(B), Moesi::Invalid, "cache {i}");
         }
@@ -151,7 +146,7 @@ mod tests {
         l1s[1].fill(B, Moesi::Shared);
         let r = snoop(&mut l1s, 0, B, BusRequest::Upgrade);
         assert!(r.peer_had_copy);
-        assert!(!r.dirty_absorbed);
+        assert!(!r.supplied_by_cache);
         assert_eq!(l1s[0].state(B), Moesi::Shared, "issuer untouched");
         assert_eq!(l1s[1].state(B), Moesi::Invalid);
     }

@@ -20,7 +20,7 @@
 //! [`ReadOutcome`]/[`WriteOutcome`] tells the caller which remote actions
 //! (owner fetch, invalidations) to charge and perform.
 
-use rnuma_mem::addr::{NodeId, NodeMask, VBlock, VPage};
+use rnuma_mem::addr::{NodeId, NodeMask, VBlock};
 use rnuma_mem::paged::PagedMap;
 
 /// Directory record for one block.
@@ -70,43 +70,27 @@ pub struct WriteOutcome {
 /// use rnuma_mem::addr::{NodeId, VBlock};
 /// use rnuma_proto::directory::Directory;
 ///
-/// let mut dir = Directory::new(NodeId(0));
+/// let mut dir = Directory::new();
 /// let first = dir.read(VBlock(7), NodeId(1));
 /// assert!(!first.refetch);
 /// // Node 1 silently loses the copy to a conflict, then asks again:
 /// let again = dir.read(VBlock(7), NodeId(1));
 /// assert!(again.refetch);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Directory {
-    home: NodeId,
     /// Per-block records in a paged dense array: directory traffic
     /// clusters within pages (fetch/flush/relocation walk a page's
     /// blocks back to back), so one page-indexed load plus a dense
     /// index per block beats a per-block map lookup.
     entries: PagedMap<Entry>,
-    reads: u64,
-    writes: u64,
-    refetches: u64,
 }
 
 impl Directory {
-    /// Creates an empty directory for blocks homed at `home`.
+    /// Creates an empty directory.
     #[must_use]
-    pub fn new(home: NodeId) -> Directory {
-        Directory {
-            home,
-            entries: PagedMap::new(),
-            reads: 0,
-            writes: 0,
-            refetches: 0,
-        }
-    }
-
-    /// The node this directory belongs to.
-    #[must_use]
-    pub fn home(&self) -> NodeId {
-        self.home
+    pub fn new() -> Directory {
+        Directory::default()
     }
 
     /// Current state of `block` (all-empty when never referenced).
@@ -119,7 +103,6 @@ impl Directory {
     /// home node itself — local reads at the home consult the same
     /// directory).
     pub fn read(&mut self, block: VBlock, requester: NodeId) -> ReadOutcome {
-        self.reads += 1;
         let e = self.entries.entry_or_default(block);
         let refetch = e.sharers.contains(requester)
             || e.was_owner.contains(requester)
@@ -138,9 +121,6 @@ impl Directory {
         // A node that re-acquires the block sheds its was-owner mark:
         // the refetch has been observed and counted once.
         e.was_owner.remove(requester);
-        if refetch {
-            self.refetches += 1;
-        }
         ReadOutcome {
             fetch_from,
             refetch,
@@ -155,7 +135,6 @@ impl Directory {
     /// upgrading node never evicted anything, so finding it in the
     /// sharers mask is expected, not a refetch signal.
     pub fn write(&mut self, block: VBlock, requester: NodeId, holds_copy: bool) -> WriteOutcome {
-        self.writes += 1;
         let e = self.entries.entry_or_default(block);
         let refetch = !holds_copy
             && (e.sharers.contains(requester)
@@ -174,9 +153,6 @@ impl Directory {
         e.owner = Some(requester);
         e.sharers.clear();
         e.was_owner.clear();
-        if refetch {
-            self.refetches += 1;
-        }
         WriteOutcome {
             fetch_from,
             invalidate,
@@ -200,30 +176,6 @@ impl Directory {
             }
         }
     }
-
-    /// Total reads served.
-    #[must_use]
-    pub fn reads(&self) -> u64 {
-        self.reads
-    }
-
-    /// Total writes served.
-    #[must_use]
-    pub fn writes(&self) -> u64 {
-        self.writes
-    }
-
-    /// Total refetches detected.
-    #[must_use]
-    pub fn refetches(&self) -> u64 {
-        self.refetches
-    }
-
-    /// Iterates over the entries of one page (diagnostics), in ascending
-    /// block order.
-    pub fn page_entries(&self, page: VPage) -> impl Iterator<Item = (VBlock, Entry)> + '_ {
-        self.entries.page_entries(page).map(|(b, &e)| (b, e))
-    }
 }
 
 #[cfg(test)]
@@ -236,7 +188,7 @@ mod tests {
     const B: VBlock = VBlock(100);
 
     fn dir() -> Directory {
-        Directory::new(HOME)
+        Directory::new()
     }
 
     #[test]
@@ -255,7 +207,6 @@ mod tests {
         // Non-notifying protocol: N1 conflicts the block out silently.
         let out = d.read(B, N1);
         assert!(out.refetch, "read-only refetch detection is trivial");
-        assert_eq!(d.refetches(), 1);
     }
 
     #[test]
@@ -344,26 +295,5 @@ mod tests {
         d.writeback(B, N1); // late arrival
         assert_eq!(d.entry(B).owner, Some(N2));
         assert!(!d.entry(B).was_owner.contains(N1));
-    }
-
-    #[test]
-    fn counters_accumulate() {
-        let mut d = dir();
-        d.read(B, N1);
-        d.read(B, N1);
-        d.write(B, N2, false);
-        assert_eq!(d.reads(), 2);
-        assert_eq!(d.writes(), 1);
-        assert_eq!(d.refetches(), 1);
-    }
-
-    #[test]
-    fn page_entries_iterates_tracked_blocks() {
-        let mut d = dir();
-        let page = VPage(3);
-        d.read(page.block(0), N1);
-        d.read(page.block(5), N1);
-        d.read(VPage(4).block(0), N1);
-        assert_eq!(d.page_entries(page).count(), 2);
     }
 }

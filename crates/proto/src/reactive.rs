@@ -27,7 +27,6 @@ pub struct RefetchCounters {
     threshold: u32,
     counts: PageMap<u32>,
     interrupts: u64,
-    total_refetches: u64,
 }
 
 impl RefetchCounters {
@@ -46,21 +45,13 @@ impl RefetchCounters {
             threshold,
             counts: PageMap::new(),
             interrupts: 0,
-            total_refetches: 0,
         }
-    }
-
-    /// The relocation threshold `T`.
-    #[must_use]
-    pub fn threshold(&self) -> u32 {
-        self.threshold
     }
 
     /// Records one refetch for `page`. Returns `true` when the count
     /// reaches the threshold — the RAD raises the relocation interrupt
     /// and the counter resets (the page is about to leave CC-NUMA mode).
     pub fn record(&mut self, page: VPage) -> bool {
-        self.total_refetches += 1;
         let count = self.counts.entry_or_default(page);
         *count = count.saturating_add(1);
         if *count >= self.threshold {
@@ -89,12 +80,6 @@ impl RefetchCounters {
     pub fn interrupts(&self) -> u64 {
         self.interrupts
     }
-
-    /// Total refetches recorded (including those below threshold).
-    #[must_use]
-    pub fn total_refetches(&self) -> u64 {
-        self.total_refetches
-    }
 }
 
 #[cfg(test)]
@@ -111,7 +96,6 @@ mod tests {
         assert_eq!(c.count(VPage(1)), 10);
         assert_eq!(c.count(VPage(2)), 1);
         assert_eq!(c.count(VPage(3)), 0);
-        assert_eq!(c.total_refetches(), 11);
     }
 
     #[test]

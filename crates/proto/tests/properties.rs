@@ -29,7 +29,7 @@ proptest! {
     /// owner and no sharers, or no owner — never both.
     #[test]
     fn owner_and_sharers_are_mutually_exclusive(ops in prop::collection::vec(arb_op(), 1..200)) {
-        let mut dir = Directory::new(NodeId(0));
+        let mut dir = Directory::new();
         let block = VBlock(42);
         for op in ops {
             match op {
@@ -51,7 +51,7 @@ proptest! {
     /// re-requests.
     #[test]
     fn refetch_flags_only_rerequests(nodes in prop::collection::vec(1u8..8, 1..40)) {
-        let mut dir = Directory::new(NodeId(0));
+        let mut dir = Directory::new();
         let block = VBlock(7);
         let mut granted: std::collections::BTreeSet<u8> = Default::default();
         for n in nodes {
@@ -66,7 +66,7 @@ proptest! {
     /// previously granted nodes are cold (coherence), not refetches.
     #[test]
     fn write_resets_refetch_state(readers in prop::collection::vec(1u8..8, 1..20), writer in 1u8..8) {
-        let mut dir = Directory::new(NodeId(0));
+        let mut dir = Directory::new();
         let block = VBlock(9);
         for &n in &readers {
             dir.read(block, NodeId(n));

@@ -25,7 +25,7 @@
 //! use rnuma_sim::resource::Resource;
 //!
 //! // A 100-MHz bus on a 400-MHz machine is busy 4 CPU cycles per bus cycle.
-//! let mut bus = Resource::new("membus");
+//! let mut bus = Resource::new();
 //! let grant = bus.acquire(Cycles(10), Cycles(8));
 //! assert_eq!(grant, Cycles(10)); // uncontended
 //! let grant2 = bus.acquire(Cycles(12), Cycles(8));

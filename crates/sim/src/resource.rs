@@ -8,7 +8,6 @@
 //! delay is the queueing component of their latency.
 
 use crate::time::Cycles;
-use std::fmt;
 
 /// A FCFS single server modeling one contended hardware resource.
 ///
@@ -21,35 +20,25 @@ use std::fmt;
 /// ```
 /// use rnuma_sim::{Cycles, Resource};
 ///
-/// let mut ni = Resource::new("ni-out");
+/// let mut ni = Resource::new();
 /// // Two messages injected at the same time serialize.
 /// let g0 = ni.acquire(Cycles(100), Cycles(16));
 /// let g1 = ni.acquire(Cycles(100), Cycles(16));
 /// assert_eq!(g0, Cycles(100));
 /// assert_eq!(g1, Cycles(116));
+/// assert_eq!(ni.total_wait(), Cycles(16));
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Resource {
-    name: &'static str,
     next_free: Cycles,
-    busy: Cycles,
-    grants: u64,
-    queued: u64,
     total_wait: Cycles,
 }
 
 impl Resource {
-    /// Creates an idle resource. `name` labels it in statistics dumps.
+    /// Creates an idle resource.
     #[must_use]
-    pub fn new(name: &'static str) -> Resource {
-        Resource {
-            name,
-            next_free: Cycles::ZERO,
-            busy: Cycles::ZERO,
-            grants: 0,
-            queued: 0,
-            total_wait: Cycles::ZERO,
-        }
+    pub fn new() -> Resource {
+        Resource::default()
     }
 
     /// Requests the resource at time `now` for `occupancy` cycles.
@@ -60,16 +49,12 @@ impl Resource {
     ///
     /// This sits on the innermost simulation loop (several acquisitions
     /// per miss), so the accounting is branchless: the wait term is zero
-    /// on the uncontended path and folds into the same adds either way.
+    /// on the uncontended path and folds into the same add either way.
     #[inline]
     pub fn acquire(&mut self, now: Cycles, occupancy: Cycles) -> Cycles {
         let grant = Cycles(now.0.max(self.next_free.0));
-        let wait = grant.0 - now.0;
-        self.queued += u64::from(wait > 0);
-        self.total_wait.0 += wait;
+        self.total_wait.0 += grant.0 - now.0;
         self.next_free = Cycles(grant.0 + occupancy.0);
-        self.busy.0 += occupancy.0;
-        self.grants += 1;
         grant
     }
 
@@ -79,44 +64,10 @@ impl Resource {
         self.next_free
     }
 
-    /// Label given at construction.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Number of transactions granted so far.
-    #[must_use]
-    pub fn grants(&self) -> u64 {
-        self.grants
-    }
-
-    /// Number of transactions that had to queue.
-    #[must_use]
-    pub fn queued(&self) -> u64 {
-        self.queued
-    }
-
     /// Sum of all queueing delays imposed.
     #[must_use]
     pub fn total_wait(&self) -> Cycles {
         self.total_wait
-    }
-
-    /// Total busy time accumulated.
-    #[must_use]
-    pub fn busy(&self) -> Cycles {
-        self.busy
-    }
-}
-
-impl fmt::Display for Resource {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}: {} grants, {} queued, busy {}, waited {}",
-            self.name, self.grants, self.queued, self.busy, self.total_wait
-        )
     }
 }
 
@@ -126,47 +77,38 @@ mod tests {
 
     #[test]
     fn idle_resource_grants_immediately() {
-        let mut r = Resource::new("bus");
+        let mut r = Resource::new();
         assert_eq!(r.acquire(Cycles(50), Cycles(8)), Cycles(50));
         assert_eq!(r.next_free(), Cycles(58));
-        assert_eq!(r.queued(), 0);
+        assert_eq!(r.total_wait(), Cycles::ZERO);
     }
 
     #[test]
     fn contenders_serialize_in_arrival_order() {
-        let mut r = Resource::new("bus");
+        let mut r = Resource::new();
         let g0 = r.acquire(Cycles(0), Cycles(10));
         let g1 = r.acquire(Cycles(3), Cycles(10));
         let g2 = r.acquire(Cycles(4), Cycles(10));
         assert_eq!((g0, g1, g2), (Cycles(0), Cycles(10), Cycles(20)));
-        assert_eq!(r.queued(), 2);
         assert_eq!(r.total_wait(), Cycles(7 + 16));
     }
 
     #[test]
     fn gaps_leave_the_resource_idle() {
-        let mut r = Resource::new("ni");
+        let mut r = Resource::new();
         r.acquire(Cycles(0), Cycles(4));
         let g = r.acquire(Cycles(100), Cycles(4));
         assert_eq!(g, Cycles(100));
-        assert_eq!(r.busy(), Cycles(8));
+        assert_eq!(r.next_free(), Cycles(104));
+        assert_eq!(r.total_wait(), Cycles::ZERO);
     }
 
     #[test]
     fn zero_occupancy_is_allowed() {
-        let mut r = Resource::new("tag-probe");
+        let mut r = Resource::new();
         let g0 = r.acquire(Cycles(5), Cycles::ZERO);
         let g1 = r.acquire(Cycles(5), Cycles(2));
         assert_eq!(g0, Cycles(5));
         assert_eq!(g1, Cycles(5));
-    }
-
-    #[test]
-    fn display_mentions_name_and_counts() {
-        let mut r = Resource::new("membus");
-        r.acquire(Cycles(0), Cycles(4));
-        let s = r.to_string();
-        assert!(s.contains("membus"));
-        assert!(s.contains("1 grants"));
     }
 }

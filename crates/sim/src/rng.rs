@@ -59,14 +59,6 @@ impl DetRng {
         result
     }
 
-    /// Derives an independent child stream; used to give each node or CPU
-    /// its own stream without cross-coupling their draw orders.
-    #[must_use]
-    pub fn fork(&mut self, salt: u64) -> DetRng {
-        let s = self.next_u64() ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        DetRng::seeded(s)
-    }
-
     /// A uniform index in `[0, bound)`.
     ///
     /// # Panics
@@ -135,20 +127,6 @@ mod tests {
         let mut b = DetRng::seeded(2);
         let same = (0..64).filter(|_| a.unit() == b.unit()).count();
         assert!(same < 4, "streams should be effectively independent");
-    }
-
-    #[test]
-    fn forked_streams_are_deterministic_and_distinct() {
-        let mut parent1 = DetRng::seeded(9);
-        let mut parent2 = DetRng::seeded(9);
-        let mut c1 = parent1.fork(5);
-        let mut c2 = parent2.fork(5);
-        assert_eq!(c1.range_u64(0, u64::MAX), c2.range_u64(0, u64::MAX));
-
-        let mut p = DetRng::seeded(9);
-        let mut a = p.fork(1);
-        let mut b = p.fork(2);
-        assert_ne!(a.range_u64(0, u64::MAX), b.range_u64(0, u64::MAX));
     }
 
     #[test]

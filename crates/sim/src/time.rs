@@ -3,8 +3,8 @@
 //! All latencies in the workspace are expressed in cycles of the 400-MHz
 //! processors the paper models (Ross HyperSparc, Section 4). The paper's
 //! Table 2 mixes cycle counts (block operations) with wall-clock times
-//! (5 µs page faults); [`Cycles::from_micros_400mhz`] performs the same
-//! conversion the paper does (5 µs × 400 MHz = 2000 cycles).
+//! (5 µs page faults); the cost model states the latter already
+//! converted, as the paper does (5 µs × 400 MHz = 2000 cycles).
 
 use std::fmt;
 use std::iter::Sum;
@@ -21,15 +21,11 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// ```
 /// use rnuma_sim::time::Cycles;
 ///
-/// let trap = Cycles::from_micros_400mhz(5.0);
-/// assert_eq!(trap, Cycles(2000));
+/// let trap = Cycles(2000);
 /// assert_eq!(trap + Cycles(200), Cycles(2200));
 /// ```
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Cycles(pub u64);
-
-/// The clock rate the paper's processors run at.
-pub const CPU_MHZ: u64 = 400;
 
 /// CPU cycles per bus cycle (400-MHz CPUs over a 100-MHz MBus).
 pub const CPU_CYCLES_PER_BUS_CYCLE: u64 = 4;
@@ -40,23 +36,6 @@ impl Cycles {
 
     /// The largest representable time; used as "never".
     pub const MAX: Cycles = Cycles(u64::MAX);
-
-    /// Converts a wall-clock duration in microseconds to cycles at 400 MHz.
-    ///
-    /// This is the conversion the paper applies to its OS overheads: a 5-µs
-    /// page-fault handler is 2000 cycles (Table 2).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `micros` is negative or not finite.
-    #[must_use]
-    pub fn from_micros_400mhz(micros: f64) -> Cycles {
-        assert!(
-            micros.is_finite() && micros >= 0.0,
-            "duration must be finite and non-negative, got {micros}"
-        );
-        Cycles((micros * CPU_MHZ as f64).round() as u64)
-    }
 
     /// Converts whole bus cycles (100 MHz) into CPU cycles.
     ///
@@ -160,15 +139,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn paper_table2_microsecond_conversions() {
-        // Table 2 / Section 5.5: 5 µs soft trap = 2000 cycles,
-        // 0.5 µs TLB invalidation = 200 cycles, SOFT variants 10 µs / 5 µs.
-        assert_eq!(Cycles::from_micros_400mhz(5.0), Cycles(2000));
-        assert_eq!(Cycles::from_micros_400mhz(0.5), Cycles(200));
-        assert_eq!(Cycles::from_micros_400mhz(10.0), Cycles(4000));
-    }
-
-    #[test]
     fn bus_cycle_ratio_is_four() {
         assert_eq!(Cycles::from_bus_cycles(1), Cycles(4));
         assert_eq!(Cycles::from_bus_cycles(25), Cycles(100));
@@ -204,11 +174,5 @@ mod tests {
     fn conversions_to_and_from_u64() {
         let c: Cycles = 17u64.into();
         assert_eq!(u64::from(c), 17);
-    }
-
-    #[test]
-    #[should_panic(expected = "finite and non-negative")]
-    fn negative_micros_panics() {
-        let _ = Cycles::from_micros_400mhz(-1.0);
     }
 }

@@ -111,7 +111,6 @@ impl Workload for Barnes {
         // subtree: cell c at level d is built by the owner of the bodies
         // under it — approximated by striping cells across CPUs by
         // octant index.
-        r.arm_first_touch();
         r.parallel(&items, |ctx, _cpu, i| {
             ctx.write_words(bodies.elem(i, BODY), 3);
         });

@@ -103,7 +103,6 @@ impl Workload for Cholesky {
         // factor storage), homing the factor pages. The original matrix
         // and symbolic indices are initialized before the timed region
         // and are homed lazily at their first reader.
-        r.arm_first_touch();
         r.parallel(&items, |ctx, _cpu, j| {
             for w in (0..PANEL / 8).step_by(16) {
                 ctx.write(factors.elem(j * PANEL / 8 + w, 8));

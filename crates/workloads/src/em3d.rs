@@ -116,7 +116,6 @@ impl Workload for Em3d {
 
         // Owners write their values once so first touch homes each slice
         // locally (the Split-C program allocates node storage locally).
-        r.arm_first_touch();
         r.parallel(&items, |ctx, _cpu, i| {
             ctx.write(e_values.elem(i, NODE_STRIDE));
             ctx.write(h_values.elem(i, NODE_STRIDE));

@@ -117,7 +117,6 @@ impl Workload for Fft {
             .collect();
 
         // Owners initialize their rows (first touch homes them).
-        r.arm_first_touch();
         r.parallel(&rows, |ctx, _cpu, row| {
             for col in 0..side {
                 ctx.write(Fft::at(x, side, row, col));

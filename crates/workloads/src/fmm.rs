@@ -101,7 +101,6 @@ impl Workload for Fmm {
         let items = r.block_partition(nb);
 
         // Owners initialize their boxes' expansions and particles.
-        r.arm_first_touch();
         r.parallel(&items, |ctx, _cpu, b| {
             ctx.write_words(expansion_of(boxes, b), EXPANSION_WORDS);
         });

@@ -18,9 +18,9 @@
 //! tests and micro-benchmarks while preserving the access patterns.
 //!
 //! Initialization phases run *untimed* (standard SPLASH-2 methodology:
-//! measurements cover the parallel phase), with first-touch placement
-//! armed at the start of the timed region, so page homes land where the
-//! paper's first-touch migration policy would put them.
+//! measurements cover the parallel phase), and the machine homes every
+//! page at the node of its first timed reference, so page homes land
+//! where the paper's first-touch migration policy would put them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

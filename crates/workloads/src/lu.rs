@@ -121,7 +121,6 @@ impl Workload for Lu {
 
         // Owners initialize their blocks: first touch homes each block's
         // pages at its owner.
-        r.arm_first_touch();
         let all_blocks: Vec<Vec<u64>> = (0..cpus)
             .map(|cpu| {
                 (0..grid * grid)

@@ -84,7 +84,6 @@ impl Workload for Moldyn {
         // Owners initialize their particles (first touch homes them;
         // a block distribution of 2048 particles interleaves pages
         // across nodes at ~256 particles per node).
-        r.arm_first_touch();
         r.parallel(&items, |ctx, _cpu, i| {
             ctx.write(coords.elem(i, VEC3));
             ctx.write(velocities.elem(i, VEC3));

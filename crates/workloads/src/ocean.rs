@@ -133,7 +133,6 @@ impl Workload for Ocean {
             .collect();
 
         // Owners initialize their subgrids in every array (first touch).
-        r.arm_first_touch();
         let one_each: Vec<Vec<u64>> = (0..cpus).map(|c| vec![c]).collect();
         for &grid in &grids {
             r.parallel(&one_each, |ctx, _cpu, c| {

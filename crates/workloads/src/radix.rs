@@ -73,7 +73,6 @@ impl Workload for Radix {
         let slices = r.block_partition(n);
 
         // Owners write their key slices (first touch homes them).
-        r.arm_first_touch();
         r.parallel(&slices, |ctx, _cpu, i| {
             ctx.write(src.elem(i, KEY));
         });

@@ -110,7 +110,6 @@ impl Workload for Raytrace {
         // and triangles are *never written* during rendering: their
         // pages are homed by first touch at their first reader and the
         // directory sees pure read sharing — Table 4's 5%-RW column.
-        r.arm_first_touch();
 
         // Render: pixels block-partitioned (scanline groups per CPU).
         let pixel_items = r.block_partition(pixels);

@@ -28,7 +28,6 @@ impl Workload for Synthetic {
         let hot = r.alloc(self.reuse_pages * 4096);
         let cold = r.alloc(self.stream_pages * 4096);
 
-        r.arm_first_touch();
         // Hot data homed on node 0 (CPU 0 writes it first).
         r.serial(rnuma_mem::addr::CpuId(0), |ctx| {
             for w in 0..hot.len(8) {

@@ -47,7 +47,6 @@ impl Workload for Database {
             .collect();
 
         // The table is loaded by partitioned owners (first touch).
-        r.arm_first_touch();
         let load = r.block_partition(RECORDS);
         r.parallel(&load, |ctx, _cpu, rec| {
             ctx.write(table.elem(rec, RECORD));

@@ -26,7 +26,6 @@ impl Workload for Pipeline {
         let buffers: Vec<_> = (0..cpus).map(|_| r.alloc(SLOTS * 8)).collect();
 
         // Each stage initializes its own outbound buffer (first touch).
-        r.arm_first_touch();
         let one_each: Vec<Vec<u64>> = (0..cpus).map(|c| vec![c]).collect();
         r.parallel(&one_each, |ctx, _cpu, c| {
             for s in 0..SLOTS {

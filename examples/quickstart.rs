@@ -20,7 +20,6 @@ impl Workload for TableWalk {
         // 64 KB shared table, written once by CPU 0 (first touch homes
         // it on node 0), then read by everyone for several rounds.
         let table = r.alloc(64 * 1024);
-        r.arm_first_touch();
         r.serial(rnuma_mem::addr::CpuId(0), |ctx| {
             for w in 0..table.len(8) {
                 ctx.write(table.word(w));

@@ -108,7 +108,6 @@ fn a_serial_item_longer_than_a_segment_records_exact_chunks() {
         }
         fn run(&mut self, r: &mut Runner<'_>) {
             let data = r.alloc(64 * 4096);
-            r.arm_first_touch();
             r.serial(CpuId(9), |ctx| {
                 for i in 0..10_000u64 {
                     ctx.update(data.word((i * 37) % data.len(8)));
@@ -122,7 +121,7 @@ fn a_serial_item_longer_than_a_segment_records_exact_chunks() {
     let mut store = TraceStore::new();
     let (id, report) = store.capture(config, &mut LongItem);
     let (_, trace) = run_traced(config, &mut LongItem);
-    assert_eq!(trace.len(), 2 + 3 * 10_000);
+    assert_eq!(trace.len(), 3 * 10_000 + 1);
     assert_exact_decode(&store, id, &trace);
     let mut sizes = Vec::new();
     store.for_each_batch(id, |ops, _| sizes.push(ops.len()));
@@ -187,7 +186,7 @@ fn splitter_edge_cases_replay_identically() {
     assert_three_way(&per_op_replay(config, &one), config, &one, "single op");
     // CPU-alternating stream: every same-CPU run has length 1, and the
     // CPUs span nodes so the walk crosses the machine.
-    let mut alternating = vec![TraceOp::ArmFirstTouch];
+    let mut alternating = Vec::new();
     for i in 0..600u64 {
         let cpu = CpuId((i % 32) as u16);
         alternating.push(TraceOp::Access {
@@ -214,7 +213,7 @@ fn splitter_edge_cases_replay_identically() {
 fn segment_boundaries_splitting_a_run_replay_identically() {
     let config = figure_configs()[1]; // CC-NUMA
                                       // 10k+ ops from one CPU: spans three 4096-op segments.
-    let mut ops = vec![TraceOp::ArmFirstTouch];
+    let mut ops = Vec::new();
     for i in 0..10_000u64 {
         ops.push(TraceOp::Access {
             cpu: CpuId(0),
@@ -306,7 +305,7 @@ proptest! {
         ),
     ) {
         let config = figure_configs()[config_idx];
-        let mut ops = vec![TraceOp::ArmFirstTouch];
+        let mut ops = Vec::new();
         for &(cpu, page, block, flags) in &stream {
             ops.push(TraceOp::Access {
                 cpu: CpuId(cpu),
@@ -327,7 +326,6 @@ proptest! {
                 TraceOp::Access { cpu, va, write } => { live.access(cpu, va, write); }
                 TraceOp::Think { cpu, dur } => live.advance(cpu, dur),
                 TraceOp::Barrier => live.barrier_all(),
-                TraceOp::ArmFirstTouch => live.arm_first_touch(),
             }
         }
         let live = live.metrics();

@@ -26,7 +26,6 @@ impl Workload for Adversary {
     }
     fn run(&mut self, r: &mut Runner<'_>) {
         let data = r.alloc(self.pages * 4096);
-        r.arm_first_touch();
         r.serial(rnuma_mem::addr::CpuId(0), |ctx| {
             for p in 0..self.pages {
                 ctx.write(data.at(p * 4096));

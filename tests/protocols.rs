@@ -17,7 +17,6 @@ impl Workload for Reuse {
     }
     fn run(&mut self, r: &mut Runner<'_>) {
         let hot = r.alloc(self.pages * 4096);
-        r.arm_first_touch();
         r.serial(rnuma_mem::addr::CpuId(0), |ctx| {
             for w in (0..hot.len(8)).step_by(4) {
                 ctx.write(hot.word(w));
@@ -46,7 +45,6 @@ impl Workload for Communicate {
     fn run(&mut self, r: &mut Runner<'_>) {
         let cpus = u64::from(r.cpus());
         let buf = r.alloc(cpus * 4096);
-        r.arm_first_touch();
         let one_each: Vec<Vec<u64>> = (0..cpus).map(|c| vec![c]).collect();
         r.parallel(&one_each, |ctx, _cpu, c| {
             for w in 0..512 {

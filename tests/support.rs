@@ -45,7 +45,7 @@ pub fn assert_exact_decode(store: &TraceStore, id: TraceId, ops: &[TraceOp]) {
             .iter()
             .map(|r| match *r {
                 CpuRun::Cpu { len, .. } => len,
-                CpuRun::Global => 1,
+                CpuRun::Barrier => 1,
             })
             .sum();
         assert_eq!(tiled, chunk.len(), "run table does not tile its segment");

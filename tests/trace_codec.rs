@@ -123,7 +123,6 @@ fn empty_and_single_op_streams_round_trip() {
             dur: Cycles(17),
         }],
         vec![TraceOp::Barrier],
-        vec![TraceOp::ArmFirstTouch],
     ] {
         let id = store.insert("one", config, &one);
         assert_exact_decode(&store, id, &one);
@@ -217,7 +216,7 @@ fn sign_flipping_and_wide_strides_round_trip() {
 #[test]
 fn runs_split_across_segment_boundaries_round_trip() {
     let config = figure_configs()[1];
-    let mut ops = vec![TraceOp::ArmFirstTouch];
+    let mut ops = Vec::new();
     for i in 0..20_000u64 {
         ops.push(TraceOp::Access {
             cpu: CpuId(0),
@@ -238,8 +237,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Adversarial random streams — random CPUs, wandering addresses
-    /// with sign-flipping strides up to 2⁴⁰, think time, barriers,
-    /// first-touch arms — round-trip the codec exactly and tile their
+    /// with sign-flipping strides up to 2⁴⁰, think time, barriers —
+    /// round-trip the codec exactly and tile their
     /// segments. Pure codec drill: addresses span the full wild range.
     #[test]
     fn adversarial_streams_round_trip_exactly(
@@ -254,8 +253,7 @@ proptest! {
         let mut va = start;
         for &(cpu, kind, stride) in &stream {
             match kind {
-                0 => ops.push(TraceOp::Barrier),
-                1 => ops.push(TraceOp::ArmFirstTouch),
+                0 | 1 => ops.push(TraceOp::Barrier),
                 2 | 3 => ops.push(TraceOp::Think { cpu: CpuId(cpu), dur: Cycles(stride) }),
                 k => {
                     // Odd kinds walk down, even kinds walk up: dense
@@ -276,7 +274,7 @@ proptest! {
         store.for_each_batch(id, |chunk, runs| {
             let tiled: usize = runs.iter().map(|r| match *r {
                 CpuRun::Cpu { len, .. } => len,
-                CpuRun::Global => 1,
+                CpuRun::Barrier => 1,
             }).sum();
             assert_eq!(tiled, chunk.len(), "run table does not tile its segment");
             rebuilt.extend_from_slice(chunk);
