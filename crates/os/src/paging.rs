@@ -50,9 +50,16 @@ mod tests {
         let mut pm = PageManager::new();
         let h = pm.home_on_touch(VPage(1), NodeId(3));
         assert_eq!(h, NodeId(3));
-        assert_eq!(pm.home_of(VPage(1)), Some(NodeId(3)));
         // Later touchers see the same home.
         assert_eq!(pm.home_on_touch(VPage(1), NodeId(5)), NodeId(3));
+    }
+
+    #[test]
+    fn unarmed_touch_still_fixes_home() {
+        // No directive precedes the touch: the toucher still becomes home.
+        let mut pm = PageManager::new();
+        assert_eq!(pm.home_on_touch(VPage(9), NodeId(1)), NodeId(1));
+        assert_eq!(pm.home_of(VPage(9)), Some(NodeId(1)));
     }
 
     #[test]
