@@ -82,13 +82,13 @@ fn workspace_root_of(exe: &Path, fallback: &Path) -> PathBuf {
 /// when not absolute).
 ///
 /// Anchoring to the workspace root rather than the working directory
-/// matters: bench lanes and figure binaries are launched from both the
-/// root and the crate directory, and a CWD-relative `results/` used to
-/// scatter drifting copies of `BENCH_hotpath.json`
-/// under `crates/bench/results/`. The root is resolved at run time from
-/// the running binary's location, so a copied checkout that reuses the
-/// original's `target/` still writes into its own tree; the
-/// compile-time workspace path is only the fallback.
+/// matters: figure binaries are launched from both the root and the
+/// crate directory, and a CWD-relative `results/` used to scatter
+/// drifting copies of their outputs under `crates/bench/results/`. The
+/// root is resolved at run time from the running binary's location, so
+/// a copied checkout that reuses the original's `target/` still writes
+/// into its own tree; the compile-time workspace path is only the
+/// fallback.
 ///
 /// # Exits
 ///
@@ -132,17 +132,6 @@ pub fn save(name: &str, content: &str) {
         die(&format!("cannot write {}", path.display()), &err);
     }
     println!("[saved {}]", path.display());
-}
-
-/// Runs one `(application, protocol)` pair at `scale`.
-///
-/// # Panics
-///
-/// Panics if `app` is not a Table-3 application.
-#[must_use]
-pub fn run_app(app: &str, protocol: Protocol, scale: Scale) -> RunReport {
-    let mut workload = by_name(app, scale).unwrap_or_else(|| panic!("unknown app {app}"));
-    run(MachineConfig::paper_base(protocol), &mut workload)
 }
 
 /// Runs one app on a custom machine configuration.
@@ -603,7 +592,11 @@ mod tests {
 
     #[test]
     fn run_app_smoke() {
-        let r = run_app("moldyn", Protocol::ideal(), Scale::Tiny);
+        let r = run_app_config(
+            "moldyn",
+            MachineConfig::paper_base(Protocol::ideal()),
+            Scale::Tiny,
+        );
         assert!(r.cycles() > 0);
         assert_eq!(r.workload, "moldyn");
     }

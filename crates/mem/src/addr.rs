@@ -232,12 +232,6 @@ impl NodeMask {
             .map(NodeId)
     }
 
-    /// Set union.
-    #[must_use]
-    pub fn union(self, other: NodeMask) -> NodeMask {
-        NodeMask(self.0 | other.0)
-    }
-
     /// Members of `self` that are not `node`.
     #[must_use]
     pub fn without(self, node: NodeId) -> NodeMask {
@@ -348,7 +342,7 @@ mod tests {
     fn node_mask_union_and_without() {
         let a: NodeMask = [NodeId(1), NodeId(2)].into_iter().collect();
         let b = NodeMask::single(NodeId(3));
-        let u = a.union(b);
+        let u: NodeMask = a.iter().chain(b.iter()).collect();
         assert_eq!(u.count(), 3);
         assert_eq!(u.without(NodeId(2)).count(), 2);
         // `without` does not mutate.

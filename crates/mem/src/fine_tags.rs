@@ -118,15 +118,6 @@ impl FineTags {
         self.words.iter().map(|&w| valid_bits(w).count_ones()).sum()
     }
 
-    /// Number of blocks with write permission (flushed as dirty).
-    #[must_use]
-    pub fn count_read_write(&self) -> u32 {
-        self.words
-            .iter()
-            .map(|&w| ((w >> 1) & LOW_BITS).count_ones())
-            .sum()
-    }
-
     /// Resets every tag to `Invalid`.
     pub fn clear(&mut self) {
         self.words = [0; WORDS];
@@ -221,7 +212,12 @@ mod tests {
         t.set(1, AccessTag::ReadWrite);
         t.set(2, AccessTag::ReadWrite);
         assert_eq!(t.count_valid(), 3);
-        assert_eq!(t.count_read_write(), 2);
+        let read_write: Vec<u64> = t
+            .iter_valid()
+            .filter(|&(_, tag)| tag == AccessTag::ReadWrite)
+            .map(|(i, _)| i)
+            .collect();
+        assert_eq!(read_write, vec![1, 2]);
         t.clear();
         assert_eq!(t.count_valid(), 0);
     }

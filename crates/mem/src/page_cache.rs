@@ -62,9 +62,9 @@ struct Frame {
 ///
 /// // The paper's base configuration: 320 KB = 80 frames.
 /// let mut pc = PageCache::new(320 * 1024);
-/// assert_eq!(pc.num_frames(), 80);
 /// let frame = pc.allocate(VPage(3)).frame;
 /// assert_eq!(pc.lookup(VPage(3)), Some(frame));
+/// assert_eq!(pc.occupied(), 1);
 /// ```
 #[derive(Clone, Debug)]
 pub struct PageCache {
@@ -130,12 +130,6 @@ impl PageCache {
     #[must_use]
     pub fn policy(&self) -> ReplacementPolicy {
         self.policy
-    }
-
-    /// Number of frames.
-    #[must_use]
-    pub fn num_frames(&self) -> usize {
-        self.frames.len()
     }
 
     /// Number of frames holding a page.
@@ -289,8 +283,8 @@ mod tests {
 
     #[test]
     fn paper_sizes() {
-        assert_eq!(PageCache::new(320 * 1024).num_frames(), 80);
-        assert_eq!(PageCache::new(40 * 1024 * 1024).num_frames(), 10240);
+        assert_eq!(PageCache::new(320 * 1024).frames.len(), 80);
+        assert_eq!(PageCache::new(40 * 1024 * 1024).frames.len(), 10240);
     }
 
     #[test]
@@ -332,7 +326,9 @@ mod tests {
         pc.set_tag(VPage(5), 2, AccessTag::ReadWrite);
         let victim = pc.allocate(VPage(6)).victim.unwrap();
         assert_eq!(victim.valid_blocks, 3);
-        assert_eq!(victim.tags.count_read_write(), 2);
+        assert_eq!(victim.tags.get(0), AccessTag::ReadOnly);
+        assert_eq!(victim.tags.get(1), AccessTag::ReadWrite);
+        assert_eq!(victim.tags.get(2), AccessTag::ReadWrite);
         // The reused frame starts with clean tags.
         assert_eq!(pc.tag(VPage(6), 1), Some(AccessTag::Invalid));
     }

@@ -16,10 +16,7 @@
 //!   "present with default state".
 //!
 //! Slabs are allocated from an internal arena (a `Vec` of boxed slabs)
-//! and never move or free individually, so `get`/`get_mut` are stable
-//! and iteration order over a page is always ascending block order —
-//! independent of insertion history, which the workspace's
-//! bit-identical-replay guarantees rely on.
+//! and never move or free individually, so `get`/`get_mut` are stable.
 
 use crate::addr::{VBlock, VPage, BLOCKS_PER_PAGE};
 use crate::page_map::PageMap;
@@ -66,7 +63,7 @@ impl<V: Default> Slab<V> {
 /// # Example
 ///
 /// ```
-/// use rnuma_mem::addr::{VBlock, VPage};
+/// use rnuma_mem::addr::VBlock;
 /// use rnuma_mem::paged::PagedMap;
 ///
 /// let mut m: PagedMap<u32> = PagedMap::new();
@@ -74,10 +71,6 @@ impl<V: Default> Slab<V> {
 /// *m.entry_or_default(VBlock(7)) += 1;
 /// assert_eq!(m.get(VBlock(7)), Some(&1));
 /// assert_eq!(m.len(), 1);
-/// // Blocks of one page iterate in ascending block order.
-/// *m.entry_or_default(VPage(0).block(3)) += 5;
-/// let blocks: Vec<u64> = m.page_entries(VPage(0)).map(|(b, _)| b.0).collect();
-/// assert_eq!(blocks, vec![3, 7]);
 /// ```
 #[derive(Clone)]
 pub struct PagedMap<V> {
@@ -179,16 +172,6 @@ impl<V: Default> PagedMap<V> {
         }
         &mut slab.cells[idx]
     }
-
-    /// Iterates the touched blocks of `page` in ascending block order
-    /// (deterministic regardless of touch history).
-    pub fn page_entries(&self, page: VPage) -> impl Iterator<Item = (VBlock, &V)> + '_ {
-        self.slab_of(page).into_iter().flat_map(move |slab| {
-            (0..SLAB_LEN)
-                .filter(|&i| slab.is_touched(i))
-                .map(move |i| (page.block(i as u64), &slab.cells[i]))
-        })
-    }
 }
 
 #[cfg(test)]
@@ -236,24 +219,6 @@ mod tests {
         assert_eq!(m.get(VBlock(1000)), Some(&42));
     }
 
-    #[test]
-    fn page_entries_are_dense_ascending() {
-        let mut m: PagedMap<u64> = PagedMap::new();
-        let page = VPage(9);
-        // Touch out of order; iteration must come back sorted.
-        for i in [100u64, 3, 64, 0, 127] {
-            *m.entry_or_default(page.block(i)) = i;
-        }
-        let got: Vec<(u64, u64)> = m.page_entries(page).map(|(b, &v)| (b.0, v)).collect();
-        let want: Vec<(u64, u64)> = [0u64, 3, 64, 100, 127]
-            .iter()
-            .map(|&i| (page.block(i).0, i))
-            .collect();
-        assert_eq!(got, want);
-        // Foreign pages are empty.
-        assert_eq!(m.page_entries(VPage(10)).count(), 0);
-    }
-
     /// Named for the flat `FxMap` the reference used to be; the
     /// reference is now a `BTreeMap` keyed by block.
     #[test]
@@ -275,15 +240,9 @@ mod tests {
         }
         assert_eq!(paged.len(), flat.len());
         for page in 0..64u64 {
-            let from_flat: Vec<(VBlock, u64)> = VPage(page)
-                .blocks()
-                .filter_map(|b| flat.get(&b).map(|&v| (b, v)))
-                .collect();
-            let from_paged: Vec<(VBlock, u64)> = paged
-                .page_entries(VPage(page))
-                .map(|(b, &v)| (b, v))
-                .collect();
-            assert_eq!(from_paged, from_flat, "page {page}");
+            for b in VPage(page).blocks() {
+                assert_eq!(paged.get(b), flat.get(&b), "block {b:?}");
+            }
         }
     }
 }
